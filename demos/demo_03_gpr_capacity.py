@@ -24,10 +24,9 @@ nets, stats, _ = pipeline.train_stage_gan(ds, config, 5)
 
 def latents(cells):
     curves = ds.curves_for(5, cells)
-    lat = np.stack([eisgan.extract_latents(nets, eisdata.curve_to_array(c))
-                    for c in eisdata.normalize(curves, stats)])
+    x = np.stack([eisdata.curve_to_array(c) for c in eisdata.normalize(curves, stats)])
     y = np.array([ds.capacity(c.cell_id, c.cycle) for c in curves])
-    return lat, y
+    return eisgan.extract_latents(nets, x), y  # one (N, 2, T) batch -> (N, 9) codes
 
 c_train, y_train = latents(ds.train_cells)
 model = gpr.fit(c_train, y_train, restarts=3, max_iter=60, seed=0)

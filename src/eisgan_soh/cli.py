@@ -41,6 +41,12 @@ def _latents_csv_path(config, stage):
     return os.path.join(config.out_dir, f"latents_stage{stage}.csv")
 
 
+def _print_metrics(report: pipeline.EvalReport):
+    for e in report.cells:
+        print(f"stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
+              f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
+
+
 def cmd_synth(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -66,12 +72,9 @@ def cmd_extract(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        curves = dataset.curves_for(stage)
-        rows = []
-        for curve in eisdata.normalize(curves, stats):
-            lat = eisgan.extract_latents(nets, eisdata.curve_to_array(curve))
-            rows.append([curve.cell_id, curve.stage, curve.cycle]
-                        + [float(v) for v in lat])
+        curves, x, _ = pipeline._stage_arrays(dataset, stage, None, stats)
+        rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
+                for c, lat in zip(curves, eisgan.extract_latents(nets, x))]
         header = ["cell_id", "stage", "cycle"] + [
             f"c{i + 1}" for i in range(nets.config.latent_dim)]
         pipeline._write_csv(_latents_csv_path(config, stage), header, rows)
@@ -81,19 +84,18 @@ def cmd_extract(config: PipelineConfig):
 def _read_latents(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        dims = len(header) - 3
+        fh.readline()
         for line in fh:
             parts = line.strip().split(",")
             rows.append((parts[0], int(parts[1]), int(parts[2]),
                          np.array([float(v) for v in parts[3:]])))
-    return rows, dims
+    return rows
 
 
 def cmd_fit_gpr(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     for stage in config.stages:
-        rows, _ = _read_latents(_latents_csv_path(config, stage))
+        rows = _read_latents(_latents_csv_path(config, stage))
         train_cells, _ = pipeline.stage_partition(dataset, stage)
         train_rows = [r for r in rows if r[0] in train_cells]
         c_train = np.stack([r[3] for r in train_rows])
@@ -113,14 +115,15 @@ def cmd_predict(config: PipelineConfig):
         with open(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
                   encoding="utf-8") as fh:
             model = gpr.GprModel.from_json(fh.read())
-        rows, _ = _read_latents(_latents_csv_path(config, stage))
         _, test_cells = pipeline.stage_partition(dataset, stage)
-        out_rows = []
-        for cell_id, _, cycle, lat in rows:
-            if cell_id not in test_cells:
-                continue
-            mean, var = model.predict(lat)
-            out_rows.append((cell_id, stage, cycle, mean, float(np.sqrt(var))))
+        rows = [r for r in _read_latents(_latents_csv_path(config, stage))
+                if r[0] in test_cells]
+        if not rows:
+            raise pipeline.PipelineError(
+                f"stage {stage}: no latent rows for test cells {test_cells}")
+        mean, var = model.predict(np.stack([r[3] for r in rows]))
+        out_rows = [(r[0], stage, r[2], m, np.sqrt(v))
+                    for r, m, v in zip(rows, mean, var)]
         path = os.path.join(config.out_dir, f"predictions_stage{stage}.csv")
         pipeline._write_csv(path, ["cell_id", "stage", "cycle",
                                    "pred_mean_mah", "pred_std_mah"], out_rows)
@@ -137,9 +140,7 @@ def cmd_evaluate(config: PipelineConfig):
     pipeline.emit_plot_data(config.out_dir, dataset, config, report,
                             None, None, artifacts)
     pipeline.write_summary(config.out_dir, report, None)
-    for e in report.cells:
-        print(f"stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
-              f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
+    _print_metrics(report)
 
 
 def cmd_baseline(config: PipelineConfig):
@@ -149,9 +150,7 @@ def cmd_baseline(config: PipelineConfig):
     with open(os.path.join(config.out_dir, "evalreport_baseline.json"), "w",
               encoding="utf-8") as fh:
         fh.write(report.to_json())
-    for e in report.cells:
-        print(f"stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
-              f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
+    _print_metrics(report)
 
 
 def cmd_perturb(config: PipelineConfig):
@@ -172,25 +171,17 @@ def cmd_perturb(config: PipelineConfig):
 def cmd_sweep(config: PipelineConfig):
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        grid = np.linspace(-2.0, 2.0, 9)
         freq = eisdata.log_grid(ecm.F_MAX_HZ, ecm.F_MIN_HZ, nets.config.length)
         for dim in range(nets.config.latent_dim):
-            rows = []
-            for value, arr in zip(grid, eisgan.latent_sweep(nets, dim, grid)):
-                re_z, im_z = eisdata.array_to_channels(arr, stats)
-                rows.extend((value, i, freq[i], re_z[i], im_z[i])
-                            for i in range(len(freq)))
             path = os.path.join(config.out_dir, f"sweep_stage{stage}_dim{dim}.csv")
-            pipeline._write_csv(path, ["code_value", "point_index", "freq_hz",
-                                       "re_z_ohm", "im_z_ohm"], rows)
+            pipeline._write_csv(path, pipeline.SWEEP_HEADER,
+                                pipeline.sweep_rows(nets, stats, dim, freq))
         print(f"stage {stage}: wrote sweeps for {nets.config.latent_dim} dims")
 
 
 def cmd_run_all(config: PipelineConfig):
     results = pipeline.run_all(config)
-    for e in results["eisgan_report"].cells:
-        print(f"stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
-              f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
+    _print_metrics(results["eisgan_report"])
     print(f"reports written to {config.out_dir}")
 
 

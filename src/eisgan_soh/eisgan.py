@@ -221,28 +221,32 @@ def generate(nets: Networks, code: LatentCode) -> np.ndarray:
 
 
 def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
-    """c* = Q(D_trunk(x*)) for a normalized (channels, length) curve."""
+    """c* = Q(D_trunk(x*)) for normalized curves.
+
+    A (channels, length) curve gives a (latent_dim,) code; a batch of shape
+    (N, channels, length) gives (N, latent_dim) codes in one trunk pass.
+    """
     cfg = nets.config
     arr = np.asarray(curve_array, dtype=np.float64)
-    if arr.shape != (cfg.channels, cfg.length):
-        raise GanError(f"curve shape {arr.shape} != ({cfg.channels}, {cfg.length})")
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (cfg.channels, cfg.length):
+        raise GanError(f"curve shape {arr.shape} is neither ({cfg.channels}, "
+                       f"{cfg.length}) nor (N, {cfg.channels}, {cfg.length})")
     features = _forward_trunk(nets, ng.Tensor(arr))
     return _q_mean(nets, features).data
 
 
-def latent_sweep(nets: Networks, dim_index: int, grid=None) -> list[np.ndarray]:
-    """Generated curves as one code dimension moves over grid, others at 0, z=0."""
+def latent_sweep(nets: Networks, dim_index: int, grid=None) -> np.ndarray:
+    """Generated curves, shape (len(grid), channels, length), as one code
+    dimension moves over grid with the other dims at 0 and z=0."""
     cfg = nets.config
     if not 0 <= dim_index < cfg.latent_dim:
         raise GanError(f"dim_index {dim_index} out of range")
-    if grid is None:
-        grid = np.linspace(-2.0, 2.0, 9)
-    out = []
-    for value in grid:
-        c = np.zeros(cfg.latent_dim)
-        c[dim_index] = value
-        out.append(generate(nets, LatentCode(c, np.zeros(cfg.noise_dim))))
-    return out
+    grid = np.linspace(-2.0, 2.0, 9) if grid is None else np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise GanError("sweep grid must be a finite 1-D sequence")
+    codes = np.zeros((len(grid), cfg.latent_dim + cfg.noise_dim))
+    codes[:, dim_index] = grid
+    return _forward_g(nets, ng.Tensor(codes)).data
 
 
 # ---------------------------------------------------------------------------

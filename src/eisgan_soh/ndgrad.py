@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Provides exactly the primitives the EIS GAN needs (1D convolution, dense
-layers, leaky ReLU, the two loss heads) plus an AdamP-style optimizer.
+layers, leaky ReLU, the two loss heads) plus an Adam optimizer.
 Every op records onto the active Tape; replaying a tape with identical
 inputs is bit-for-bit deterministic.
 """
@@ -31,7 +31,7 @@ _ACTIVE_TAPE: "Tape | None" = None
 class Tensor:
     """Dense float64 array node in the computation graph."""
 
-    __slots__ = ("data", "parents", "backward_fn", "is_param", "name", "scale_invariant")
+    __slots__ = ("data", "parents", "backward_fn", "is_param", "name")
 
     def __init__(self, data, is_param=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -41,7 +41,6 @@ class Tensor:
         self.backward_fn = None
         self.is_param = bool(is_param)
         self.name = name
-        self.scale_invariant = False
 
     @property
     def shape(self):
@@ -269,17 +268,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), bw)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -341,21 +329,20 @@ def clip_global_norm(grads, max_norm: float):
 
 
 class AdamP:
-    """Adam with bias correction and optional radial-update projection.
+    """Adam with bias correction.
 
-    The projection removes the component of the update parallel to the
-    weights for scale-invariant parameter blocks (those followed by a
-    normalization layer). No block in this architecture is scale-invariant,
-    so with defaults the optimizer behaves exactly like Adam.
+    The name comes from AdamP, whose radial-update projection acts only on
+    scale-invariant weights (those followed by a normalization layer). No
+    weight in these networks is scale-invariant, so the projection would
+    never apply and is not implemented: this is plain Adam.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, projection=True):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.projection = projection
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -375,9 +362,4 @@ class AdamP:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.projection and p.scale_invariant:
-                w = p.data
-                denom = float(np.sum(w * w))
-                if denom > 0:
-                    update = update - (float(np.sum(update * w)) / denom) * w
             p.data -= self.lr * update

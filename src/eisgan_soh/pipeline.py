@@ -70,6 +70,12 @@ class PerturbSettings:
     cell: str | None = None
     cycle: int = 100
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise PipelineError(f"perturb n_samples must be >= 1, got {self.n_samples}")
+        if not all(np.isfinite(s) and s >= 0 for s in self.sigmas):
+            raise PipelineError(f"perturb sigmas must be finite and >= 0, got {self.sigmas}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -246,42 +252,34 @@ def _stage_gan_config(config: PipelineConfig, stage: int) -> GanConfig:
     return replace(config.gan, seed=config.seed * 1000 + stage)
 
 
+def _stage_arrays(dataset, stage, cells, stats):
+    """A stage's curves for `cells` (all cells when None), their normalized
+    (N, 2, T) array and their capacities (N,)."""
+    curves = dataset.curves_for(stage, cells)
+    x = np.stack([curve_to_array(c) for c in normalize(curves, stats)])
+    y = np.array([dataset.capacity(c.cell_id, c.cycle) for c in curves])
+    return curves, x, y
+
+
 def train_stage_gan(dataset: Dataset, config: PipelineConfig, stage: int):
     """Fit NormStats on training cells, train the stage GAN on them."""
     train_cells, _ = stage_partition(dataset, stage)
-    train_curves = dataset.curves_for(stage, train_cells)
-    stats = fit_norm_stats(train_curves)
-    arrays = np.stack([curve_to_array(c) for c in normalize(train_curves, stats)])
-    nets, report = eisgan.train(arrays, _stage_gan_config(config, stage))
+    stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
+    _, x, _ = _stage_arrays(dataset, stage, train_cells, stats)
+    nets, report = eisgan.train(x, _stage_gan_config(config, stage))
     return nets, stats, report
 
 
-def _latents_and_targets(dataset, stage, cells, nets, stats):
-    curves = dataset.curves_for(stage, cells)
-    lat = np.stack([eisgan.extract_latents(nets, curve_to_array(c))
-                    for c in normalize(curves, stats)])
-    y = np.array([dataset.capacity(c.cell_id, c.cycle) for c in curves])
-    return curves, lat, y
-
-
-def _flat_and_targets(dataset, stage, cells, stats):
-    curves = dataset.curves_for(stage, cells)
-    flat = np.stack([curve_to_array(c).ravel() for c in normalize(curves, stats)])
-    y = np.array([dataset.capacity(c.cell_id, c.cycle) for c in curves])
-    return curves, flat, y
-
-
-def _evaluate_cells(report, model, stage, curves, inputs, dataset):
+def _evaluate_cells(report, model, stage, curves, inputs, y):
     cells = sorted({c.cell_id for c in curves})
     for cell_id in cells:
         idx = [i for i, c in enumerate(curves) if c.cell_id == cell_id]
         mean, var = model.predict(inputs[idx])
-        y = np.array([dataset.capacity(cell_id, curves[i].cycle) for i in idx])
-        mae, rmse, r2 = metrics(y, mean)
+        mae, rmse, r2 = metrics(y[idx], mean)
         report.cells.append(CellEval(
             stage=stage, cell_id=cell_id, mae_mah=mae, rmse_mah=rmse, r2=r2,
             cycles=[curves[i].cycle for i in idx],
-            measured_mah=[float(v) for v in y],
+            measured_mah=[float(v) for v in y[idx]],
             pred_mean_mah=[float(v) for v in mean],
             pred_std_mah=[float(v) for v in np.sqrt(var)]))
 
@@ -301,11 +299,13 @@ def run_eisgan_path(dataset: Dataset, config: PipelineConfig,
             nets, stats = trained[stage]
         else:
             nets, stats, _ = train_stage_gan(dataset, config, stage)
-        _, c_train, y_train = _latents_and_targets(dataset, stage, train_cells, nets, stats)
-        model = gpr.fit(c_train, y_train, restarts=config.gpr.restarts,
+        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
+        model = gpr.fit(eisgan.extract_latents(nets, x_train), y_train,
+                        restarts=config.gpr.restarts,
                         max_iter=config.gpr.max_iter, seed=config.seed)
-        test_curves, c_test, _ = _latents_and_targets(dataset, stage, test_cells, nets, stats)
-        _evaluate_cells(report, model, stage, test_curves, c_test, dataset)
+        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
+        _evaluate_cells(report, model, stage, test_curves,
+                        eisgan.extract_latents(nets, x_test), y_test)
         artifacts[stage] = StageArtifacts(stage, stats, nets, model,
                                           train_cells, test_cells)
     return report, artifacts
@@ -322,22 +322,26 @@ def run_baseline_path(dataset: Dataset, config: PipelineConfig,
             stats = norm_stats[stage]
         else:
             stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-        _, x_train, y_train = _flat_and_targets(dataset, stage, train_cells, stats)
-        model = gpr.fit(x_train, y_train, restarts=config.gpr.restarts,
+        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
+        model = gpr.fit(x_train.reshape(len(x_train), -1), y_train,
+                        restarts=config.gpr.restarts,
                         max_iter=config.gpr.max_iter, seed=config.seed)
-        test_curves, x_test, _ = _flat_and_targets(dataset, stage, test_cells, stats)
-        _evaluate_cells(report, model, stage, test_curves, x_test, dataset)
+        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
+        _evaluate_cells(report, model, stage, test_curves,
+                        x_test.reshape(len(x_test), -1), y_test)
         artifacts[stage] = StageArtifacts(stage, stats, None, model,
                                           train_cells, test_cells)
     return report, artifacts
 
 
-def _predict_curve(curve, artifact: StageArtifacts, baseline: bool) -> float:
-    norm = normalize([curve], artifact.stats)[0]
-    if baseline:
-        features = curve_to_array(norm).ravel()
+def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
+    """Posterior means of raw curves through one stage's latent path, or its
+    raw-spectrum baseline when the artifact has no networks."""
+    x = np.stack([curve_to_array(c) for c in normalize(curves, artifact.stats)])
+    if artifact.nets is None:
+        features = x.reshape(len(x), -1)
     else:
-        features = eisgan.extract_latents(artifact.nets, curve_to_array(norm))
+        features = eisgan.extract_latents(artifact.nets, x)
     mean, _ = artifact.gpr_model.predict(features)
     return mean
 
@@ -361,16 +365,14 @@ def run_perturbation_study(dataset: Dataset, config: PipelineConfig,
 
         for path_name, art in (("eisgan", eisgan_art[stage]),
                                ("baseline", baseline_art[stage])):
-            clean_pred = _predict_curve(curve, art, path_name == "baseline")
+            clean_pred = _predict_means([curve], art)[0]
             for sigma in pert.sigmas:
                 rng = np.random.default_rng(
                     [config.seed, stage, int(round(sigma * 1e6)),
                      0 if path_name == "eisgan" else 1])
-                devs = []
-                for _ in range(pert.n_samples):
-                    noisy = eisdata.perturb_curve(curve, sigma, rng)
-                    devs.append(_predict_curve(noisy, art, path_name == "baseline")
-                                - clean_pred)
+                noisy = [eisdata.perturb_curve(curve, sigma, rng)
+                         for _ in range(pert.n_samples)]
+                devs = _predict_means(noisy, art) - clean_pred
                 med, q25, q75, wlo, whi, outliers = box_stats(devs)
                 report.entries.append(PerturbEntry(
                     stage=stage, sigma=sigma, path_name=path_name,
@@ -392,6 +394,20 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
+SWEEP_HEADER = ["code_value", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"]
+
+
+def sweep_rows(nets: eisgan.Networks, stats: eisdata.NormStats, dim: int, freq):
+    """Denormalized CSV rows of one code dimension's sweep over [-2, 2] in 9
+    steps, one row per (code value, frequency point)."""
+    grid = np.linspace(-2.0, 2.0, 9)
+    rows = []
+    for value, arr in zip(grid, eisgan.latent_sweep(nets, dim, grid)):
+        re_z, im_z = eisdata.array_to_channels(arr, stats)
+        rows.extend((value, i, freq[i], re_z[i], im_z[i]) for i in range(len(freq)))
+    return rows
+
+
 def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
                    eisgan_report: EvalReport, baseline_report: EvalReport | None,
                    perturb_report: PerturbReport | None,
@@ -409,7 +425,7 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
     for stage in config.stages:
         art = artifacts[stage]
         cell_id = art.test_cells[0]
-        curves = dataset.curves_for(stage, [cell_id])
+        curves, x, caps = _stage_arrays(dataset, stage, [cell_id], art.stats)
 
         # Nyquist traces across a handful of cycles
         n_show = min(5, len(curves))
@@ -420,19 +436,10 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
              ["cycle", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"], rows)
 
         # latent sweeps for the top two selected dimensions
-        _, lat, caps = _latents_and_targets(dataset, stage, [cell_id], art.nets, art.stats)
-        sel = eisgan.align_and_select(lat, caps)
-        grid = np.linspace(-2.0, 2.0, 9)
+        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x), caps)
         for rank, dim in enumerate(sel.top2, start=1):
-            swept = eisgan.latent_sweep(art.nets, dim, grid)
-            rows = []
-            freq = curves[0].freq_hz
-            for value, arr in zip(grid, swept):
-                re_z, im_z = eisdata.array_to_channels(arr, art.stats)
-                rows.extend((value, i, freq[i], re_z[i], im_z[i])
-                            for i in range(len(freq)))
-            emit(f"sweep_stage{stage}_c{rank}.csv",
-                 ["code_value", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"], rows)
+            emit(f"sweep_stage{stage}_c{rank}.csv", SWEEP_HEADER,
+                 sweep_rows(art.nets, art.stats, dim, curves[0].freq_hz))
 
         # aligned latent traces over cycles
         cycles = [c.cycle for c in curves]

@@ -95,8 +95,18 @@ def test_extract_latents_shape():
 
 def test_extract_latents_rejects_wrong_shape():
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
-    with pytest.raises(GanError):
-        eisgan.extract_latents(nets, np.zeros((2, 59)))
+    for shape in ((2, 59), (5, 2, 59), (1, 5, 2, 60), (120,)):
+        with pytest.raises(GanError):
+            eisgan.extract_latents(nets, np.zeros(shape))
+
+
+def test_extract_latents_batch_matches_per_curve_loop():
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(3))
+    x = np.random.default_rng(4).standard_normal((7, 2, 60))
+    batched = eisgan.extract_latents(nets, x)
+    assert batched.shape == (7, 9)
+    reference = np.stack([eisgan.extract_latents(nets, curve) for curve in x])
+    np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-12)
 
 
 def test_extract_is_q_of_trunk():
@@ -122,6 +132,20 @@ def test_latent_sweep_custom_grid_and_range_check():
     assert len(eisgan.latent_sweep(nets, 3, grid=[-1.0, 0.0, 1.0])) == 3
     with pytest.raises(GanError):
         eisgan.latent_sweep(nets, 9)
+    with pytest.raises(GanError):
+        eisgan.latent_sweep(nets, 3, grid=[0.0, np.nan])
+
+
+def test_latent_sweep_matches_generate_loop():
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(2))
+    grid = np.linspace(-2.0, 2.0, 9)
+    reference = []
+    for value in grid:
+        c = np.zeros(9)
+        c[5] = value
+        reference.append(eisgan.generate(nets, LatentCode(c, np.zeros(16))))
+    np.testing.assert_allclose(eisgan.latent_sweep(nets, 5, grid), np.stack(reference),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

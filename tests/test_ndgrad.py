@@ -329,18 +329,6 @@ def test_adamp_rejects_nonfinite_gradient():
         opt.step([np.array([np.inf])])
 
 
-def test_adamp_projection_noop_without_scale_invariance():
-    p1 = ng.Tensor([0.5, -0.5], is_param=True)
-    p2 = ng.Tensor([0.5, -0.5], is_param=True)
-    g = np.array([0.3, 0.7])
-    on = ng.AdamP([p1], lr=1e-3, projection=True)
-    off = ng.AdamP([p2], lr=1e-3, projection=False)
-    for _ in range(3):
-        on.step([g])
-        off.step([g])
-    np.testing.assert_array_equal(p1.data, p2.data)
-
-
 def test_clip_global_norm():
     grads = [np.array([3.0]), np.array([4.0])]
     clipped, norm = ng.clip_global_norm(grads, 1.0)

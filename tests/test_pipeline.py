@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from eisgan_soh import cli, eisdata, eisgan, pipeline
+from eisgan_soh import cli, eisdata, eisgan, gpr, pipeline
 from eisgan_soh.pipeline import (PerturbSettings, PipelineConfig, PipelineError,
                                  SynthSettings)
 
@@ -111,6 +111,18 @@ def test_config_from_dict_nested_sections():
     assert cfg.perturb.sigmas == (0.001,)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_samples": 0},
+    {"n_samples": -3},
+    {"sigmas": (0.001, -0.001)},
+    {"sigmas": (float("nan"),)},
+    {"sigmas": (float("inf"),)},
+])
+def test_perturb_settings_reject_bad_values(kwargs):
+    with pytest.raises(PipelineError):
+        PerturbSettings(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # dataset loading and partitioning
 # ---------------------------------------------------------------------------
@@ -210,6 +222,29 @@ def test_run_all_perturb_report(tiny_run):
     assert report.cycle == 3
 
 
+def _reference_prediction(curve, art):
+    """Per-curve reference for the batched perturbation study."""
+    x = eisdata.curve_to_array(eisdata.normalize([curve], art.stats)[0])
+    features = x.ravel() if art.nets is None else eisgan.extract_latents(art.nets, x)
+    mean, _ = art.gpr_model.predict(features)
+    return mean
+
+
+def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
+    cfg, results = tiny_run
+    report = results["perturb_report"]
+    curve = next(c for c in results["dataset"].curves_for(5, [report.cell_id])
+                 if c.cycle == report.cycle)
+    for e in report.entries:
+        art = results[f"{e.path_name}_artifacts"][e.stage]
+        rng = np.random.default_rng([cfg.seed, e.stage, int(round(e.sigma * 1e6)),
+                                     0 if e.path_name == "eisgan" else 1])
+        clean = _reference_prediction(curve, art)
+        devs = [_reference_prediction(eisdata.perturb_curve(curve, e.sigma, rng), art)
+                - clean for _ in range(cfg.perturb.n_samples)]
+        np.testing.assert_allclose(e.deviations_mah, devs, rtol=1e-9, atol=0)
+
+
 def test_run_all_emitted_sweep_and_band_files(tiny_run):
     cfg, results = tiny_run
     ds = results["dataset"]
@@ -285,9 +320,19 @@ def test_cli_train_extract_fit_predict_chain(tmp_path, capsys):
     pred_path = os.path.join(cfg.out_dir, "predictions_stage5.csv")
     with open(pred_path) as fh:
         header = fh.readline().strip().split(",")
-        n_rows = sum(1 for _ in fh)
+        rows = [line.strip().split(",") for line in fh]
     assert header == ["cell_id", "stage", "cycle", "pred_mean_mah", "pred_std_mah"]
-    assert n_rows == 8  # one test cell x eight cycles
+    assert len(rows) == 8  # one test cell x eight cycles
+
+    # per-row predict on the extracted latents is the reference
+    with open(os.path.join(cfg.out_dir, "gpr_stage5.json")) as fh:
+        model = gpr.GprModel.from_json(fh.read())
+    latents = {(r[0], r[2]): r[3] for r in
+               cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))}
+    for cell_id, _, cycle, mean, std in rows:
+        ref_mean, ref_var = model.predict(latents[(cell_id, int(cycle))])
+        assert float(mean) == pytest.approx(ref_mean, rel=1e-9, abs=0)
+        assert float(std) == pytest.approx(np.sqrt(ref_var), rel=1e-9, abs=0)
 
 
 def test_cli_sweep_from_checkpoint(tmp_path, capsys):
@@ -306,6 +351,21 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     blob = json.loads(err)
     assert set(blob) == {"error", "message"}
+
+
+def test_cli_bad_perturb_config_prints_json_error_line(tmp_path, capsys):
+    _, path = cli_config_file(tmp_path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["perturb"]["n_samples"] = 0
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    assert cli.main(["perturb", "--config", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PipelineError"
+    assert captured.out == ""
 
 
 def test_cli_seed_override_changes_synth(tmp_path):
