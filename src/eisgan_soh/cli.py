@@ -132,6 +132,7 @@ def cmd_predict(config: PipelineConfig):
 
 def cmd_evaluate(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
+    pipeline.check_plot_cycles(dataset, config)
     report, artifacts = pipeline.run_eisgan_path(dataset, config)
     os.makedirs(config.out_dir, exist_ok=True)
     with open(os.path.join(config.out_dir, "evalreport_eisgan.json"), "w",

@@ -375,6 +375,10 @@ class LatentSelection:
     correlations: tuple[float, ...]
 
 
+#: fewest cycles `align_and_select` ranks code dimensions on
+MIN_RANK_CYCLES = 3
+
+
 def align_and_select(latents: np.ndarray, capacities: np.ndarray) -> LatentSelection:
     """Rank code dims by |corr| with capacity; flip so each decreases with cycle.
 
@@ -386,8 +390,8 @@ def align_and_select(latents: np.ndarray, capacities: np.ndarray) -> LatentSelec
     cap = np.asarray(capacities, dtype=float).ravel()
     if lat.ndim != 2 or len(lat) != len(cap):
         raise GanError(f"latents {lat.shape} and capacities {cap.shape} misaligned")
-    if len(cap) < 3:
-        raise GanError("need at least 3 cycles for correlation ranking")
+    if len(cap) < MIN_RANK_CYCLES:
+        raise GanError(f"need at least {MIN_RANK_CYCLES} cycles for correlation ranking")
     n_dims = lat.shape[1]
     cycles = np.arange(len(cap), dtype=float)
     corrs = np.array([_pearson(lat[:, j], cap) for j in range(n_dims)])

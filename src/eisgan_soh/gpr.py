@@ -4,6 +4,12 @@ Hyperparameters [sigma_n, sigma_f, length_scale] are fit by maximizing the
 log marginal likelihood with gradient ascent in log-space (backtracking
 line search, random restarts). Targets are z-scored internally so the
 zero-mean prior applies; predictions are denormalized on the way out.
+
+The pairwise squared distances of the training inputs do not depend on the
+hyperparameters, so `fit` computes them once and every restart, every
+line-search trial and the final model work from that one matrix. Trials
+evaluate the likelihood value only; the gradient, which needs a full
+(K + sigma_n^2 I)^-1, is computed at each start point and accepted step.
 """
 
 from __future__ import annotations
@@ -70,34 +76,54 @@ def _chol_with_jitter(gram: np.ndarray):
     raise GprError("Cholesky factorization failed even with maximal jitter")
 
 
-def log_marginal_likelihood(inputs, targets, hp: Hyperparams):
-    """Returns (L, dL/dlog[sigma_n, sigma_f, l]).
-
-    L = -1/2 log det(K + sigma_n^2 I) - 1/2 y^T (K + sigma_n^2 I)^-1 y
-        - n/2 log 2pi, evaluated via Cholesky.
-    """
+def _training_arrays(inputs, targets):
     c = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
-    n = len(y)
-    if n < 1 or c.shape[0] != n:
+    if len(y) < 1 or c.shape[0] != len(y):
         raise GprError(f"bad training shapes: inputs {c.shape}, targets {y.shape}")
-    d2 = _sqdist(c, c)
+    return c, y
+
+
+def _lml(d2, y, hp: Hyperparams):
+    """L at hp from the training set's squared distances d2, via Cholesky.
+
+    Returns (L, factor); factor = (k_f, chol, lower, alpha) feeds `_lml_grad`
+    and `GprModel`. No inverse is formed, so a value-only evaluation costs
+    one factorisation and one solve.
+    """
     k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
-    gram = k_f + hp.sigma_n ** 2 * np.eye(n)
+    gram = k_f + hp.sigma_n ** 2 * np.eye(len(y))
     (chol, lower), _ = _chol_with_jitter(gram)
     alpha = cho_solve((chol, lower), y)
     lml = (-float(np.sum(np.log(np.diag(chol))))
            - 0.5 * float(y @ alpha)
-           - 0.5 * n * LOG2PI)
+           - 0.5 * len(y) * LOG2PI)
+    return lml, (k_f, chol, lower, alpha)
 
+
+def _lml_grad(d2, hp: Hyperparams, factor) -> np.ndarray:
+    """dL/dlog[sigma_n, sigma_f, l] from the factor `_lml` returned for hp."""
+    k_f, chol, lower, alpha = factor
+    n = len(alpha)
     # dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta), theta in log-space
     k_inv = cho_solve((chol, lower), np.eye(n))
     inner = np.outer(alpha, alpha) - k_inv
     dk_sn = 2 * hp.sigma_n ** 2 * np.eye(n)
     dk_sf = 2 * k_f
     dk_ls = k_f * d2 / hp.length_scale ** 2
-    grad = np.array([0.5 * float(np.sum(inner * dk)) for dk in (dk_sn, dk_sf, dk_ls)])
-    return lml, grad
+    return np.array([0.5 * float(np.sum(inner * dk)) for dk in (dk_sn, dk_sf, dk_ls)])
+
+
+def log_marginal_likelihood(inputs, targets, hp: Hyperparams):
+    """Returns (L, dL/dlog[sigma_n, sigma_f, l]).
+
+    L = -1/2 log det(K + sigma_n^2 I) - 1/2 y^T (K + sigma_n^2 I)^-1 y
+        - n/2 log 2pi, evaluated via Cholesky.
+    """
+    c, y = _training_arrays(inputs, targets)
+    d2 = _sqdist(c, c)
+    lml, factor = _lml(d2, y, hp)
+    return lml, _lml_grad(d2, hp, factor)
 
 
 @dataclass
@@ -115,15 +141,13 @@ class GprModel:
     lml: float = None
 
     @staticmethod
-    def build(inputs, targets, hp: Hyperparams, y_mean: float, y_scale: float) -> "GprModel":
-        c = np.atleast_2d(np.asarray(inputs, dtype=float))
-        y = np.asarray(targets, dtype=float).ravel()
-        gram = kernel_matrix(c, c, hp) + hp.sigma_n ** 2 * np.eye(len(y))
-        (chol, lower), _ = _chol_with_jitter(gram)
-        lml, _ = log_marginal_likelihood(c, y, hp)
+    def build(inputs, targets, hp: Hyperparams, y_mean: float, y_scale: float,
+              d2: np.ndarray | None = None) -> "GprModel":
+        """Factorise once; `d2` may carry the inputs' squared distances."""
+        c, y = _training_arrays(inputs, targets)
+        lml, (_, chol, lower, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
         return GprModel(inputs=c, targets=y, hp=hp, y_mean=y_mean, y_scale=y_scale,
-                        _chol=chol, _lower=lower, _alpha=cho_solve((chol, lower), y),
-                        lml=lml)
+                        _chol=chol, _lower=lower, _alpha=alpha, lml=lml)
 
     def predict(self, c_star):
         """Posterior mean and variance per test row, denormalized to target units."""
@@ -168,10 +192,17 @@ class GprModel:
                               hp, obj["y_mean"], obj["y_scale"])
 
 
-def _ascend(c, y, theta0, max_iter=200, tol=1e-9):
-    """Gradient ascent on L over log-hyperparameters with backtracking."""
+def _ascend(d2, y, theta0, max_iter=200, tol=1e-9):
+    """Gradient ascent on L over log-hyperparameters with backtracking.
+
+    `d2` holds the training set's squared distances, computed once per fit.
+    Line-search trials evaluate L only; the gradient is computed at the start
+    point and at each accepted step, never for a rejected trial.
+    """
     theta = np.asarray(theta0, dtype=float)
-    lml, grad = log_marginal_likelihood(c, y, Hyperparams.from_log(theta))
+    hp = Hyperparams.from_log(theta)
+    lml, factor = _lml(d2, y, hp)
+    grad = _lml_grad(d2, hp, factor)
     step = 0.1
     for _ in range(max_iter):
         gnorm = float(np.linalg.norm(grad))
@@ -182,13 +213,13 @@ def _ascend(c, y, theta0, max_iter=200, tol=1e-9):
         for _ in range(30):
             cand = np.clip(theta + trial_step * grad / max(gnorm, 1.0), -12.0, 12.0)
             try:
-                cand_lml, cand_grad = log_marginal_likelihood(
-                    c, y, Hyperparams.from_log(cand))
+                cand_hp = Hyperparams.from_log(cand)
+                cand_lml, factor = _lml(d2, y, cand_hp)
             except GprError:
                 trial_step *= 0.5
                 continue
             if cand_lml > lml:
-                theta, lml, grad = cand, cand_lml, cand_grad
+                theta, lml, grad = cand, cand_lml, _lml_grad(d2, cand_hp, factor)
                 step = min(trial_step * 2.0, 1.0)
                 improved = True
                 break
@@ -201,13 +232,13 @@ def _ascend(c, y, theta0, max_iter=200, tol=1e-9):
 def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
         max_iter: int = 200, seed: int = 0) -> GprModel:
     """Maximize the log marginal likelihood from several random starts."""
-    c = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y_raw = np.asarray(targets, dtype=float).ravel()
+    c, y_raw = _training_arrays(inputs, targets)
     if len(y_raw) < 2:
         raise GprError("need at least 2 training points")
     y_mean = float(y_raw.mean())
     y_scale = float(y_raw.std()) or 1.0
     y = (y_raw - y_mean) / y_scale
+    d2 = _sqdist(c, c)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -222,7 +253,7 @@ def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
     failures = []
     for theta0 in starts:
         try:
-            theta, lml = _ascend(c, y, theta0, max_iter=max_iter)
+            theta, lml = _ascend(d2, y, theta0, max_iter=max_iter)
         except GprError as exc:
             failures.append(str(exc))
             continue
@@ -230,4 +261,4 @@ def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
             best_theta, best_lml = theta, lml
     if best_theta is None:
         raise GprError(f"all restarts failed: {failures}")
-    return GprModel.build(c, y, Hyperparams.from_log(best_theta), y_mean, y_scale)
+    return GprModel.build(c, y, Hyperparams.from_log(best_theta), y_mean, y_scale, d2=d2)

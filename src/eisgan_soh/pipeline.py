@@ -62,6 +62,12 @@ class GprSettings:
     restarts: int = 5
     max_iter: int = 100
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise PipelineError(f"gpr restarts must be >= 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise PipelineError(f"gpr max_iter must be >= 1, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class PerturbSettings:
@@ -408,6 +414,18 @@ def sweep_rows(nets: eisgan.Networks, stats: eisdata.NormStats, dim: int, freq):
     return rows
 
 
+def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
+    """Fail before any training when a stage's first test cell, which
+    `emit_plot_data` ranks latent codes on, has too few cycles."""
+    for stage in config.stages:
+        _, test_cells = stage_partition(dataset, stage)
+        n_cycles = len(dataset.curves_for(stage, [test_cells[0]]))
+        if n_cycles < eisgan.MIN_RANK_CYCLES:
+            raise PipelineError(
+                f"stage {stage}: test cell {test_cells[0]} has {n_cycles} cycles; "
+                f"plot data needs at least {eisgan.MIN_RANK_CYCLES}")
+
+
 def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
                    eisgan_report: EvalReport, baseline_report: EvalReport | None,
                    perturb_report: PerturbReport | None,
@@ -495,6 +513,7 @@ def run_all(config: PipelineConfig) -> dict:
         fh.write(config.to_json())
 
     dataset = load_dataset(config)
+    check_plot_cycles(dataset, config)
     if config.synth is not None:
         eisdata.save_eis_csv(os.path.join(config.out_dir, "eis.csv"), dataset.curves)
         eisdata.save_capacity_csv(os.path.join(config.out_dir, "capacity.csv"),

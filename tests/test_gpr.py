@@ -108,6 +108,38 @@ def test_lml_gradient_matches_finite_differences():
             assert abs(fd - grad[j]) < 1e-5 * max(abs(fd), abs(grad[j])) + 1e-8
 
 
+def _random_problem(rng, d, duplicate=False):
+    n = int(rng.integers(2, 41))
+    c = rng.standard_normal((n, d))
+    if duplicate:
+        c[n // 2:] = c[:n - n // 2]
+    hp = Hyperparams.from_log(rng.uniform(np.log(0.05), np.log(5.0), 3))
+    return c, rng.standard_normal(n), hp
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_value_only_lml_equals_public_lml_exactly(d):
+    rng = np.random.default_rng(12 + d)
+    for _ in range(30):
+        c, y, hp = _random_problem(rng, d)
+        d2 = gpr._sqdist(c, c)
+        lml, factor = gpr._lml(d2, y, hp)
+        ref_lml, ref_grad = gpr.log_marginal_likelihood(c, y, hp)
+        assert lml == ref_lml
+        assert np.array_equal(gpr._lml_grad(d2, hp, factor), ref_grad)
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_value_only_lml_exact_on_jitter_ladder(d):
+    rng = np.random.default_rng(40 + d)
+    c, y, _ = _random_problem(rng, d, duplicate=True)
+    hp = Hyperparams(1e-9, 1.0, 2.0)
+    gram = gpr.kernel_matrix(c, c, hp) + hp.sigma_n ** 2 * np.eye(len(y))
+    _, jitter = gpr._chol_with_jitter(gram)
+    assert jitter > 0  # duplicated rows make K + sigma_n^2 I singular
+    assert gpr._lml(gpr._sqdist(c, c), y, hp)[0] == gpr.log_marginal_likelihood(c, y, hp)[0]
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
@@ -221,6 +253,78 @@ def test_fit_denormalizes_predictions():
     model = gpr.fit(c, y, restarts=3, seed=0)
     mean, _ = model.predict(c)
     assert np.abs(mean - y).mean() < 0.5
+
+
+def _reference_ascent(c, y, theta0, max_iter, tol=1e-9):
+    """Backtracking ascent on the public LML, value and gradient at every trial."""
+    theta = np.asarray(theta0, dtype=float)
+    lml, grad = gpr.log_marginal_likelihood(c, y, Hyperparams.from_log(theta))
+    step = 0.1
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-8:
+            break
+        improved = False
+        trial_step = step
+        for _ in range(30):
+            cand = np.clip(theta + trial_step * grad / max(gnorm, 1.0), -12.0, 12.0)
+            try:
+                cand_lml, cand_grad = gpr.log_marginal_likelihood(
+                    c, y, Hyperparams.from_log(cand))
+            except GprError:
+                trial_step *= 0.5
+                continue
+            if cand_lml > lml:
+                theta, lml, grad = cand, cand_lml, cand_grad
+                step = min(trial_step * 2.0, 1.0)
+                improved = True
+                break
+            trial_step *= 0.5
+        if not improved or trial_step * gnorm < tol:
+            break
+    return theta, lml
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_ascent_follows_reference_path_exactly(d):
+    rng = np.random.default_rng(60 + d)
+    c = rng.standard_normal((25, d))
+    y = np.sin(c[:, 0]) + 0.1 * rng.standard_normal(25)
+    for theta0 in (np.log([0.1, 1.0, 1.0]), rng.uniform(np.log(0.01), np.log(10.0), 3)):
+        theta, lml = gpr._ascend(gpr._sqdist(c, c), y, theta0, max_iter=40)
+        ref_theta, ref_lml = _reference_ascent(c, y, theta0, max_iter=40)
+        assert np.array_equal(theta, ref_theta)
+        assert lml == ref_lml
+
+
+@pytest.mark.parametrize("restarts", [1, 3, 8])
+def test_fit_computes_training_distances_once(monkeypatch, restarts):
+    rng = np.random.default_rng(13)
+    c = rng.standard_normal((30, 9))
+    y = c[:, 0] + 0.1 * rng.standard_normal(30)
+    calls = []
+    sqdist = gpr._sqdist
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return sqdist(a, b)
+    monkeypatch.setattr(gpr, "_sqdist", counting)
+    gpr.fit(c, y, restarts=restarts, max_iter=30, seed=0)
+    assert calls == [(c.shape, c.shape)]
+
+
+def test_fit_lml_equals_public_lml_at_fitted_hyperparams():
+    rng = np.random.default_rng(14)
+    c = rng.standard_normal((35, 3))
+    y = 2.0 + np.cos(c[:, 1]) + 0.05 * rng.standard_normal(35)
+    model = gpr.fit(c, y, restarts=3, seed=2)
+    z = (y - model.y_mean) / model.y_scale
+    assert model.lml == gpr.log_marginal_likelihood(c, z, model.hp)[0]
+
+
+def test_build_rejects_misaligned_training_set():
+    with pytest.raises(GprError):
+        GprModel.build(np.zeros((3, 2)), np.zeros(4), Hyperparams(0.1, 1.0, 1.0), 0.0, 1.0)
 
 
 def test_model_json_round_trip():

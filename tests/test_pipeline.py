@@ -123,6 +123,17 @@ def test_perturb_settings_reject_bad_values(kwargs):
         PerturbSettings(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 0},
+    {"restarts": -2},
+    {"max_iter": 0},
+    {"max_iter": -1},
+])
+def test_gpr_settings_reject_bad_values(kwargs):
+    with pytest.raises(PipelineError):
+        pipeline.GprSettings(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # dataset loading and partitioning
 # ---------------------------------------------------------------------------
@@ -283,6 +294,19 @@ def test_checkpoint_reloads_from_run(tiny_run):
         assert np.array_equal(pa.data, pb.data)
 
 
+def test_run_all_rejects_too_few_cycles_before_training(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("GAN training started")
+    monkeypatch.setattr(eisgan, "train", no_training)
+    cfg = tiny_config(tmp_path / "out",
+                      synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
+    with pytest.raises(PipelineError, match="at least 3"):
+        pipeline.run_all(cfg)
+    written = os.listdir(cfg.out_dir)
+    assert not [f for f in written if f.startswith("evalreport_")]
+    assert not [f for f in written if f.startswith("gan_stage")]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -366,6 +390,30 @@ def test_cli_bad_perturb_config_prints_json_error_line(tmp_path, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "PipelineError"
     assert captured.out == ""
+
+
+def test_cli_bad_gpr_config_prints_json_error_line(tmp_path, capsys):
+    _, path = cli_config_file(tmp_path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["gpr"] = {"restarts": 0}
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    assert cli.main(["fit-gpr", "--config", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PipelineError"
+    assert captured.out == ""
+
+
+def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys):
+    _, path = cli_config_file(
+        tmp_path, synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
+    assert cli.main(["evaluate", "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob["error"] == "PipelineError"
+    assert "at least 3" in blob["message"]
 
 
 def test_cli_seed_override_changes_synth(tmp_path):
