@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 LOG2PI = float(np.log(2 * np.pi))
 
@@ -128,7 +128,7 @@ def log_marginal_likelihood(inputs, targets, hp: Hyperparams):
 
 @dataclass
 class GprModel:
-    """Fitted model with cached Cholesky factor and alpha vector."""
+    """Fitted model with cached lower Cholesky factor and alpha vector."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -136,7 +136,6 @@ class GprModel:
     y_mean: float
     y_scale: float
     _chol: np.ndarray = None
-    _lower: bool = True
     _alpha: np.ndarray = None
     lml: float = None
 
@@ -145,22 +144,30 @@ class GprModel:
               d2: np.ndarray | None = None) -> "GprModel":
         """Factorise once; `d2` may carry the inputs' squared distances."""
         c, y = _training_arrays(inputs, targets)
-        lml, (_, chol, lower, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
+        lml, (_, chol, _, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
         return GprModel(inputs=c, targets=y, hp=hp, y_mean=y_mean, y_scale=y_scale,
-                        _chol=chol, _lower=lower, _alpha=alpha, lml=lml)
+                        _chol=chol, _alpha=alpha, lml=lml)
 
     def predict(self, c_star):
-        """Posterior mean and variance per test row, denormalized to target units."""
+        """Posterior mean and variance per test row, denormalized to target units.
+
+        GPML Alg. 2.1: mean = k*^T alpha, v = L \\ k*, var = k** - v^T v. The
+        factor was checked when the model was built, so the solve skips
+        scipy's finiteness scan; non-finite test rows are rejected here.
+        """
         cs = np.asarray(c_star, dtype=float)
         single = cs.ndim == 1
         cs = np.atleast_2d(cs)
         if cs.shape[1] != self.inputs.shape[1]:
             raise GprError(
                 f"test dim {cs.shape[1]} != training dim {self.inputs.shape[1]}")
+        finite = np.isfinite(cs).all(axis=1)
+        if not finite.all():
+            raise GprError(f"non-finite values in test row {int(np.argmin(finite))}")
         k_star = kernel_matrix(cs, self.inputs, self.hp)
         mean_n = k_star @ self._alpha
-        v = cho_solve((self._chol, self._lower), k_star.T)
-        var_n = self.hp.sigma_f ** 2 - np.sum(k_star * v.T, axis=1)
+        v = solve_triangular(self._chol, k_star.T, lower=True, check_finite=False)
+        var_n = self.hp.sigma_f ** 2 - np.sum(v * v, axis=0)
         var_n = np.where((var_n < 0) & (var_n > -1e-10), 0.0, var_n)
         if np.any(var_n < 0):
             raise GprError(f"negative posterior variance {var_n.min()}")
@@ -232,6 +239,8 @@ def _ascend(d2, y, theta0, max_iter=200, tol=1e-9):
 def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
         max_iter: int = 200, seed: int = 0) -> GprModel:
     """Maximize the log marginal likelihood from several random starts."""
+    if restarts < 1 or max_iter < 1:
+        raise GprError(f"restarts and max_iter must be >= 1, got {restarts}, {max_iter}")
     c, y_raw = _training_arrays(inputs, targets)
     if len(y_raw) < 2:
         raise GprError("need at least 2 training points")
@@ -245,9 +254,9 @@ def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
     if init is not None:
         starts.append(init.as_log())
     starts.append(np.log([0.1, 1.0, 1.0]))
-    while len(starts) < max(restarts, 1):
+    while len(starts) < restarts:
         starts.append(rng.uniform(np.log(0.01), np.log(10.0), size=3))
-    starts = starts[:max(restarts, 1)] if init is None else starts[:max(restarts, 1) + 1]
+    starts = starts[:restarts] if init is None else starts[:restarts + 1]
 
     best_theta, best_lml = None, -np.inf
     failures = []

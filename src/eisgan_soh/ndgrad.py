@@ -35,7 +35,7 @@ class Tensor:
 
     def __init__(self, data, is_param=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
         self.parents: tuple = ()
         self.backward_fn = None
@@ -129,11 +129,19 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
     if length + 2 * padding < k_w:
         raise ShapeError(f"L={length} with padding={padding} shorter than kernel K_w={k_w}")
     batch = xd.shape[0]
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    if padding:
+        xp = np.zeros((batch, r_in, length + 2 * padding))
+        xp[:, :, padding:padding + length] = xd
+    else:
+        xp = xd
     l_out = length + 2 * padding - k_w + 1
-    # im2col: a single GEMM per conv beats windowed einsum at these sizes
-    win = np.lib.stride_tricks.sliding_window_view(xp, k_w, axis=2)
-    col = win.transpose(1, 3, 0, 2).reshape(r_in * k_w, batch * l_out)
+    # im2col: a single GEMM per conv beats windowed einsum at these sizes;
+    # col[c, k, b, t] = xp[b, c, t + k], filled with one slice copy per tap
+    col = np.empty((r_in, k_w, batch, l_out))
+    xt = xp.transpose(1, 0, 2)
+    for k in range(k_w):
+        col[:, k] = xt[:, :, k:k + l_out]
+    col = col.reshape(r_in * k_w, batch * l_out)
     w_mat = w.data.reshape(k_out, r_in * k_w)
     out = (w_mat @ col).reshape(k_out, batch, l_out).transpose(1, 0, 2) \
         + b.data[None, :, None]
@@ -238,7 +246,7 @@ def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
     if l_out < 1:
         raise ShapeError(f"pool width {width} exceeds length {length}")
     trimmed = x.data[..., :l_out * width]
-    out = trimmed.reshape(*x.data.shape[:-1], l_out, width).mean(axis=-1)
+    out = trimmed.reshape(*x.data.shape[:-1], l_out, width).sum(axis=-1) / width
 
     def bw(g):
         gx = np.zeros_like(x.data)

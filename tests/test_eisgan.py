@@ -4,6 +4,7 @@ import pytest
 from eisgan_soh import ecm, eisdata, eisgan
 from eisgan_soh import ndgrad as ng
 from eisgan_soh.eisgan import GanConfig, GanError, LatentCode
+from test_ndgrad import reference_conv1d
 
 
 def tiny_config(**overrides):
@@ -197,6 +198,19 @@ def test_train_deterministic_and_reports_every_epoch():
     assert rep_a.loss_mi == rep_b.loss_mi
     for pa, pb in zip(nets_a.all_params(), nets_b.all_params()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_train_bit_identical_with_reference_conv1d(monkeypatch):
+    data = toy_batch(24, seed=3)
+    cfg = tiny_config(epochs=2)
+    nets, rep = eisgan.train(data, cfg)
+    monkeypatch.setattr(ng, "conv1d", reference_conv1d)
+    ref_nets, ref_rep = eisgan.train(data, cfg)
+    assert rep == ref_rep
+    for p, ref in zip(nets.all_params(), ref_nets.all_params()):
+        assert np.array_equal(p.data, ref.data)
+    assert np.array_equal(eisgan.extract_latents(nets, data),
+                          eisgan.extract_latents(ref_nets, data))
 
 
 def test_mi_objective_descends_under_joint_updates():

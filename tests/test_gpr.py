@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from eisgan_soh import gpr
 from eisgan_soh.gpr import GprError, GprModel, Hyperparams
@@ -207,6 +208,35 @@ def test_predict_dim_mismatch():
         model.predict([0.0])
 
 
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_predict_matches_cached_factor_forms(d):
+    # mean: k* alpha, unchanged; variance: within rounding of the two-solve form
+    rng = np.random.default_rng(30 + d)
+    for n in (40, 480):
+        c = rng.standard_normal((n, d))
+        y = rng.standard_normal(n)
+        model = GprModel.build(c, y, Hyperparams(0.1, 1.3, float(np.sqrt(d))), 3.0, 2.0)
+        for c_star in (rng.standard_normal(d), rng.standard_normal((7, d))):
+            ks = gpr.kernel_matrix(np.atleast_2d(c_star), c, model.hp)
+            ref_mean = 3.0 + 2.0 * (ks @ model._alpha)
+            v = cho_solve((model._chol, True), ks.T)
+            ref_var = 4.0 * (model.hp.sigma_f ** 2 - np.sum(ks * v.T, axis=1))
+            mean, var = model.predict(c_star)
+            assert np.array_equal(np.atleast_1d(mean), ref_mean)
+            assert np.abs(np.atleast_1d(var) - ref_var).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    model = GprModel.build(np.eye(3), [1.0, 2.0, 3.0], Hyperparams(0.1, 1.0, 1.0), 0.0, 1.0)
+    with pytest.raises(GprError, match="test row 0"):
+        model.predict([0.0, bad, 0.0])
+    rows = np.zeros((4, 3))
+    rows[2, 0] = bad
+    with pytest.raises(GprError, match="test row 2"):
+        model.predict(rows)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
@@ -244,6 +274,15 @@ def test_fit_more_restarts_never_worse():
 def test_fit_needs_two_points():
     with pytest.raises(GprError):
         gpr.fit([[0.0]], [1.0])
+
+
+@pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-4),
+                                    dict(max_iter=0), dict(max_iter=-1)])
+def test_fit_rejects_fewer_than_one_restart_or_iteration(kwargs):
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((10, 2))
+    with pytest.raises(GprError, match="must be >= 1"):
+        gpr.fit(c, c[:, 0], **kwargs)
 
 
 def test_fit_denormalizes_predictions():

@@ -95,6 +95,64 @@ def test_conv1d_matches_triple_loop_reference():
         assert np.abs(out - ref).max() < 1e-12
 
 
+def reference_conv1d(x, bank, padding=0):
+    """conv1d with the np.pad + sliding_window_view im2col; same GEMMs as ng.conv1d."""
+    x = ng._as_tensor(x)
+    w, b = bank.kernels, bank.biases
+    k_out, r_in, k_w = w.shape
+    squeeze = x.data.ndim == 2
+    xd = x.data[None] if squeeze else x.data
+    batch, length = xd.shape[0], xd.shape[2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    l_out = length + 2 * padding - k_w + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, k_w, axis=2)
+    col = win.transpose(1, 3, 0, 2).reshape(r_in * k_w, batch * l_out)
+    w_mat = w.data.reshape(k_out, r_in * k_w)
+    out = (w_mat @ col).reshape(k_out, batch, l_out).transpose(1, 0, 2) \
+        + b.data[None, :, None]
+
+    def bw(g):
+        gb = g[None] if squeeze and g.ndim == 2 else g
+        g_mat = gb.transpose(1, 0, 2).reshape(k_out, batch * l_out)
+        gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
+        gbias = g_mat.sum(axis=1)
+        gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, batch, l_out).transpose(2, 0, 1, 3)
+        gxp = np.zeros_like(xp)
+        for k in range(k_w):
+            gxp[:, :, k:k + l_out] += gcol[:, :, k, :]
+        gx = gxp[:, :, padding:padding + length] if padding else gxp
+        return (gx[0] if squeeze else gx), gw, gbias
+
+    return ng._record(out[0] if squeeze else out, (x, w, b), bw)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 4])
+def test_conv1d_bit_identical_to_pad_window_reference(batch):
+    rng = np.random.default_rng(21)
+    for k_w in range(1, 6):
+        for pad in range(3):
+            for r_in in (1, 3):
+                k_out = int(rng.integers(1, 9))
+                length = int(rng.integers(max(k_w - 2 * pad, 1), 40))
+                shape = (r_in, length) if batch is None else (batch, r_in, length)
+                x = rng.standard_normal(shape)
+                bank = make_bank(rng, k_out, r_in, k_w)
+                with ng.Tape():
+                    out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                    ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
+                g = rng.standard_normal(out.shape)
+                pairs = [(out.data, ref.data)] + list(zip(out.backward_fn(g),
+                                                          ref.backward_fn(g)))
+                for got, want in pairs:
+                    assert got.shape == want.shape
+                    if r_in == 1 and batch in (None, 1):
+                        # the reference's reshape returns an overlapping strided
+                        # view here, not a copy, so its GEMM rounds differently
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                    else:
+                        assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # dense / leaky_relu
 # ---------------------------------------------------------------------------
@@ -263,6 +321,16 @@ def test_all_ops_gradcheck_random_shapes():
         central_diff(lambda: run()[0], [kern, bias, w2, b2], grads)
         checked += 1
     assert checked == 100
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_avg_pool1d_equals_mean_reference(width):
+    rng = np.random.default_rng(22)
+    for shape in ((7,), (3, 16), (4, 2, 31)):
+        x = rng.standard_normal(shape)
+        l_out = shape[-1] // width
+        ref = x[..., :l_out * width].reshape(*shape[:-1], l_out, width).mean(axis=-1)
+        assert np.array_equal(ng.avg_pool1d(ng.Tensor(x), width).data, ref)
 
 
 def test_tape_replay_determinism():
