@@ -8,6 +8,7 @@ single machine-parsable JSON error line is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -82,14 +83,11 @@ def cmd_extract(config: PipelineConfig):
 
 
 def _read_latents(path):
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append((parts[0], int(parts[1]), int(parts[2]),
-                         np.array([float(v) for v in parts[3:]])))
-    return rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return [(r[0], int(r[1]), int(r[2]), np.array([float(v) for v in r[3:]]))
+                for r in reader]
 
 
 def cmd_fit_gpr(config: PipelineConfig):

@@ -10,6 +10,8 @@ Floats are rendered with repr(), so ingest -> serialize -> ingest is lossless.
 from __future__ import annotations
 
 import csv
+import io
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,42 +171,117 @@ def _parse_int(value, row_num, column):
         raise DataError(f"row {row_num}: non-integer {column} value {value!r}") from None
 
 
+#: eis.csv data columns as `np.loadtxt` reads them
+_EIS_DTYPE = np.dtype([("cell_id", object), ("stage", np.int64), ("cycle", np.int64),
+                       ("point_index", np.int64), ("freq_hz", np.float64),
+                       ("re_z_ohm", np.float64), ("im_z_ohm", np.float64)])
+
+
+_BLANK_LINE = re.compile(r"\n\r?\n")
+_ASTRAL = re.compile("[\U00010000-\U0010ffff]")
+
+
+def _loadtxt_rows(body):
+    """All data rows in one C-level pass, or None where that pass could differ
+    from the row-by-row reader: loadtxt skips blank lines, strips \\x1c-\\x1f
+    around numbers as whitespace and refuses fields or line endings that the
+    row-by-row reader may parse or must name by row. Text with characters beyond
+    U+FFFF is left to the row-by-row reader too: numpy 2.4's loadtxt can crash
+    on them in numeric fields.
+    """
+    if (body.startswith(("\n", "\r")) or _BLANK_LINE.search(body)
+            or any(c in body for c in "\x1c\x1d\x1e\x1f")
+            or not body.isascii() and _ASTRAL.search(body)):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(body), dtype=_EIS_DTYPE, delimiter=",",
+                          quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def _csv_rows(body):
+    """The data rows read one at a time; raises the first `row N: ...` error."""
+    cols = [[] for _ in EIS_HEADER]
+    for row_num, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if len(row) != len(EIS_HEADER):
+            raise DataError(f"row {row_num}: expected {len(EIS_HEADER)} fields, got {len(row)}")
+        cols[0].append(row[0])
+        for i in range(1, 4):
+            cols[i].append(_parse_int(row[i], row_num, EIS_HEADER[i]))
+        for i in range(4, 7):
+            cols[i].append(_parse_float(row[i], row_num, EIS_HEADER[i]))
+    rows = np.empty(len(cols[0]), dtype=_EIS_DTYPE)
+    for name, col in zip(EIS_HEADER, cols):
+        try:
+            rows[name] = col
+        except OverflowError:
+            i = next(i for i, v in enumerate(col) if not -2 ** 63 <= v < 2 ** 63)
+            raise DataError(f"row {i + 2}: {name} value {col[i]} out of range") from None
+    return rows
+
+
+def _group_rows(rows) -> list[EisCurve]:
+    """One curve per (cell_id, stage, cycle) in sorted key order, points in
+    point_index order; the checks and messages of the row-by-row grouping."""
+    n = len(rows)
+    # cell ids sort as str does, so groups come out in sorted((cell, stage, cycle)) order
+    cells = sorted(set(rows["cell_id"].tolist()))
+    code_of = {c: i for i, c in enumerate(cells)}
+    codes = np.fromiter(map(code_of.__getitem__, rows["cell_id"]), np.int64, n)
+    order = np.lexsort((rows["point_index"], rows["cycle"], rows["stage"], codes))
+    codes, stage, cycle, idx = (codes[order], rows["stage"][order],
+                                rows["cycle"][order], rows["point_index"][order])
+    new = np.ones(n, dtype=bool)
+    new[1:] = (codes[1:] != codes[:-1]) | (stage[1:] != stage[:-1]) | (cycle[1:] != cycle[:-1])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], n)
+
+    def key(i):
+        return (cells[codes[i]], int(stage[i]), int(cycle[i]))
+
+    # lexsort is stable, so a repeated point sorts after its first occurrence
+    repeats = np.flatnonzero(~new[1:] & (idx[1:] == idx[:-1])) + 1
+    if len(repeats):
+        i = repeats[np.argmin(order[repeats])]
+        raise DataError(f"row {order[i] + 2}: duplicate point {idx[i]} for curve {key(i)}")
+
+    gap = np.logical_or.reduceat(idx != np.arange(n) - np.repeat(starts, ends - starts),
+                                 starts)
+    freq = rows["freq_hz"][order]
+    rising = np.zeros(n, dtype=bool)
+    rising[1:] = (np.diff(freq) >= 0) & ~new[1:]
+    faulty = np.flatnonzero(gap | np.logical_or.reduceat(rising, starts))
+    # curves before the first faulty group are built first: their own checks come first
+    stop = faulty[0] if len(faulty) else len(starts)
+    re_z, im_z = rows["re_z_ohm"][order], rows["im_z_ohm"][order]
+    curves = [EisCurve(*key(a), freq[a:b], re_z[a:b], im_z[a:b])
+              for a, b in zip(starts[:stop], ends[:stop])]
+    if len(faulty):
+        a, b = starts[stop], ends[stop]
+        if gap[stop]:
+            raise DataError(f"curve {key(a)}: point_index not contiguous 0..{b - a - 1}")
+        raise DataError(f"curve {key(a)}: frequency not strictly descending")
+    return curves
+
+
 def load_eis_csv(path) -> list[EisCurve]:
-    """Parse eis.csv into curves grouped by (cell_id, stage, cycle)."""
-    groups: dict[tuple, dict[int, tuple]] = {}
+    """Parse eis.csv into curves grouped by (cell_id, stage, cycle).
+
+    The rows are read in one `np.loadtxt` pass and grouped with one lexsort;
+    a file that pass refuses is re-read row by row, which names the bad row.
+    Field counts and parse errors are reported before duplicate points, gaps
+    and frequency order.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header != EIS_HEADER:
             raise DataError(f"{path}: header {header} != expected {EIS_HEADER}")
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(EIS_HEADER):
-                raise DataError(f"row {row_num}: expected {len(EIS_HEADER)} fields, got {len(row)}")
-            cell, stage, cycle, idx = (row[0],
-                                       _parse_int(row[1], row_num, "stage"),
-                                       _parse_int(row[2], row_num, "cycle"),
-                                       _parse_int(row[3], row_num, "point_index"))
-            freq = _parse_float(row[4], row_num, "freq_hz")
-            re_z = _parse_float(row[5], row_num, "re_z_ohm")
-            im_z = _parse_float(row[6], row_num, "im_z_ohm")
-            key = (cell, stage, cycle)
-            points = groups.setdefault(key, {})
-            if idx in points:
-                raise DataError(f"row {row_num}: duplicate point {idx} for curve {key}")
-            points[idx] = (freq, re_z, im_z)
-
-    curves = []
-    for key in sorted(groups):
-        points = groups[key]
-        n = len(points)
-        if sorted(points) != list(range(n)):
-            raise DataError(f"curve {key}: point_index not contiguous 0..{n - 1}")
-        freq = np.array([points[i][0] for i in range(n)])
-        re_z = np.array([points[i][1] for i in range(n)])
-        im_z = np.array([points[i][2] for i in range(n)])
-        if np.any(np.diff(freq) >= 0):
-            raise DataError(f"curve {key}: frequency not strictly descending")
-        curves.append(EisCurve(key[0], key[1], key[2], freq, re_z, im_z))
+        body = fh.read()
+    if not body:
+        return []
+    rows = _loadtxt_rows(body)
+    curves = _group_rows(_csv_rows(body) if rows is None else rows)
     # all groups in a file must share one grid length
     if curves:
         counts = {c.n_points for c in curves}

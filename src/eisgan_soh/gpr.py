@@ -68,9 +68,15 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hp: Hyperparams) -> np.ndarray:
 
 
 def _chol_with_jitter(gram: np.ndarray):
+    """Lower Cholesky factor of gram, adding the first jitter that works.
+
+    Callers pass a gram built from inputs `_training_arrays` checked finite,
+    so LAPACK gets it without another finiteness scan.
+    """
     for jitter in JITTERS:
         try:
-            return cho_factor(gram + jitter * np.eye(len(gram)), lower=True), jitter
+            jittered = gram + jitter * np.eye(len(gram)) if jitter else gram
+            return cho_factor(jittered, lower=True, check_finite=False), jitter
         except LinAlgError:
             continue
     raise GprError("Cholesky factorization failed even with maximal jitter")
@@ -81,6 +87,10 @@ def _training_arrays(inputs, targets):
     y = np.asarray(targets, dtype=float).ravel()
     if len(y) < 1 or c.shape[0] != len(y):
         raise GprError(f"bad training shapes: inputs {c.shape}, targets {y.shape}")
+    if not np.isfinite(c).all():
+        raise GprError("non-finite values in training inputs")
+    if not np.isfinite(y).all():
+        raise GprError("non-finite values in training targets")
     return c, y
 
 
@@ -94,7 +104,7 @@ def _lml(d2, y, hp: Hyperparams):
     k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
     gram = k_f + hp.sigma_n ** 2 * np.eye(len(y))
     (chol, lower), _ = _chol_with_jitter(gram)
-    alpha = cho_solve((chol, lower), y)
+    alpha = cho_solve((chol, lower), y, check_finite=False)
     lml = (-float(np.sum(np.log(np.diag(chol))))
            - 0.5 * float(y @ alpha)
            - 0.5 * len(y) * LOG2PI)
@@ -106,7 +116,7 @@ def _lml_grad(d2, hp: Hyperparams, factor) -> np.ndarray:
     k_f, chol, lower, alpha = factor
     n = len(alpha)
     # dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta), theta in log-space
-    k_inv = cho_solve((chol, lower), np.eye(n))
+    k_inv = cho_solve((chol, lower), np.eye(n), check_finite=False)
     inner = np.outer(alpha, alpha) - k_inv
     dk_sn = 2 * hp.sigma_n ** 2 * np.eye(n)
     dk_sf = 2 * k_f
@@ -247,6 +257,8 @@ def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
     y_mean = float(y_raw.mean())
     y_scale = float(y_raw.std()) or 1.0
     y = (y_raw - y_mean) / y_scale
+    if not np.isfinite(y).all():
+        raise GprError("training targets overflow when standardized")
     d2 = _sqdist(c, c)
 
     rng = np.random.default_rng(seed)

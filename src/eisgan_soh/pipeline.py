@@ -8,6 +8,7 @@ same config produce byte-identical report files.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -393,11 +394,17 @@ def run_perturbation_study(dataset: Dataset, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def _write_csv(path, header, rows):
+    """Floats as repr(), fields quoted as csv.writer does. A row holding a
+    carriage return is quoted whole: with "\n" line ends, minimal quoting
+    would leave it bare and csv.reader would split the row there."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
         for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+            cells = [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                     for v in row]
+            (quote_all if any("\r" in c for c in cells) else writer).writerow(cells)
 
 
 SWEEP_HEADER = ["code_value", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"]

@@ -1,9 +1,16 @@
+import csv
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisgan_soh import eisdata
-from eisgan_soh.eisdata import (CapacityRecord, DataError, Dataset, EisCurve,
-                                NormStats)
+from eisgan_soh.eisdata import (EIS_HEADER, CapacityRecord, DataError, Dataset,
+                                EisCurve, NormStats)
 
 
 def make_curve(cell="C1", stage=5, cycle=0, n=60, f_max=20000.0, f_min=0.02):
@@ -131,6 +138,212 @@ def test_eis_csv_duplicate_point_rejected(tmp_path):
                     "C1,5,0,0,20000.0,0.5,0.0\n")
     with pytest.raises(DataError, match="duplicate"):
         eisdata.load_eis_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# eis.csv ingest against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+def reference_load_eis_csv(path):
+    """The row-by-row loader `load_eis_csv` replaced: one csv row at a time,
+    grouped through a dict, first fault by row."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != EIS_HEADER:
+            raise DataError(f"{path}: header {header} != expected {EIS_HEADER}")
+        for row_num, row in enumerate(reader, start=2):
+            if len(row) != len(EIS_HEADER):
+                raise DataError(f"row {row_num}: expected {len(EIS_HEADER)} fields, got {len(row)}")
+            cell, stage, cycle, idx = (row[0],
+                                       eisdata._parse_int(row[1], row_num, "stage"),
+                                       eisdata._parse_int(row[2], row_num, "cycle"),
+                                       eisdata._parse_int(row[3], row_num, "point_index"))
+            freq = eisdata._parse_float(row[4], row_num, "freq_hz")
+            re_z = eisdata._parse_float(row[5], row_num, "re_z_ohm")
+            im_z = eisdata._parse_float(row[6], row_num, "im_z_ohm")
+            key = (cell, stage, cycle)
+            points = groups.setdefault(key, {})
+            if idx in points:
+                raise DataError(f"row {row_num}: duplicate point {idx} for curve {key}")
+            points[idx] = (freq, re_z, im_z)
+
+    curves = []
+    for key in sorted(groups):
+        points = groups[key]
+        n = len(points)
+        if sorted(points) != list(range(n)):
+            raise DataError(f"curve {key}: point_index not contiguous 0..{n - 1}")
+        freq = np.array([points[i][0] for i in range(n)])
+        re_z = np.array([points[i][1] for i in range(n)])
+        im_z = np.array([points[i][2] for i in range(n)])
+        if np.any(np.diff(freq) >= 0):
+            raise DataError(f"curve {key}: frequency not strictly descending")
+        curves.append(EisCurve(key[0], key[1], key[2], freq, re_z, im_z))
+    if curves:
+        counts = {c.n_points for c in curves}
+        if len(counts) > 1:
+            expected = max(counts,
+                           key=lambda n: (sum(c.n_points == n for c in curves), n))
+            bad = [c.key() for c in curves if c.n_points != expected]
+            raise DataError(
+                f"incomplete curve group(s) {bad}: expected {expected} points")
+    return curves
+
+
+def assert_same_curves(got, want):
+    assert [c.key() for c in got] == [c.key() for c in want]
+    for a, b in zip(got, want):
+        for name in ("freq_hz", "re_z_ohm", "im_z_ohm"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.key(), name)
+
+
+def write_eis(path, rows, lineterminator="\r\n"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(EIS_HEADER)
+        writer.writerows(rows)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@st.composite
+def eis_files(draw):
+    """Rows of valid curves with arbitrary cell ids and floats, shuffled."""
+    cells = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 4))
+    rows = []
+    for cell in cells:
+        for stage, cycle in draw(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 3)),
+                                          min_size=1, max_size=3, unique=True)):
+            freq = sorted(draw(st.lists(positive, min_size=n, max_size=n, unique=True)),
+                          reverse=True)
+            for i, f in enumerate(freq):
+                rows.append([cell, stage, cycle, i, repr(f),
+                             repr(draw(finite)), repr(draw(finite))])
+    return draw(st.permutations(rows)), draw(st.sampled_from(["\r\n", "\n"]))
+
+
+def load_outcome(load, path):
+    """Keys and the bytes of every array, or the DataError message."""
+    try:
+        return [(c.key(), c.freq_hz.tobytes(), c.re_z_ohm.tobytes(), c.im_z_ohm.tobytes())
+                for c in load(path)]
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eis_files())
+def test_load_eis_csv_matches_row_by_row_reference(case):
+    # an id with a bare "\r" is not quoted under a "\n" terminator, so some
+    # files are broken: both loaders must then raise the same error
+    rows, lineterminator = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "eis.csv")
+        write_eis(path, rows, lineterminator)
+        assert (load_outcome(eisdata.load_eis_csv, path)
+                == load_outcome(reference_load_eis_csv, path))
+
+
+def test_quoted_cell_ids_take_the_loadtxt_pass(tmp_path, monkeypatch):
+    def no_row_by_row(body):
+        raise AssertionError("row-by-row reader used")
+
+    monkeypatch.setattr(eisdata, "_csv_rows", no_row_by_row)
+    curves = [make_curve(cell=cell, n=3) for cell in ("SYN,01", 'a"b', "x\r\ny", " #é ")]
+    path = tmp_path / "eis.csv"
+    eisdata.save_eis_csv(path, curves)
+    assert_same_curves(eisdata.load_eis_csv(path), reference_load_eis_csv(path))
+
+
+@pytest.mark.parametrize("cycle", [" 10 ", "1_0", "١٠"])
+def test_integer_fields_read_as_int_does(tmp_path, cycle):
+    # int() reads each as 10: loadtxt reads the first, the row-by-row reader the others
+    path = tmp_path / "eis.csv"
+    write_eis(path, [["C1", 5, cycle, 0, "2.0", "0.5", "-0.1"],
+                     ["C1", 5, cycle, 1, "1.0", "0.6", "-0.2"]])
+    (curve,) = eisdata.load_eis_csv(path)
+    assert curve.key() == ("C1", 5, 10)
+    assert_same_curves([curve], reference_load_eis_csv(path))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,1,1.0,0.5\n",
+     "row 3: expected 7 fields, got 6"),
+    ("C1,5,0,0,2.0,0.5,-0.1,\n",
+     "row 2: expected 7 fields, got 8"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,x,1,1.0,0.5,-0.1\n",
+     "row 3: non-integer cycle value 'x'"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,1,1.0,0.5,abc\n",
+     "row 3: non-numeric im_z_ohm value 'abc'"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,1,1.0,0.5,-0.1\nC1,5,0,1,1.0,0.5,-0.1\n",
+     "row 4: duplicate point 1 for curve ('C1', 5, 0)"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,2,1.0,0.5,-0.1\n",
+     "curve ('C1', 5, 0): point_index not contiguous 0..1"),
+    ("C1,5,0,1,2.0,0.5,-0.1\nC1,5,0,0,1.0,0.5,-0.1\n",
+     "curve ('C1', 5, 0): frequency not strictly descending"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,1,1.0,0.5,-0.1\nC1,5,1,0,2.0,0.5,-0.1\n",
+     "incomplete curve group(s) [('C1', 5, 1)]: expected 2 points"),
+    # loadtxt would skip a blank line; it stays an error, as it always was
+    ("C1,5,0,0,2.0,0.5,-0.1\n\nC1,5,0,1,1.0,0.5,-0.1\n",
+     "row 3: expected 7 fields, got 0"),
+    ("C1,5,0,0,2.0,0.5,-0.1\r\n\r\nC1,5,0,1,1.0,0.5,-0.1\r\n",
+     "row 3: expected 7 fields, got 0"),
+    ("C1,5,0,0,2.0,0.5,-0.1\nC1,5,0,1,1.0,0.5,-0.1\n\n",
+     "row 4: expected 7 fields, got 0"),
+    ("C1,5,0,0,2.0,0.5,-0.1\n   \nC1,5,0,1,1.0,0.5,-0.1\n",
+     "row 3: expected 7 fields, got 1"),
+    # loadtxt strips \x1c around numbers as whitespace; float() does not
+    ("C1,5,0,0,2.0\x1c,0.5,-0.1\n",
+     "row 2: non-numeric freq_hz value '2.0\\x1c'"),
+    # non-BMP characters in a numeric field
+    ("C1,5,0,0,2.0\U0001F600,0.5,-0.1\n",
+     "row 2: non-numeric freq_hz value '2.0\U0001F600'"),
+    # checks inside EisCurve run in group order, before a later group's gap
+    ("A,0,0,0,2.0,0.5,-0.1\nB,5,0,1,2.0,0.5,-0.1\n",
+     "stage must be in 1..9, got 0"),
+])
+def test_eis_csv_errors_match_reference(tmp_path, body, message):
+    path = tmp_path / "eis.csv"
+    path.write_bytes((",".join(EIS_HEADER) + "\n" + body).encode("utf-8"))
+    for load in (eisdata.load_eis_csv, reference_load_eis_csv):
+        with pytest.raises(DataError) as exc:
+            load(path)
+        assert str(exc.value) == message, load.__name__
+
+
+def test_eis_csv_reports_parse_errors_before_duplicates(tmp_path):
+    path = tmp_path / "eis.csv"
+    path.write_text(",".join(EIS_HEADER) + "\n"
+                    "C1,5,0,0,2.0,0.5,-0.1\n"
+                    "C1,5,0,0,2.0,0.5,-0.1\n"
+                    "C1,5,0,1,1.0,0.5,abc\n")
+    with pytest.raises(DataError, match="row 3: duplicate point 0"):
+        reference_load_eis_csv(path)
+    with pytest.raises(DataError, match="row 4: non-numeric im_z_ohm value 'abc'"):
+        eisdata.load_eis_csv(path)
+
+
+def test_eis_csv_rejects_integers_beyond_64_bits(tmp_path):
+    path = tmp_path / "eis.csv"
+    path.write_text(",".join(EIS_HEADER) + "\n"
+                    "C1,5,0,0,2.0,0.5,-0.1\n"
+                    "C1,5,99999999999999999999,0,2.0,0.5,-0.1\n")
+    with pytest.raises(DataError, match="row 3: cycle value 99999999999999999999 out of range"):
+        eisdata.load_eis_csv(path)
+
+
+@pytest.mark.parametrize("header", ["", "\n", "\r\n"])
+def test_eis_csv_header_only_gives_no_curves_and_no_warning(tmp_path, header):
+    path = tmp_path / "eis.csv"
+    path.write_bytes((",".join(EIS_HEADER) + header).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eisdata.load_eis_csv(path) == []
 
 
 def test_capacity_csv_round_trip(tmp_path):

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from eisgan_soh import gpr
 from eisgan_soh.gpr import GprError, GprModel, Hyperparams
@@ -364,6 +366,48 @@ def test_fit_lml_equals_public_lml_at_fitted_hyperparams():
 def test_build_rejects_misaligned_training_set():
     with pytest.raises(GprError):
         GprModel.build(np.zeros((3, 2)), np.zeros(4), Hyperparams(0.1, 1.0, 1.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["inputs", "targets"])
+def test_non_finite_training_set_raises_gpr_error(bad, where):
+    rng = np.random.default_rng(15)
+    c, y = rng.standard_normal((10, 3)), rng.standard_normal(10)
+    hp = Hyperparams(0.1, 1.0, 1.0)
+    blob = json.loads(GprModel.build(c, y, hp, 0.0, 1.0).to_json())
+    if where == "inputs":
+        c[4, 1] = blob["inputs"][4][1] = bad
+    else:
+        y[7] = blob["targets"][7] = bad
+    match = f"non-finite values in training {where}"
+    with pytest.raises(GprError, match=match):
+        GprModel.build(c, y, hp, 0.0, 1.0)
+    with pytest.raises(GprError, match=match):
+        GprModel.from_json(json.dumps(blob))
+    with pytest.raises(GprError, match=match):
+        gpr.fit(c, y, restarts=1, max_iter=5)
+    with pytest.raises(GprError, match=match):
+        gpr.log_marginal_likelihood(c, y, hp)
+
+
+def test_fit_rejects_targets_that_overflow_when_standardized():
+    c = np.random.default_rng(17).standard_normal((10, 2))
+    with np.errstate(all="ignore"), pytest.raises(GprError, match="overflow"):
+        gpr.fit(c, np.linspace(1.0, 1.5, 10) * 1e308, restarts=1, max_iter=5)
+
+
+def test_jitter_free_cholesky_forms_no_identity(monkeypatch):
+    rng = np.random.default_rng(16)
+    c = rng.standard_normal((20, 3))
+    hp = Hyperparams(0.1, 1.0, 1.0)
+    gram = gpr.kernel_matrix(c, c, hp) + hp.sigma_n ** 2 * np.eye(20)
+    ref = cho_factor(gram, lower=True)
+    eyes = []
+    real_eye = np.eye
+    monkeypatch.setattr(gpr.np, "eye", lambda *a, **k: eyes.append(a) or real_eye(*a, **k))
+    (chol, lower), jitter = gpr._chol_with_jitter(gram)
+    assert (jitter, eyes, lower) == (0.0, [], True)
+    assert np.array_equal(np.tril(chol), np.tril(ref[0]))
 
 
 def test_model_json_round_trip():

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 
@@ -357,6 +359,37 @@ def test_cli_train_extract_fit_predict_chain(tmp_path, capsys):
         ref_mean, ref_var = model.predict(latents[(cell_id, int(cycle))])
         assert float(mean) == pytest.approx(ref_mean, rel=1e-9, abs=0)
         assert float(std) == pytest.approx(np.sqrt(ref_var), rel=1e-9, abs=0)
+
+
+def test_cli_chain_on_cell_ids_with_comma_quote_and_carriage_return(tmp_path, capsys):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    names = dict(zip(ds.train_cells + ds.test_cells, ("SYN,01", 'SYN"\r02', '"S,03"')))
+    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
+    eisdata.save_eis_csv(eis_path, [dataclasses.replace(c, cell_id=names[c.cell_id])
+                                    for c in ds.curves])
+    eisdata.save_capacity_csv(cap_path, [dataclasses.replace(r, cell_id=names[r.cell_id])
+                                         for r in ds.capacities])
+    cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
+                      capacity_csv=str(cap_path),
+                      train_cells=tuple(names[c] for c in ds.train_cells),
+                      test_cells=tuple(names[c] for c in ds.test_cells))
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    for command in ("train-gan", "extract", "fit-gpr", "predict"):
+        assert cli.main([command, "--config", str(path)]) == 0, command
+    capsys.readouterr()
+
+    latents = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))
+    assert {r[0] for r in latents} == set(names.values())
+    with open(os.path.join(cfg.out_dir, "predictions_stage5.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == ['"S,03"'] * 8
+    with open(os.path.join(cfg.out_dir, "gpr_stage5.json")) as fh:
+        model = gpr.GprModel.from_json(fh.read())
+    by_key = {(r[0], r[2]): r[3] for r in latents}
+    for cell_id, _, cycle, mean, _ in rows:
+        assert float(mean) == pytest.approx(model.predict(by_key[(cell_id, int(cycle))])[0],
+                                            rel=1e-9, abs=0)
 
 
 def test_cli_sweep_from_checkpoint(tmp_path, capsys):
