@@ -10,12 +10,12 @@ variational lower bound on I(c; G(c, z)) up to the constant H(c).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import ndgrad as ng
-from .eisdata import NormStats
+from .eisdata import DataError, NormStats
 
 CHECKPOINT_FORMAT = "eisgan-checkpoint-v1"
 
@@ -44,15 +44,36 @@ class GanConfig:
     seed: int = 0
     alpha: float = 0.01
     q_sigma: float = 1.0
+    #: global gradient-norm bound per sub-update; 0 disables clipping
     grad_clip: float = 10.0
 
     def __post_init__(self):
+        def positive(value):
+            return np.isfinite(value) and value > 0
+
         if self.latent_dim < 1 or self.noise_dim < 0:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
-        if self.lambda_mi < 0:
-            raise GanError("lambda_mi must be nonnegative")
-        if min(self.lr_d, self.lr_g, self.lr_q) <= 0:
-            raise GanError("learning rates must be positive")
+        if not (np.isfinite(self.lambda_mi) and self.lambda_mi >= 0):
+            raise GanError(f"lambda_mi must be finite and nonnegative, got {self.lambda_mi}")
+        if not all(positive(lr) for lr in (self.lr_d, self.lr_g, self.lr_q)):
+            raise GanError("learning rates must be finite and positive")
+        if self.batch_size < 1 or self.epochs < 1 or self.feature_dim < 1:
+            raise GanError("batch_size, epochs and feature_dim must be >= 1")
+        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
+            raise GanError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
+        if not 0 < self.alpha < 1:
+            raise GanError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not positive(self.q_sigma):
+            raise GanError(f"q_sigma must be finite and positive, got {self.q_sigma}")
+        if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise GanError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
+        for name in ("trunk_widths", "gen_widths"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise GanError(f"{name} must be a non-empty tuple of positive widths")
+        if self.length >> len(self.trunk_widths) < 1:
+            raise GanError(f"length {self.length} does not survive "
+                           f"{len(self.trunk_widths)} trunk halvings")
         up = 2 ** (len(self.gen_widths) - 1)
         if self.gen_base_len * up != self.length:
             raise GanError(
@@ -427,19 +448,40 @@ def save_checkpoint(path, nets: Networks, stats: NormStats) -> None:
 
 
 def load_checkpoint(path) -> tuple[Networks, NormStats]:
+    """Inverse of `save_checkpoint`; any malformed content raises GanError."""
     with np.load(path) as blob:
-        header = json.loads(bytes(blob["header"]).decode())
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise GanError(f"unknown checkpoint format {header.get('format')!r}")
-        cfg_dict = header["config"]
-        cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
-        cfg_dict["gen_widths"] = tuple(cfg_dict["gen_widths"])
-        config = GanConfig(**cfg_dict)
+        try:
+            header = json.loads(bytes(blob["header"]).decode())
+        except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise GanError(f"unreadable checkpoint header: {exc}") from None
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != CHECKPOINT_FORMAT:
+            raise GanError(f"unknown checkpoint format {fmt!r}")
+        cfg_dict = header.get("config")
+        got = set(cfg_dict) if isinstance(cfg_dict, dict) else set()
+        expected = {f.name for f in fields(GanConfig)}
+        if got != expected:
+            raise GanError(f"checkpoint config keys differ from GanConfig: missing "
+                           f"{sorted(expected - got)}, unknown {sorted(got - expected)}")
+        try:
+            cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
+            cfg_dict["gen_widths"] = tuple(cfg_dict["gen_widths"])
+            config = GanConfig(**cfg_dict)
+            stats = NormStats(**header["norm_stats"])
+        except (KeyError, TypeError, DataError) as exc:
+            raise GanError(f"bad checkpoint header: {exc!r}") from None
         nets = init_networks(config, np.random.default_rng(0))
-        for i, p in enumerate(nets.all_params()):
+        params = nets.all_params()
+        names = {f"p{i:03d}" for i in range(len(params))}
+        stored = set(blob.files) - {"header"}
+        if stored != names:
+            raise GanError(f"checkpoint arrays differ from the config: missing "
+                           f"{sorted(names - stored)}, extra {sorted(stored - names)}")
+        for i, p in enumerate(params):
             saved = blob[f"p{i:03d}"]
             if saved.shape != p.data.shape:
                 raise GanError(f"checkpoint parameter {i} shape mismatch")
+            if not np.isfinite(saved).all():
+                raise GanError(f"checkpoint parameter {i} holds non-finite values")
             p.data = saved.astype(np.float64)
-        stats = NormStats(**header["norm_stats"])
     return nets, stats

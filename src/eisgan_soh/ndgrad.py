@@ -4,6 +4,14 @@ Provides exactly the primitives the EIS GAN needs (1D convolution, dense
 layers, leaky ReLU, the two loss heads) plus an Adam optimizer.
 Every op records onto the active Tape; replaying a tape with identical
 inputs is bit-for-bit deterministic.
+
+Each recorded node holds `backward_fn(g, need)`: `g` is dLoss/dOutput and
+`need` is a tuple of booleans, one per parent, that is True where the
+parent leads to a parameter `backward` was asked for. It returns one
+gradient per parent and may return None where `need` is False; `backward`
+never accumulates those entries, so an op can skip their work (the weight
+GEMM of a conv whose kernels no optimizer updates, the input GEMM of the
+first layer).
 """
 
 from __future__ import annotations
@@ -146,17 +154,28 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
     out = (w_mat @ col).reshape(k_out, batch, l_out).transpose(1, 0, 2) \
         + b.data[None, :, None]
 
-    def bw(g):
+    def bw(g, need):
         gb = g[None] if squeeze and g.ndim == 2 else g
         g_mat = gb.transpose(1, 0, 2).reshape(k_out, batch * l_out)
-        gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
-        gbias = g_mat.sum(axis=1)
-        gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, batch, l_out).transpose(2, 0, 1, 3)
-        gxp = np.zeros_like(xp)
-        for k in range(k_w):
-            gxp[:, :, k:k + l_out] += gcol[:, :, k, :]
-        gx = gxp[:, :, padding:padding + length] if padding else gxp
-        return (gx[0] if squeeze else gx), gw, gbias
+        gx = gw = gbias = None
+        if need[1]:
+            gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
+        if need[2]:
+            gbias = g_mat.sum(axis=1)
+        if need[0]:
+            gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, batch, l_out).transpose(2, 0, 1, 3)
+            # col2im: tap k lands on input t = k - padding + j; taps are added
+            # in order and the padded margins, which are discarded, are skipped;
+            # a tap that falls wholly in a margin (padding > length) adds nothing
+            gx = np.zeros((batch, r_in, length))
+            for k in range(k_w):
+                shift = k - padding
+                lo, hi = max(shift, 0), min(shift + l_out, length)
+                if lo < hi:
+                    gx[:, :, lo:hi] += gcol[:, :, k, lo - shift:hi - shift]
+            if squeeze:
+                gx = gx[0]
+        return gx, gw, gbias
 
     return _record(out[0] if squeeze else out, (x, w, b), bw)
 
@@ -170,12 +189,12 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             f"dense shapes do not conform: x{x.shape} W{weights.shape} b{bias.shape}")
     out = x.data @ weights.data.T + bias.data
 
-    def bw(g):
+    def bw(g, need):
         g2 = g if g.ndim == 2 else g[None]
         x2 = x.data if x.data.ndim == 2 else x.data[None]
-        gw = g2.T @ x2
-        gb = g2.sum(axis=0)
-        gx = g @ weights.data
+        gx = g @ weights.data if need[0] else None
+        gw = g2.T @ x2 if need[1] else None
+        gb = g2.sum(axis=0) if need[2] else None
         return gx, gw, gb
 
     return _record(out, (x, weights, bias), bw)
@@ -186,9 +205,11 @@ def leaky_relu(x: Tensor, alpha: float) -> Tensor:
         raise NdgradError(f"alpha must lie in (0,1), got {alpha}")
     x = _as_tensor(x)
     out = np.maximum(alpha * x.data, x.data)
+    slopes = np.array([alpha, 1.0])
 
-    def bw(g):
-        return (np.where(x.data > 0, g, alpha * g),)
+    def bw(g, need):
+        # a table lookup of the slope, then one multiply: no branch per element
+        return (g * slopes.take((x.data > 0).view(np.uint8)),)
 
     return _record(out, (x,), bw)
 
@@ -206,8 +227,11 @@ def bce_logit_loss(logit: Tensor, target_is_real: bool) -> Tensor:
     else:
         out = np.logaddexp(0.0, logit.data).mean() if logit.size else 0.0
 
-    def bw(g):
-        p = 1.0 / (1.0 + np.exp(-logit.data))
+    def bw(g, need):
+        # exp overflows to inf for logits below about -709; 1 / (1 + inf) = 0
+        # is then the exact sigmoid
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-logit.data))
         d = (p - 1.0) if target_is_real else p
         return (g * d / n,)
 
@@ -232,10 +256,18 @@ def gaussian_nll(pred_mean: Tensor, code, fixed_sigma: float) -> Tensor:
     resid = pred_mean.data - c
     out = (0.5 * np.sum(resid ** 2) / var + 0.5 * k * batch * np.log(2 * np.pi * var)) / batch
 
-    def bw(g):
+    def bw(g, need):
         return (g * resid / (var * batch),)
 
     return _record(out, (pred_mean,), bw)
+
+
+def _tap_sum(a, width, stop):
+    """a[..., 0:stop:width] + a[..., 1:stop:width] + ..., added in tap order."""
+    out = a[..., 0:stop:width]
+    for k in range(1, width):
+        out = out + a[..., k:stop:width]
+    return out
 
 
 def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
@@ -245,12 +277,14 @@ def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
     l_out = length // width
     if l_out < 1:
         raise ShapeError(f"pool width {width} exceeds length {length}")
-    trimmed = x.data[..., :l_out * width]
-    out = trimmed.reshape(*x.data.shape[:-1], l_out, width).sum(axis=-1) / width
+    stop = l_out * width
+    out = _tap_sum(x.data, width, stop) / width
 
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[..., :l_out * width] = np.repeat(g, width, axis=-1) / width
+    def bw(g, need):
+        gw = g / width
+        gx = np.empty_like(x.data) if stop == length else np.zeros_like(x.data)
+        for k in range(width):
+            gx[..., k:stop:width] = gw
         return (gx,)
 
     return _record(out, (x,), bw)
@@ -260,8 +294,8 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
     x = _as_tensor(x)
     out = np.repeat(x.data, factor, axis=-1)
 
-    def bw(g):
-        return (g.reshape(*x.data.shape, factor).sum(axis=-1),)
+    def bw(g, need):
+        return (_tap_sum(g, factor, g.shape[-1]),)
 
     return _record(out, (x,), bw)
 
@@ -270,7 +304,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     x = _as_tensor(x)
     out = x.data.reshape(shape)
 
-    def bw(g):
+    def bw(g, need):
         return (g.reshape(x.data.shape),)
 
     return _record(out, (x,), bw)
@@ -280,23 +314,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return _record(a.data + b.data, (a, b), lambda g: (g, g))
+    return _record(a.data + b.data, (a, b), lambda g, need: (g, g))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     x = _as_tensor(x)
-    return _record(x.data * factor, (x,), lambda g: (g * factor,))
+    return _record(x.data * factor, (x,), lambda g, need: (g * factor,))
 
 
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    return _record(x.data.sum(), (x,), lambda g: (g * np.ones_like(x.data),))
+    return _record(x.data.sum(), (x,), lambda g, need: (g * np.ones_like(x.data),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     n = max(x.size, 1)
-    return _record(x.data.mean(), (x,), lambda g: (g * np.ones_like(x.data) / n,))
+    return _record(x.data.mean(), (x,), lambda g, need: (g * np.ones_like(x.data) / n,))
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +340,24 @@ def mean_all(x: Tensor) -> Tensor:
 def backward(tape: Tape, loss: Tensor, params) -> list[np.ndarray]:
     """Reverse sweep over the tape; returns dLoss/dParam aligned with params.
 
-    Parameters not reached by the loss get zero gradients.
+    A forward walk first marks the nodes that lead to one of `params`; the
+    reverse sweep then asks each op only for the parent gradients on such
+    paths. Parameters not reached by the loss get zero gradients.
     """
     if loss.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
+    leads = {id(p) for p in params}
+    for node in tape.nodes:
+        if any(id(parent) in leads for parent in node.parents):
+            leads.add(id(node))
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.get(id(node))
-        if g is None or node.backward_fn is None:
+        if g is None or node.backward_fn is None or id(node) not in leads:
             continue
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if pg is None:
+        need = tuple(id(parent) in leads for parent in node.parents)
+        for parent, wanted, pg in zip(node.parents, need, node.backward_fn(g, need)):
+            if not wanted:
                 continue
             acc = grads.get(id(parent))
             grads[id(parent)] = pg if acc is None else acc + pg

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eisgan_soh import eisdata
@@ -442,3 +442,26 @@ def test_perturb_preserves_metadata():
     out = eisdata.perturb_curve(curve, 0.001, np.random.default_rng(0))
     assert out.key() == ("CX", 3, 7)
     assert np.array_equal(out.freq_hz, curve.freq_hz)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_f=st.lists(st.floats(-3.0, 5.0), min_size=2, max_size=80, unique=True),
+       t_target=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+def test_resample_idempotent_on_target_grid(log_f, t_target, seed):
+    freq = 10.0 ** np.sort(np.array(log_f))[::-1]
+    assume(np.all(np.diff(freq) < 0))   # two logs may round to one frequency
+    rng = np.random.default_rng(seed)
+    curve = EisCurve("C1", 5, 0, freq, rng.uniform(0.01, 2.0, len(freq)),
+                     rng.uniform(-1.0, 0.2, len(freq)))
+    grid = eisdata.log_grid(freq[0], freq[-1], t_target)
+    if np.any(np.diff(grid) >= 0):
+        # A span of a few ulps cannot hold t_target distinct frequencies, and
+        # EisCurve rejects the resampled curve.
+        with pytest.raises(DataError):
+            eisdata.resample_log_grid(curve, t_target)
+        return
+    once = eisdata.resample_log_grid(curve, t_target)
+    twice = eisdata.resample_log_grid(once, t_target)
+    np.testing.assert_allclose(twice.freq_hz, once.freq_hz, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(twice.re_z_ohm, once.re_z_ohm, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(twice.im_z_ohm, once.im_z_ohm, rtol=0, atol=1e-9)

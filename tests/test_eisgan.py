@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eisgan_soh import ecm, eisdata, eisgan
 from eisgan_soh import ndgrad as ng
 from eisgan_soh.eisgan import GanConfig, GanError, LatentCode
-from test_ndgrad import reference_conv1d
+from test_ndgrad import REFERENCE_OPS, reference_conv1d
 
 
 def tiny_config(**overrides):
@@ -30,6 +33,31 @@ def test_config_rejects_broken_shape_algebra():
 def test_config_rejects_negative_lambda():
     with pytest.raises(GanError):
         GanConfig(lambda_mi=-0.1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"batch_size": 0}, {"batch_size": -3},
+    {"epochs": 0}, {"epochs": -1},
+    {"kernel_width": 4}, {"kernel_width": 0}, {"kernel_width": -1},
+    {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
+    {"q_sigma": 0.0}, {"q_sigma": -1.0}, {"q_sigma": float("nan")},
+    {"q_sigma": float("inf")},
+    {"grad_clip": -1.0}, {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
+    {"trunk_widths": ()}, {"trunk_widths": (16, 0)}, {"trunk_widths": (8,) * 6},
+    {"gen_widths": (64, -1, 16)},
+    {"feature_dim": 0},
+    {"lr_d": float("nan")}, {"lr_g": float("inf")}, {"lr_q": 0.0}, {"lr_d": -1e-4},
+    {"lambda_mi": float("nan")}, {"lambda_mi": float("inf")},
+])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(GanError):
+        GanConfig(**kwargs)
+
+
+def test_config_zero_grad_clip_means_no_clipping():
+    assert GanConfig(grad_clip=0.0).grad_clip == 0.0
+    grads, norm = ng.clip_global_norm([np.array([3.0, 4.0])], 0.0)
+    assert norm == 5.0 and np.array_equal(grads[0], [3.0, 4.0])
 
 
 def test_init_shapes():
@@ -213,6 +241,38 @@ def test_train_bit_identical_with_reference_conv1d(monkeypatch):
                           eisgan.extract_latents(ref_nets, data))
 
 
+def test_train_bit_identical_with_reference_ops(monkeypatch):
+    # every op whose kernel or backward changed, and backward itself, set back
+    # to the formulas it replaced
+    data = toy_batch(24, seed=4)
+    cfg = tiny_config(epochs=2)
+    nets, rep = eisgan.train(data, cfg)
+    for name, reference in REFERENCE_OPS:
+        monkeypatch.setattr(ng, name, reference)
+    ref_nets, ref_rep = eisgan.train(data, cfg)
+    assert rep == ref_rep
+    for p, ref in zip(nets.all_params(), ref_nets.all_params()):
+        assert np.array_equal(p.data, ref.data)
+    assert np.array_equal(eisgan.extract_latents(nets, data),
+                          eisgan.extract_latents(ref_nets, data))
+
+
+def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
+    # kernel_width 7 pads by 3 and the fourth trunk conv sees length 2, so
+    # some col2im taps fall wholly in the padding
+    cfg = GanConfig(length=16, gen_base_len=4, kernel_width=7, epochs=2,
+                    batch_size=4, seed=0)
+    data = np.random.default_rng(5).standard_normal((8, 2, 16))
+    nets, rep = eisgan.train(data, cfg)
+    assert len(rep.loss_d) == 2
+    for name, reference in REFERENCE_OPS:
+        monkeypatch.setattr(ng, name, reference)
+    ref_nets, ref_rep = eisgan.train(data, cfg)
+    assert rep == ref_rep
+    for p, ref in zip(nets.all_params(), ref_nets.all_params()):
+        assert np.array_equal(p.data, ref.data)
+
+
 def test_mi_objective_descends_under_joint_updates():
     # the G+Q sub-update alone must be able to drive the code NLL down
     cfg = tiny_config()
@@ -306,3 +366,110 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     np.savez(path, header=header)
     with pytest.raises(GanError, match="format"):
         eisgan.load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path, cfg=None):
+    nets = eisgan.init_networks(cfg or tiny_config(), np.random.default_rng(0))
+    path = tmp_path / "gan.npz"
+    eisgan.save_checkpoint(path, nets, eisdata.NormStats(0.5, 0.1, -0.2, 0.05))
+    with np.load(path) as blob:
+        arrays = {name: blob[name] for name in blob.files}
+    return path, arrays
+
+
+def _rewrite(path, arrays, header=None):
+    if header is not None:
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+        arrays = dict(arrays, header=np.frombuffer(raw, dtype=np.uint8))
+    np.savez(path, **arrays)
+
+
+def _header(arrays):
+    return json.loads(bytes(arrays["header"]).decode())
+
+
+def test_checkpoint_rejects_unparseable_header(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    _rewrite(path, arrays, header=b'{"format": "eisgan-checkpoint-v1", ')
+    with pytest.raises(GanError, match="header"):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["config"]["dropout"] = 0.5
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match="dropout"):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_config_key(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    del header["config"]["kernel_width"]
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match="kernel_width"):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bad_config_value(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["config"]["trunk_widths"] = None
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_parameter_array(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    del arrays["p007"]
+    _rewrite(path, arrays)
+    with pytest.raises(GanError, match="p007"):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_extra_parameter_array(tmp_path):
+    path, arrays = _saved_checkpoint(tmp_path)
+    arrays["p999"] = np.zeros(3)
+    _rewrite(path, arrays)
+    with pytest.raises(GanError, match="p999"):
+        eisgan.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_nonfinite_parameters(tmp_path, bad):
+    path, arrays = _saved_checkpoint(tmp_path)
+    arrays["p004"] = arrays["p004"].copy()
+    arrays["p004"].flat[1] = bad
+    _rewrite(path, arrays)
+    with pytest.raises(GanError, match="parameter 4"):
+        eisgan.load_checkpoint(path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(latent_dim=st.integers(1, 4), noise_dim=st.integers(0, 3),
+       trunk_widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       gen_widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       base_len=st.integers(2, 5), feature_dim=st.integers(1, 6),
+       kernel_width=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_bit_exact_over_random_configs(
+        tmp_path_factory, latent_dim, noise_dim, trunk_widths, gen_widths,
+        base_len, feature_dim, kernel_width, seed):
+    length = base_len * 2 ** (len(gen_widths) - 1)
+    trunk_widths = trunk_widths[:max(length.bit_length() - 1, 1)]
+    cfg = GanConfig(latent_dim=latent_dim, noise_dim=noise_dim, length=length,
+                    trunk_widths=tuple(trunk_widths), gen_widths=tuple(gen_widths),
+                    gen_base_len=base_len, feature_dim=feature_dim,
+                    kernel_width=kernel_width, seed=seed, epochs=1, batch_size=1)
+    nets = eisgan.init_networks(cfg, np.random.default_rng(seed))
+    stats = eisdata.NormStats(0.25, 0.5, -0.125, 2.0)
+    path = tmp_path_factory.mktemp("ckpt") / "gan.npz"
+    eisgan.save_checkpoint(path, nets, stats)
+    loaded, loaded_stats = eisgan.load_checkpoint(path)
+    assert loaded.config == cfg and loaded_stats == stats
+    for pa, pb in zip(nets.all_params(), loaded.all_params()):
+        assert pa.data.tobytes() == pb.data.tobytes()
+    x = np.random.default_rng(seed).standard_normal((2, cfg.channels, length))
+    assert np.array_equal(eisgan.extract_latents(nets, x), eisgan.extract_latents(loaded, x))

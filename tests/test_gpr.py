@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from eisgan_soh import gpr
@@ -423,3 +424,21 @@ def test_model_json_round_trip():
     m2, v2 = clone.predict(c)
     assert np.array_equal(m1, m2)
     assert np.array_equal(v1, v2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       sigma_n=st.floats(0.1, 1.0), sigma_f=st.floats(0.5, 2.0),
+       length_scale=st.floats(0.3, 5.0))
+def test_predict_invariant_under_training_row_permutation(n, d, seed, sigma_n,
+                                                          sigma_f, length_scale):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    c_star = rng.standard_normal((5, d))
+    hp = Hyperparams(sigma_n, sigma_f, length_scale)
+    perm = rng.permutation(n)
+    mean, var = GprModel.build(c, y, hp, 40.0, 2.5).predict(c_star)
+    p_mean, p_var = GprModel.build(c[perm], y[perm], hp, 40.0, 2.5).predict(c_star)
+    np.testing.assert_allclose(p_mean, mean, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(p_var, var, rtol=1e-9, atol=1e-12 * (2.5 * sigma_f) ** 2)

@@ -96,7 +96,10 @@ def test_conv1d_matches_triple_loop_reference():
 
 
 def reference_conv1d(x, bank, padding=0):
-    """conv1d with the np.pad + sliding_window_view im2col; same GEMMs as ng.conv1d."""
+    """conv1d with the np.pad + sliding_window_view im2col; same GEMMs as ng.conv1d.
+
+    Its backward ignores `need` and always returns all three gradients.
+    """
     x = ng._as_tensor(x)
     w, b = bank.kernels, bank.biases
     k_out, r_in, k_w = w.shape
@@ -111,7 +114,7 @@ def reference_conv1d(x, bank, padding=0):
     out = (w_mat @ col).reshape(k_out, batch, l_out).transpose(1, 0, 2) \
         + b.data[None, :, None]
 
-    def bw(g):
+    def bw(g, need):
         gb = g[None] if squeeze and g.ndim == 2 else g
         g_mat = gb.transpose(1, 0, 2).reshape(k_out, batch * l_out)
         gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
@@ -141,8 +144,9 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
                     out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
                     ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
                 g = rng.standard_normal(out.shape)
-                pairs = [(out.data, ref.data)] + list(zip(out.backward_fn(g),
-                                                          ref.backward_fn(g)))
+                need = (True, True, True)
+                pairs = [(out.data, ref.data)] + list(zip(out.backward_fn(g, need),
+                                                          ref.backward_fn(g, need)))
                 for got, want in pairs:
                     assert got.shape == want.shape
                     if r_in == 1 and batch in (None, 1):
@@ -151,6 +155,34 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
                         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
                     else:
                         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 4])
+def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
+    # padding at or beyond the input length: some taps land wholly in the
+    # discarded margins, and col2im must skip them
+    rng = np.random.default_rng(22)
+    for k_w in range(1, 12, 2):
+        for pad in sorted({(k_w - 1) // 2, k_w - 1}):
+            for length in range(1, 5):
+                if length + 2 * pad < k_w:
+                    continue
+                shape = (3, length) if batch is None else (batch, 3, length)
+                x = rng.standard_normal(shape)
+                bank = make_bank(rng, 4, 3, k_w)
+                with ng.Tape():
+                    out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                    ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
+                g = rng.standard_normal(out.shape)
+                need = (True, True, True)
+                (gx, gw, gb), (rx, rw, rb) = out.backward_fn(g, need), ref.backward_fn(g, need)
+                assert gx.shape == rx.shape and np.array_equal(gx, rx)
+                assert np.array_equal(gb, rb)
+                # with one output position the reference's reshape of the window
+                # view can stay a strided view, so its GEMMs round differently
+                for got, want in ((out.data, ref.data), (gw, rw)):
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +363,192 @@ def test_avg_pool1d_equals_mean_reference(width):
         l_out = shape[-1] // width
         ref = x[..., :l_out * width].reshape(*shape[:-1], l_out, width).mean(axis=-1)
         assert np.array_equal(ng.avg_pool1d(ng.Tensor(x), width).data, ref)
+
+
+# The formulas below are the ops as they were before the strided-slice and
+# table-lookup kernels and needs-grad pruning; the current ops must match
+# them bit for bit. Every reference backward ignores `need`.
+
+def reference_dense(x, weights, bias):
+    x, weights, bias = ng._as_tensor(x), ng._as_tensor(weights), ng._as_tensor(bias)
+    out = x.data @ weights.data.T + bias.data
+
+    def bw(g, need):
+        g2 = g if g.ndim == 2 else g[None]
+        x2 = x.data if x.data.ndim == 2 else x.data[None]
+        return g @ weights.data, g2.T @ x2, g2.sum(axis=0)
+
+    return ng._record(out, (x, weights, bias), bw)
+
+
+def reference_leaky_relu(x, alpha):
+    x = ng._as_tensor(x)
+    out = np.maximum(alpha * x.data, x.data)
+    return ng._record(out, (x,), lambda g, need: (np.where(x.data > 0, g, alpha * g),))
+
+
+def reference_avg_pool1d(x, width=2):
+    x = ng._as_tensor(x)
+    l_out = x.data.shape[-1] // width
+    trimmed = x.data[..., :l_out * width]
+    out = trimmed.reshape(*x.data.shape[:-1], l_out, width).sum(axis=-1) / width
+
+    def bw(g, need):
+        gx = np.zeros_like(x.data)
+        gx[..., :l_out * width] = np.repeat(g, width, axis=-1) / width
+        return (gx,)
+
+    return ng._record(out, (x,), bw)
+
+
+def reference_upsample_nearest(x, factor=2):
+    x = ng._as_tensor(x)
+    out = np.repeat(x.data, factor, axis=-1)
+    return ng._record(out, (x,),
+                      lambda g, need: (g.reshape(*x.data.shape, factor).sum(axis=-1),))
+
+
+def reference_backward(tape, loss, params):
+    """Reverse sweep that asks every op for every parent gradient."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tape.nodes):
+        g = grads.get(id(node))
+        if g is None or node.backward_fn is None:
+            continue
+        need = (True,) * len(node.parents)
+        for parent, pg in zip(node.parents, node.backward_fn(g, need)):
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    return [grads.get(id(p), np.zeros_like(p.data)) for p in params]
+
+
+#: (module attribute, reference) for every op whose kernel or backward changed
+REFERENCE_OPS = (("conv1d", reference_conv1d), ("dense", reference_dense),
+                 ("leaky_relu", reference_leaky_relu),
+                 ("avg_pool1d", reference_avg_pool1d),
+                 ("upsample_nearest", reference_upsample_nearest),
+                 ("backward", reference_backward))
+
+
+def _op_and_reference(op, ref, x, arg, g_rng):
+    with ng.Tape():
+        out = op(ng.Tensor(x), arg)
+        want = ref(ng.Tensor(x), arg)
+    assert out.shape == want.shape
+    assert np.array_equal(out.data, want.data)
+    g = g_rng.standard_normal(out.shape)
+    (got_g,), (want_g,) = out.backward_fn(g, (True,)), want.backward_fn(g, (True,))
+    assert got_g.shape == want_g.shape == x.shape
+    assert np.array_equal(got_g, want_g)
+
+
+ELEMENTWISE_SHAPES = ((15,), (3, 15), (4, 2, 31), (2, 16, 60), (5, 8))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_avg_pool1d_bit_identical_to_reference(width):
+    rng = np.random.default_rng(30 + width)
+    for shape in ELEMENTWISE_SHAPES:
+        _op_and_reference(ng.avg_pool1d, reference_avg_pool1d,
+                          rng.standard_normal(shape), width, rng)
+    # odd length, dropped tail: 15 -> 7 at width 2, and the tail's gradient is 0
+    with ng.Tape():
+        out = ng.avg_pool1d(ng.Tensor(np.arange(15.0)), 2)
+    assert out.shape == (7,)
+    assert out.backward_fn(np.ones(7), (True,))[0][-1] == 0.0
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3])
+def test_upsample_nearest_bit_identical_to_reference(factor):
+    rng = np.random.default_rng(40 + factor)
+    for shape in ELEMENTWISE_SHAPES:
+        _op_and_reference(ng.upsample_nearest, reference_upsample_nearest,
+                          rng.standard_normal(shape), factor, rng)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2])
+def test_leaky_relu_bit_identical_to_reference(alpha):
+    rng = np.random.default_rng(50)
+    for shape in ELEMENTWISE_SHAPES:
+        x = rng.standard_normal(shape)
+        x.ravel()[::4] = 0.0   # the kink takes the alpha slope
+        _op_and_reference(ng.leaky_relu, reference_leaky_relu, x, alpha, rng)
+
+
+def _small_net_tape(rng, batched):
+    """A conv -> lrelu -> pool -> upsample -> pool -> dense chain on one tape."""
+    bank = make_bank(rng, 3, 2, 3)
+    w = ng.Tensor(rng.standard_normal((4, 3 * 8)), is_param=True)
+    b = ng.Tensor(rng.standard_normal(4), is_param=True)
+    x = ng.Tensor(rng.standard_normal((5, 2, 17) if batched else (2, 17)))
+    tape = ng.Tape()
+    with tape:
+        h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(x, bank, padding=1), 0.01), 2)
+        h = ng.avg_pool1d(ng.upsample_nearest(h, 3), 3)
+        h = ng.reshape(h, (5, 24) if batched else (24,))
+        h = ng.leaky_relu(ng.dense(h, w, b), 0.01)
+        loss = ng.bce_logit_loss(h, True)
+    return tape, loss, [bank.kernels, bank.biases, w, b]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_backward_subset_equals_full_run_restricted(batched):
+    tape, loss, params = _small_net_tape(np.random.default_rng(60), batched)
+    full = ng.backward(tape, loss, params)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(full, reference_backward(tape, loss, params)))
+    for subset in ([0], [1], [2, 3], [0, 3], [3, 1]):
+        got = ng.backward(tape, loss, [params[i] for i in subset])
+        for i, grad in zip(subset, got):
+            assert np.array_equal(grad, full[i])
+
+
+@pytest.mark.parametrize("op", ["conv1d", "dense"])
+def test_backward_fn_returns_none_for_unneeded_parents(op):
+    rng = np.random.default_rng(61)
+    with ng.Tape():
+        if op == "conv1d":
+            out = ng.conv1d(ng.Tensor(rng.standard_normal((4, 2, 9))),
+                            make_bank(rng, 3, 2, 3), padding=1)
+        else:
+            out = ng.dense(ng.Tensor(rng.standard_normal((4, 6))),
+                           ng.Tensor(rng.standard_normal((3, 6))),
+                           ng.Tensor(rng.standard_normal(3)))
+    g = rng.standard_normal(out.shape)
+    full = out.backward_fn(g, (True, True, True))
+    gx, gw, gb = out.backward_fn(g, (True, False, False))
+    assert gw is None and gb is None
+    assert np.array_equal(gx, full[0])
+    gx, gw, gb = out.backward_fn(g, (False, True, True))
+    assert gx is None
+    assert np.array_equal(gw, full[1]) and np.array_equal(gb, full[2])
+
+
+def test_backward_never_asks_for_constant_inputs():
+    rng = np.random.default_rng(62)
+    tape, loss, params = _small_net_tape(rng, True)
+    seen = []
+    for node in tape.nodes:
+        fn = node.backward_fn
+        node.backward_fn = lambda g, need, fn=fn: seen.append(need) or fn(g, need)
+    ng.backward(tape, loss, params[2:])   # the dense head only
+    # the loss, the lrelu and the dense: the conv chain below is never called
+    assert seen == [(True,), (True,), (False, True, True)]
+
+
+def test_bce_backward_no_overflow_warning_at_large_negative_logit():
+    import warnings
+    logits = np.array([-800.0, -709.0, 0.0, 30.0])
+    for target in (True, False):
+        with ng.Tape():
+            out = ng.bce_logit_loss(ng.Tensor(logits), target)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (grad,) = out.backward_fn(np.float64(1.0), (True,))
+        with np.errstate(over="ignore"):
+            p = 1.0 / (1.0 + np.exp(-logits))
+        assert p[0] == 0.0
+        assert np.array_equal(grad, 1.0 * ((p - 1.0) if target else p) / 4)
 
 
 def test_tape_replay_determinism():

@@ -440,6 +440,23 @@ def test_cli_bad_gpr_config_prints_json_error_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_bad_gan_config_prints_json_error_line(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["gan"] = {"batch_size": 0}
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    assert cli.main(["run-all", "--config", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "GanError"
+    assert "batch_size" in json.loads(lines[0])["message"]
+    assert captured.out == ""
+    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
+
+
 def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys):
     _, path = cli_config_file(
         tmp_path, synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
