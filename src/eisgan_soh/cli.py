@@ -90,35 +90,41 @@ def _read_latents(path):
                 for r in reader]
 
 
+# `fit-gpr` and `predict` read no EIS curves: `extract` writes a latent row for
+# every curve of a stage, so the latent rows tell which cells the stage holds.
+
 def cmd_fit_gpr(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
+    partition = pipeline.declared_partition(config)
+    capacities = pipeline.load_capacities(config)
     for stage in config.stages:
         rows = _read_latents(_latents_csv_path(config, stage))
-        train_cells, _ = pipeline.stage_partition(dataset, stage)
+        train_cells, _ = pipeline.split_partition(*partition, {r[0] for r in rows}, stage)
         train_rows = [r for r in rows if r[0] in train_cells]
+        missing = [(r[0], r[2]) for r in train_rows if (r[0], r[2]) not in capacities]
+        if missing:
+            raise pipeline.PipelineError(
+                f"stage {stage}: no capacity record for latent row(s) {missing}")
         c_train = np.stack([r[3] for r in train_rows])
-        y_train = np.array([dataset.capacity(r[0], r[2]) for r in train_rows])
+        y_train = np.array([capacities[r[0], r[2]] for r in train_rows])
         model = gpr.fit(c_train, y_train, restarts=config.gpr.restarts,
                         max_iter=config.gpr.max_iter, seed=config.seed)
-        path = os.path.join(config.out_dir, f"gpr_stage{stage}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(model.to_json())
+        path = pipeline.write_report(config.out_dir, f"gpr_stage{stage}.json", model)
         print(f"stage {stage}: GPR fit on {len(y_train)} points, "
               f"lml={model.lml:.3f} -> {path}")
 
 
 def cmd_predict(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
+    train_cells, test_cells = pipeline.declared_partition(config)
     for stage in config.stages:
         with open(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
                   encoding="utf-8") as fh:
             model = gpr.GprModel.from_json(fh.read())
-        _, test_cells = pipeline.stage_partition(dataset, stage)
-        rows = [r for r in _read_latents(_latents_csv_path(config, stage))
-                if r[0] in test_cells]
+        all_rows = _read_latents(_latents_csv_path(config, stage))
+        rows = [r for r in all_rows if r[0] in test_cells]
         if not rows:
             raise pipeline.PipelineError(
                 f"stage {stage}: no latent rows for test cells {test_cells}")
+        pipeline.split_partition(train_cells, test_cells, {r[0] for r in all_rows}, stage)
         mean, var = model.predict(np.stack([r[3] for r in rows]))
         out_rows = [(r[0], stage, r[2], m, np.sqrt(v))
                     for r, m, v in zip(rows, mean, var)]
@@ -132,10 +138,7 @@ def cmd_evaluate(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     pipeline.check_plot_cycles(dataset, config)
     report, artifacts = pipeline.run_eisgan_path(dataset, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "evalreport_eisgan.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    pipeline.write_report(config.out_dir, "evalreport_eisgan.json", report)
     pipeline.emit_plot_data(config.out_dir, dataset, config, report,
                             None, None, artifacts)
     pipeline.write_summary(config.out_dir, report, None)
@@ -145,10 +148,7 @@ def cmd_evaluate(config: PipelineConfig):
 def cmd_baseline(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     report, _ = pipeline.run_baseline_path(dataset, config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "evalreport_baseline.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    pipeline.write_report(config.out_dir, "evalreport_baseline.json", report)
     _print_metrics(report)
 
 
@@ -158,10 +158,7 @@ def cmd_perturb(config: PipelineConfig):
     norm_stats = {s: a.stats for s, a in eisgan_art.items()}
     _, baseline_art = pipeline.run_baseline_path(dataset, config, norm_stats)
     report = pipeline.run_perturbation_study(dataset, config, eisgan_art, baseline_art)
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "perturbreport.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json())
+    pipeline.write_report(config.out_dir, "perturbreport.json", report)
     for e in report.entries:
         print(f"stage {e.stage} sigma={e.sigma} {e.path_name}: "
               f"median={e.median:.5f} IQR=[{e.q25:.5f}, {e.q75:.5f}]")

@@ -177,6 +177,14 @@ def default_params(rng: np.random.Generator) -> EcmParams:
     )
 
 
+def synth_cell_ids(n_train_cells: int, n_test_cells: int):
+    """The (train, test) cell ids `synth_dataset` names, without synthesising."""
+    if n_train_cells < 1 or n_test_cells < 1:
+        raise EcmError("need at least one train and one test cell")
+    ids = tuple(f"SYN{i + 1:02d}" for i in range(n_train_cells + n_test_cells))
+    return ids[:n_train_cells], ids[n_train_cells:]
+
+
 def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
                   stages, seed: int,
                   dc_noise_amp: float = 0.02,
@@ -187,10 +195,9 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
     One aging trajectory per cell, shared across all requested stages; only
     the measurement noise differs between stages.
     """
-    if n_train_cells < 1 or n_test_cells < 1:
-        raise EcmError("need at least one train and one test cell")
-    n_cells = n_train_cells + n_test_cells
-    cell_ids = [f"SYN{i + 1:02d}" for i in range(n_cells)]
+    train_ids, test_ids = synth_cell_ids(n_train_cells, n_test_cells)
+    cell_ids = train_ids + test_ids
+    n_cells = len(cell_ids)
     seq = np.random.SeedSequence(seed)
     curves, records = [], []
     for cell_idx, (cell_id, child) in enumerate(zip(cell_ids, seq.spawn(n_cells))):
@@ -205,5 +212,4 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
         records.extend(CapacityRecord(cell_id, cycle, float(traj.capacity_mah[cycle]))
                        for cycle in range(n_cycles))
     return Dataset(curves=curves, capacities=records,
-                   train_cells=tuple(cell_ids[:n_train_cells]),
-                   test_cells=tuple(cell_ids[n_train_cells:]))
+                   train_cells=train_ids, test_cells=test_ids)

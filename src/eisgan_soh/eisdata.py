@@ -376,17 +376,30 @@ def fit_norm_stats(curves) -> NormStats:
     return NormStats(float(re_all.mean()), re_scale, float(im_all.mean()), im_scale)
 
 
+def _with_channels(curve: EisCurve, re_z: np.ndarray, im_z: np.ndarray) -> EisCurve:
+    """`curve` with new float64 Re/Im arrays of its own length.
+
+    Stage, cycle, lengths and frequencies are the checked curve's own, so of
+    `EisCurve`'s checks only finiteness can fail here (an overflow, say); the
+    others are not re-run.
+    """
+    for name, values in (("re_z_ohm", re_z), ("im_z_ohm", im_z)):
+        if not np.isfinite(values).all():
+            raise DataError(f"curve {curve.key()} has non-finite {name}")
+    new = object.__new__(EisCurve)
+    new.__dict__.update(curve.__dict__, re_z_ohm=re_z, im_z_ohm=im_z)
+    return new
+
+
 def normalize(curves, stats: NormStats):
-    return [replace(c,
-                    re_z_ohm=(c.re_z_ohm - stats.re_mean) / stats.re_scale,
-                    im_z_ohm=(c.im_z_ohm - stats.im_mean) / stats.im_scale)
+    return [_with_channels(c, (c.re_z_ohm - stats.re_mean) / stats.re_scale,
+                           (c.im_z_ohm - stats.im_mean) / stats.im_scale)
             for c in curves]
 
 
 def denormalize(curves, stats: NormStats):
-    return [replace(c,
-                    re_z_ohm=c.re_z_ohm * stats.re_scale + stats.re_mean,
-                    im_z_ohm=c.im_z_ohm * stats.im_scale + stats.im_mean)
+    return [_with_channels(c, c.re_z_ohm * stats.re_scale + stats.re_mean,
+                           c.im_z_ohm * stats.im_scale + stats.im_mean)
             for c in curves]
 
 
@@ -411,6 +424,5 @@ def perturb_curve(curve: EisCurve, sigma: float, rng: np.random.Generator) -> Ei
     if sigma == 0:
         return curve
     n = curve.n_points
-    return replace(curve,
-                   re_z_ohm=curve.re_z_ohm + rng.normal(0.0, sigma, n),
-                   im_z_ohm=curve.im_z_ohm + rng.normal(0.0, sigma, n))
+    return _with_channels(curve, curve.re_z_ohm + rng.normal(0.0, sigma, n),
+                          curve.im_z_ohm + rng.normal(0.0, sigma, n))

@@ -24,6 +24,20 @@ class GanError(Exception):
     """Configuration or training failure."""
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is refused although it is an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int_fields(obj, error) -> None:
+    """Raise `error` naming the first dataclass field annotated `int` whose
+    value `is_int` refuses."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and not is_int(value):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GanConfig:
     latent_dim: int = 9
@@ -51,6 +65,7 @@ class GanConfig:
         def positive(value):
             return np.isfinite(value) and value > 0
 
+        check_int_fields(self, GanError)
         if self.latent_dim < 1 or self.noise_dim < 0:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
         if not (np.isfinite(self.lambda_mi) and self.lambda_mi >= 0):
@@ -69,8 +84,8 @@ class GanConfig:
             raise GanError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         for name in ("trunk_widths", "gen_widths"):
             widths = getattr(self, name)
-            if not widths or min(widths) < 1:
-                raise GanError(f"{name} must be a non-empty tuple of positive widths")
+            if not widths or not all(is_int(w) and w >= 1 for w in widths):
+                raise GanError(f"{name} must be a non-empty tuple of positive integer widths")
         if self.length >> len(self.trunk_widths) < 1:
             raise GanError(f"length {self.length} does not survive "
                            f"{len(self.trunk_widths)} trunk halvings")

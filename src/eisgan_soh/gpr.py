@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 LOG2PI = float(np.log(2 * np.pi))
 
@@ -162,8 +163,9 @@ class GprModel:
         """Posterior mean and variance per test row, denormalized to target units.
 
         GPML Alg. 2.1: mean = k*^T alpha, v = L \\ k*, var = k** - v^T v. The
-        factor was checked when the model was built, so the solve skips
-        scipy's finiteness scan; non-finite test rows are rejected here.
+        factor was checked when the model was built and non-finite test rows
+        are rejected here, so LAPACK's triangular solve runs on k*^T directly,
+        overwriting it, without `solve_triangular`'s wrapper around it.
         """
         cs = np.asarray(c_star, dtype=float)
         single = cs.ndim == 1
@@ -176,7 +178,9 @@ class GprModel:
             raise GprError(f"non-finite values in test row {int(np.argmin(finite))}")
         k_star = kernel_matrix(cs, self.inputs, self.hp)
         mean_n = k_star @ self._alpha
-        v = solve_triangular(self._chol, k_star.T, lower=True, check_finite=False)
+        v, info = dtrtrs(self._chol, k_star.T, lower=1, overwrite_b=1)
+        if info != 0:
+            raise GprError(f"triangular solve failed: LAPACK dtrtrs info={info}")
         var_n = self.hp.sigma_f ** 2 - np.sum(v * v, axis=0)
         var_n = np.where((var_n < 0) & (var_n > -1e-10), 0.0, var_n)
         if np.any(var_n < 0):

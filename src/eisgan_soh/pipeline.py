@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ecm, eisdata, eisgan, gpr
 from .eisdata import Dataset, curve_to_array, fit_norm_stats, normalize
-from .eisgan import GanConfig
+from .eisgan import GanConfig, check_int_fields, is_int
 
 
 class PipelineError(Exception):
@@ -57,6 +57,9 @@ class SynthSettings:
     dc_noise_amp: float = 0.02
     meas_noise_ohm: float = 0.0002
 
+    def __post_init__(self):
+        check_int_fields(self, PipelineError)
+
 
 @dataclass(frozen=True)
 class GprSettings:
@@ -64,6 +67,7 @@ class GprSettings:
     max_iter: int = 100
 
     def __post_init__(self):
+        check_int_fields(self, PipelineError)
         if self.restarts < 1:
             raise PipelineError(f"gpr restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
@@ -78,10 +82,14 @@ class PerturbSettings:
     cycle: int = 100
 
     def __post_init__(self):
+        check_int_fields(self, PipelineError)
         if self.n_samples < 1:
             raise PipelineError(f"perturb n_samples must be >= 1, got {self.n_samples}")
-        if not all(np.isfinite(s) and s >= 0 for s in self.sigmas):
-            raise PipelineError(f"perturb sigmas must be finite and >= 0, got {self.sigmas}")
+        if not all(isinstance(s, (int, float, np.integer, np.floating))
+                   and not isinstance(s, bool) and np.isfinite(s) and s >= 0
+                   for s in self.sigmas):
+            raise PipelineError(
+                f"perturb sigmas must be finite numbers >= 0, got {self.sigmas}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not set(self.stages) <= set(range(1, 10)):
+        check_int_fields(self, PipelineError)
+        if not all(is_int(s) and 1 <= s <= 9 for s in self.stages):
             raise PipelineError(f"stages must lie in 1..9, got {self.stages}")
         if set(self.train_cells) & set(self.test_cells):
             raise PipelineError("train and test cells overlap")
@@ -108,25 +117,18 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
-        kwargs = dict(obj)
-        if "synth" in kwargs and kwargs["synth"] is not None:
-            kwargs["synth"] = SynthSettings(**kwargs["synth"])
+        kwargs = _section(PipelineConfig, obj, "config",
+                          ("stages", "train_cells", "test_cells"))
+        if kwargs.get("synth") is not None:
+            kwargs["synth"] = SynthSettings(**_section(SynthSettings, kwargs["synth"], "synth"))
         if "gan" in kwargs:
-            gan = dict(kwargs["gan"])
-            for key in ("trunk_widths", "gen_widths"):
-                if key in gan:
-                    gan[key] = tuple(gan[key])
-            kwargs["gan"] = GanConfig(**gan)
+            kwargs["gan"] = GanConfig(**_section(GanConfig, kwargs["gan"], "gan",
+                                                 ("trunk_widths", "gen_widths")))
         if "gpr" in kwargs:
-            kwargs["gpr"] = GprSettings(**kwargs["gpr"])
+            kwargs["gpr"] = GprSettings(**_section(GprSettings, kwargs["gpr"], "gpr"))
         if "perturb" in kwargs:
-            pert = dict(kwargs["perturb"])
-            if "sigmas" in pert:
-                pert["sigmas"] = tuple(pert["sigmas"])
-            kwargs["perturb"] = PerturbSettings(**pert)
-        for key in ("stages", "train_cells", "test_cells"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+            kwargs["perturb"] = PerturbSettings(**_section(PerturbSettings, kwargs["perturb"],
+                                                           "perturb", ("sigmas",)))
         return PipelineConfig(**kwargs)
 
     @staticmethod
@@ -138,6 +140,32 @@ class PipelineConfig:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
+def _section(cls, obj, name, lists=()) -> dict:
+    """One JSON config object as `cls` keyword arguments. A key `cls` lacks is
+    refused, and each key in `lists` must hold a list, passed on as a tuple."""
+    if not isinstance(obj, dict):
+        raise PipelineError(f"config section {name} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise PipelineError(f"unknown key(s) {unknown} in config section {name}")
+    kwargs = dict(obj)
+    for key in lists:
+        if key in kwargs:
+            if not isinstance(kwargs[key], (list, tuple)):
+                raise PipelineError(f"{key} must be a list, got {kwargs[key]!r}")
+            kwargs[key] = tuple(kwargs[key])
+    return kwargs
+
+
+def declared_partition(config: PipelineConfig):
+    """The (train, test) cell ids the config declares; reads and synthesises nothing."""
+    if config.synth is not None:
+        return ecm.synth_cell_ids(config.synth.n_train_cells, config.synth.n_test_cells)
+    if not config.train_cells or not config.test_cells:
+        raise PipelineError("train_cells and test_cells must be declared for CSV input")
+    return config.train_cells, config.test_cells
+
+
 def load_dataset(config: PipelineConfig) -> Dataset:
     """Synthesize or ingest the dataset declared by the config."""
     if config.synth is not None:
@@ -146,14 +174,20 @@ def load_dataset(config: PipelineConfig) -> Dataset:
                                  config.stages, config.seed,
                                  dc_noise_amp=s.dc_noise_amp,
                                  meas_noise_ohm=s.meas_noise_ohm)
+    train_cells, test_cells = declared_partition(config)
     curves = eisdata.load_eis_csv(config.eis_csv)
     caps = eisdata.load_capacity_csv(config.capacity_csv)
     curves = [c if c.n_points == eisdata.T_POINTS else eisdata.resample_log_grid(c)
               for c in curves]
-    if not config.train_cells or not config.test_cells:
-        raise PipelineError("train_cells and test_cells must be declared for CSV input")
     return Dataset(curves=curves, capacities=caps,
-                   train_cells=config.train_cells, test_cells=config.test_cells)
+                   train_cells=train_cells, test_cells=test_cells)
+
+
+def load_capacities(config: PipelineConfig) -> dict:
+    """(cell_id, cycle) -> capacity in mAh; CSV input reads capacity.csv alone."""
+    records = (load_dataset(config).capacities if config.synth is not None
+               else eisdata.load_capacity_csv(config.capacity_csv))
+    return {(r.cell_id, r.cycle): r.capacity_mah for r in records}
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +277,20 @@ class StageArtifacts:
     test_cells: tuple[str, ...]
 
 
-def stage_partition(dataset: Dataset, stage: int):
-    """Intersect the declared partition with the cells present in a stage."""
-    present = dataset.stage_cells(stage)
-    train = tuple(c for c in dataset.train_cells if c in present)
-    test = tuple(c for c in dataset.test_cells if c in present)
+def split_partition(train_cells, test_cells, present, stage: int):
+    """Intersect a declared partition with the cells `present` in a stage."""
+    train = tuple(c for c in train_cells if c in present)
+    test = tuple(c for c in test_cells if c in present)
     if not train or not test:
         raise PipelineError(
             f"stage {stage}: empty partition (train={train}, test={test})")
     return train, test
+
+
+def stage_partition(dataset: Dataset, stage: int):
+    """Intersect the dataset's partition with the cells its stage holds."""
+    return split_partition(dataset.train_cells, dataset.test_cells,
+                           dataset.stage_cells(stage), stage)
 
 
 def _stage_gan_config(config: PipelineConfig, stage: int) -> GanConfig:
@@ -512,12 +551,18 @@ def write_summary(outdir, eisgan_report: EvalReport,
     return path
 
 
+def write_report(out_dir, name, report) -> str:
+    """Write `report.to_json()` to out_dir/name, creating out_dir; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report.to_json())
+    return path
+
+
 def run_all(config: PipelineConfig) -> dict:
     """Execute the full study; writes reports and plot data to config.out_dir."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "resolved_config.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(config.to_json())
+    write_report(config.out_dir, "resolved_config.json", config)
 
     dataset = load_dataset(config)
     check_plot_cycles(dataset, config)
@@ -534,8 +579,7 @@ def run_all(config: PipelineConfig) -> dict:
     for name, report in (("evalreport_eisgan.json", eisgan_report),
                          ("evalreport_baseline.json", baseline_report),
                          ("perturbreport.json", perturb_report)):
-        with open(os.path.join(config.out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_report(config.out_dir, name, report)
     emit_plot_data(config.out_dir, dataset, config, eisgan_report,
                    baseline_report, perturb_report, eisgan_art)
     write_summary(config.out_dir, eisgan_report, baseline_report)

@@ -118,6 +118,15 @@ def test_synth_dataset_partition_shape():
     assert not set(ds.train_cells) & set(ds.test_cells)
 
 
+def test_synth_cell_ids_name_the_synth_dataset_partition():
+    ds = ecm.synth_dataset(3, 2, 4, [5], seed=0)
+    assert ecm.synth_cell_ids(3, 2) == (ds.train_cells, ds.test_cells)
+    assert ecm.synth_cell_ids(1, 1) == (("SYN01",), ("SYN02",))
+    for counts in ((0, 1), (1, 0)):
+        with pytest.raises(ecm.EcmError, match="at least one train and one test"):
+            ecm.synth_cell_ids(*counts)
+
+
 def test_synth_dataset_covers_stages_and_capacities():
     stages = [3, 5]
     ds = ecm.synth_dataset(2, 1, 5, stages, seed=1)

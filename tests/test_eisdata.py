@@ -2,6 +2,7 @@ import csv
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,7 +398,6 @@ def test_normalize_constant_channel_zeros():
     curve = make_curve()
     stats = NormStats(float(curve.re_z_ohm[0]), 1.0, 0.0, 1.0)
     flat = curve.re_z_ohm * 0 + curve.re_z_ohm[0]
-    from dataclasses import replace
     (out,) = eisdata.normalize([replace(curve, re_z_ohm=flat)], stats)
     assert np.all(out.re_z_ohm == 0.0)
 
@@ -409,6 +409,65 @@ def test_normalize_round_trip():
     for a, b in zip(curves, back):
         np.testing.assert_allclose(a.re_z_ohm, b.re_z_ohm, atol=1e-12)
         np.testing.assert_allclose(a.im_z_ohm, b.im_z_ohm, atol=1e-12)
+
+
+def _replace_reference(curve, re_z, im_z):
+    return replace(curve, re_z_ohm=re_z, im_z_ohm=im_z)
+
+
+def _assert_same_curve(out, ref):
+    assert type(out) is EisCurve
+    assert out.key() == ref.key()
+    for name in ("freq_hz", "re_z_ohm", "im_z_ohm"):
+        got, want = getattr(out, name), getattr(ref, name)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
+def test_transforms_equal_dataclasses_replace_bit_for_bit():
+    rng = np.random.default_rng(5)
+    curves = [EisCurve(f"C{i}", 1 + i % 9, i, eisdata.log_grid(2e4, 0.02, 60),
+                       rng.normal(0.4, 0.2, 60), rng.normal(-0.1, 0.05, 60))
+              for i in range(12)]
+    stats = NormStats(0.37, 0.21, -0.08, 0.047)
+    for out, c in zip(eisdata.normalize(curves, stats), curves):
+        _assert_same_curve(out, _replace_reference(
+            c, (c.re_z_ohm - stats.re_mean) / stats.re_scale,
+            (c.im_z_ohm - stats.im_mean) / stats.im_scale))
+    for out, c in zip(eisdata.denormalize(curves, stats), curves):
+        _assert_same_curve(out, _replace_reference(
+            c, c.re_z_ohm * stats.re_scale + stats.re_mean,
+            c.im_z_ohm * stats.im_scale + stats.im_mean))
+    for c in curves:
+        out = eisdata.perturb_curve(c, 0.003, np.random.default_rng(c.cycle))
+        rng = np.random.default_rng(c.cycle)
+        _assert_same_curve(out, _replace_reference(
+            c, c.re_z_ohm + rng.normal(0.0, 0.003, 60),
+            c.im_z_ohm + rng.normal(0.0, 0.003, 60)))
+
+
+def test_transform_results_stay_frozen_and_independent():
+    curve = make_curve()
+    (out,) = eisdata.normalize([curve], NormStats(0.1, 2.0, 0.0, 1.0))
+    with pytest.raises(AttributeError):
+        out.re_z_ohm = curve.re_z_ohm
+    assert out.freq_hz is curve.freq_hz
+    assert out.re_z_ohm is not curve.re_z_ohm
+    assert np.array_equal(curve.re_z_ohm, make_curve().re_z_ohm)
+
+
+@pytest.mark.parametrize("transform, channel", [
+    (lambda c: eisdata.normalize([c], NormStats(0.0, 1e-310, 0.0, 1.0)), "re_z_ohm"),
+    (lambda c: eisdata.normalize([c], NormStats(0.0, 1.0, 0.0, 1e-310)), "im_z_ohm"),
+    (lambda c: eisdata.denormalize([c], NormStats(1.7e308, 1e308, 0.0, 1.0)), "re_z_ohm"),
+    (lambda c: eisdata.denormalize([c], NormStats(0.0, 1.0, -1.7e308, 1e308)), "im_z_ohm"),
+    (lambda c: eisdata.perturb_curve(c, 1e308, np.random.default_rng(0)), "re_z_ohm"),
+], ids=["normalize-re", "normalize-im", "denormalize-re", "denormalize-im", "perturb"])
+def test_transforms_raise_data_error_on_overflow(transform, channel):
+    curve = make_curve(cell="CX", stage=3, cycle=7)
+    with np.errstate(over="ignore"), pytest.raises(
+            DataError, match=rf"curve \('CX', 3, 7\) has non-finite {channel}"):
+        transform(curve)
 
 
 def test_perturb_sigma_zero_identity():

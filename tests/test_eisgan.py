@@ -54,6 +54,27 @@ def test_config_rejects_bad_values(kwargs):
         GanConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["latent_dim", "noise_dim", "channels", "length",
+                                  "gen_base_len", "feature_dim", "kernel_width",
+                                  "batch_size", "epochs", "seed"])
+@pytest.mark.parametrize("value", [2.5, 5.0, True, "5", None])
+def test_config_rejects_non_integer_fields(name, value):
+    with pytest.raises(GanError, match=f"{name} must be an integer"):
+        GanConfig(**{name: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = GanConfig(batch_size=np.int64(16), epochs=np.int32(3), seed=np.uint8(7))
+    assert (cfg.batch_size, cfg.epochs, cfg.seed) == (16, 3, 7)
+
+
+def test_config_rejects_non_integer_widths():
+    with pytest.raises(GanError, match="trunk_widths"):
+        GanConfig(trunk_widths=(16, 32.0, 64, 64))
+    with pytest.raises(GanError, match="gen_widths"):
+        GanConfig(gen_widths=(64, True, 16))
+
+
 def test_config_zero_grad_clip_means_no_clipping():
     assert GanConfig(grad_clip=0.0).grad_clip == 0.0
     grads, norm = ng.clip_global_norm([np.array([3.0, 4.0])], 0.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from eisgan_soh import gpr
 from eisgan_soh.gpr import GprError, GprModel, Hyperparams
@@ -227,6 +227,31 @@ def test_predict_matches_cached_factor_forms(d):
             mean, var = model.predict(c_star)
             assert np.array_equal(np.atleast_1d(mean), ref_mean)
             assert np.abs(np.atleast_1d(var) - ref_var).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [9, 120])
+def test_predict_equals_solve_triangular_form_exactly(d):
+    # the LAPACK call must give the very bits the scipy wrapper gave
+    rng = np.random.default_rng(70 + d)
+    c = rng.standard_normal((480, d))
+    model = GprModel.build(c, rng.standard_normal(480),
+                           Hyperparams(0.1, 1.3, float(np.sqrt(d))), 3.0, 2.0)
+    for c_star in (rng.standard_normal(d), rng.standard_normal((64, d))):
+        ks = gpr.kernel_matrix(np.atleast_2d(c_star), c, model.hp)
+        v = solve_triangular(model._chol, ks.T, lower=True, check_finite=False)
+        var_n = model.hp.sigma_f ** 2 - np.sum(v * v, axis=0)
+        mean, var = model.predict(c_star)
+        assert np.array_equal(np.atleast_1d(mean), 3.0 + 2.0 * (ks @ model._alpha))
+        assert np.array_equal(np.atleast_1d(var), 4.0 * var_n)
+        assert isinstance(mean, float) == (c_star.ndim == 1)
+
+
+def test_predict_leaves_the_callers_rows_alone():
+    c = np.random.default_rng(3).standard_normal((20, 4))
+    model = GprModel.build(c, np.arange(20.0), Hyperparams(0.1, 1.0, 1.0), 0.0, 1.0)
+    rows = c[:5].copy()
+    model.predict(rows)
+    assert np.array_equal(rows, c[:5])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

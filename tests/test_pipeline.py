@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from eisgan_soh import cli, eisdata, eisgan, gpr, pipeline
+from eisgan_soh import cli, ecm, eisdata, eisgan, gpr, pipeline
 from eisgan_soh.pipeline import (PerturbSettings, PipelineConfig, PipelineError,
                                  SynthSettings)
 
@@ -119,6 +119,11 @@ def test_config_from_dict_nested_sections():
     {"sigmas": (0.001, -0.001)},
     {"sigmas": (float("nan"),)},
     {"sigmas": (float("inf"),)},
+    {"sigmas": ("0.001",)},
+    {"sigmas": (True,)},
+    {"n_samples": 2.5},
+    {"n_samples": True},
+    {"cycle": 1.5},
 ])
 def test_perturb_settings_reject_bad_values(kwargs):
     with pytest.raises(PipelineError):
@@ -130,6 +135,8 @@ def test_perturb_settings_reject_bad_values(kwargs):
     {"restarts": -2},
     {"max_iter": 0},
     {"max_iter": -1},
+    {"restarts": 2.5},
+    {"max_iter": True},
 ])
 def test_gpr_settings_reject_bad_values(kwargs):
     with pytest.raises(PipelineError):
@@ -392,6 +399,126 @@ def test_cli_chain_on_cell_ids_with_comma_quote_and_carriage_return(tmp_path, ca
                                             rel=1e-9, abs=0)
 
 
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
+    eisdata.save_eis_csv(eis_path, ds.curves)
+    eisdata.save_capacity_csv(cap_path, ds.capacities)
+    cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
+                      capacity_csv=str(cap_path), train_cells=ds.train_cells,
+                      test_cells=ds.test_cells)
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    for command in ("train-gan", "extract"):
+        assert cli.main([command, "--config", str(path)]) == 0, command
+
+    # the reference: partition and capacities taken from the ingested curves
+    dataset = pipeline.load_dataset(cfg)
+    train_cells, test_cells = pipeline.stage_partition(dataset, 5)
+    rows = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))
+    train_rows = [r for r in rows if r[0] in train_cells]
+    model = gpr.fit(np.stack([r[3] for r in train_rows]),
+                    [dataset.capacity(r[0], r[2]) for r in train_rows],
+                    restarts=cfg.gpr.restarts, max_iter=cfg.gpr.max_iter, seed=cfg.seed)
+    test_rows = [r for r in rows if r[0] in test_cells]
+    mean, var = model.predict(np.stack([r[3] for r in test_rows]))
+    ref_path = tmp_path / "reference.csv"
+    pipeline._write_csv(ref_path, ["cell_id", "stage", "cycle", "pred_mean_mah",
+                                   "pred_std_mah"],
+                        [(r[0], 5, r[2], m, np.sqrt(v)) for r, m, v in zip(test_rows, mean, var)])
+
+    os.remove(eis_path)
+    for command in ("fit-gpr", "predict"):
+        assert cli.main([command, "--config", str(path)]) == 0, command
+    capsys.readouterr()
+    assert _read_bytes(os.path.join(cfg.out_dir, "gpr_stage5.json")) == \
+        model.to_json().encode()
+    assert _read_bytes(os.path.join(cfg.out_dir, "predictions_stage5.csv")) == \
+        _read_bytes(ref_path)
+
+
+@pytest.fixture
+def fitted_chain(tmp_path, capsys):
+    """A synth config run through train-gan, extract and fit-gpr."""
+    cfg, path = cli_config_file(tmp_path)
+    for command in ("train-gan", "extract", "fit-gpr"):
+        assert cli.main([command, "--config", path]) == 0, command
+    capsys.readouterr()
+    return cfg, path
+
+
+def test_cli_predict_on_synth_config_synthesises_nothing(fitted_chain, monkeypatch, capsys):
+    cfg, path = fitted_chain
+    pred_path = os.path.join(cfg.out_dir, "predictions_stage5.csv")
+    assert cli.main(["predict", "--config", path]) == 0
+    expected = _read_bytes(pred_path)
+    os.remove(pred_path)
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("predict synthesised a dataset")
+    monkeypatch.setattr(ecm, "synth_dataset", no_synthesis)
+    assert cli.main(["predict", "--config", path]) == 0
+    capsys.readouterr()
+    assert _read_bytes(pred_path) == expected
+
+
+@pytest.mark.parametrize("command, keep, message", [
+    ("predict", "train", "no latent rows for test cells ('SYN03',)"),
+    ("predict", "test", "empty partition"),
+    ("fit-gpr", "test", "empty partition"),
+    ("fit-gpr", "train", "empty partition"),
+])
+def test_cli_partition_errors_from_latent_rows(fitted_chain, capsys, command, keep, message):
+    cfg, path = fitted_chain
+    latents = os.path.join(cfg.out_dir, "latents_stage5.csv")
+    train_cells, test_cells = pipeline.declared_partition(cfg)
+    cells = test_cells if keep == "test" else train_cells
+    with open(latents, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(latents, "w", newline="") as fh:
+        fh.writelines([lines[0]] + [ln for ln in lines[1:] if ln.split(",")[0] in cells])
+    assert cli.main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    blob = json.loads(lines[0])
+    assert blob["error"] == "PipelineError"
+    assert message in blob["message"]
+    assert captured.out == ""
+
+
+def test_cli_fit_gpr_names_a_missing_capacity_record(tmp_path, capsys):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
+    eisdata.save_eis_csv(eis_path, ds.curves)
+    eisdata.save_capacity_csv(cap_path, ds.capacities)
+    cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
+                      capacity_csv=str(cap_path), train_cells=ds.train_cells,
+                      test_cells=ds.test_cells)
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    for command in ("train-gan", "extract"):
+        assert cli.main([command, "--config", str(path)]) == 0, command
+    eisdata.save_capacity_csv(cap_path, [r for r in ds.capacities
+                                         if (r.cell_id, r.cycle) != ("SYN02", 4)])
+    assert cli.main(["fit-gpr", "--config", str(path)]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob["error"] == "PipelineError"
+    assert "no capacity record for latent row(s) [('SYN02', 4)]" in blob["message"]
+
+
+def test_write_report_creates_the_directory_and_writes_to_json(tmp_path):
+    report = pipeline.EvalReport("eisgan")
+    path = pipeline.write_report(str(tmp_path / "new"), "evalreport_eisgan.json", report)
+    assert path == str(tmp_path / "new" / "evalreport_eisgan.json")
+    assert _read_bytes(path) == report.to_json().encode()
+
+
 def test_cli_sweep_from_checkpoint(tmp_path, capsys):
     cfg, path = cli_config_file(tmp_path)
     assert cli.main(["train-gan", "--config", path]) == 0
@@ -455,6 +582,51 @@ def test_cli_bad_gan_config_prints_json_error_line(tmp_path, capsys):
     assert "batch_size" in json.loads(lines[0])["message"]
     assert captured.out == ""
     assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
+
+
+@pytest.mark.parametrize("section, key, value, error", [
+    ("gan", "batch_sise", 8, "PipelineError"),
+    ("gpr", "restart", 2, "PipelineError"),
+    (None, "bogus", 1, "PipelineError"),
+    ("perturb", "sigma", [0.001], "PipelineError"),
+    ("synth", "n_cells", 3, "PipelineError"),
+    ("gan", "batch_size", 2.5, "GanError"),
+    ("gan", "epochs", True, "GanError"),
+    ("gan", "trunk_widths", [16, 32.0, 64, 64], "GanError"),
+    ("gpr", "restarts", 2.5, "PipelineError"),
+    ("gpr", "max_iter", True, "PipelineError"),
+    ("perturb", "n_samples", 2.5, "PipelineError"),
+    ("perturb", "cycle", False, "PipelineError"),
+    ("synth", "n_cycles", 8.0, "PipelineError"),
+    (None, "seed", 1.5, "PipelineError"),
+    (None, "stages", [5.0], "PipelineError"),
+    (None, "stages", 5, "PipelineError"),
+    (None, "test_cells", "SYN03", "PipelineError"),
+    ("gan", "trunk_widths", 5, "PipelineError"),
+    ("perturb", "sigmas", 0.003, "PipelineError"),
+    ("perturb", "sigmas", ["0.003"], "PipelineError"),
+])
+def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
+                                                           key, value, error):
+    _, path = cli_config_file(tmp_path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    (blob if section is None else blob[section])[key] = value
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    assert cli.main(["run-all", "--config", path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+    assert key in json.loads(lines[0])["message"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("section", ["gan", "gpr", "perturb", "synth"])
+def test_config_section_must_be_an_object(section):
+    with pytest.raises(PipelineError, match=f"section {section} must be an object"):
+        PipelineConfig.from_dict({"synth": {}, section: [1, 2]})
 
 
 def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys):
