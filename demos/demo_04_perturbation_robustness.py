@@ -20,13 +20,8 @@ config = pipeline.PipelineConfig(
                                      n_samples=50, cycle=40),
     seed=0)
 
-ds = pipeline.load_dataset(config)
 print("training both paths ...")
-_, eisgan_art = pipeline.run_eisgan_path(ds, config)
-norm_stats = {s: a.stats for s, a in eisgan_art.items()}
-_, baseline_art = pipeline.run_baseline_path(ds, config, norm_stats)
-
-report = pipeline.run_perturbation_study(ds, config, eisgan_art, baseline_art)
+report = pipeline.run_study(pipeline.load_dataset(config), config)["perturb_report"]
 print(f"\nperturbing {report.cell_id} cycle {report.cycle}, "
       f"50 noise draws per sigma\n")
 print(f"{'sigma':>7} {'path':>9} {'median dev':>11} {'IQR':>17}")

@@ -153,11 +153,7 @@ def cmd_baseline(config: PipelineConfig):
 
 
 def cmd_perturb(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
-    _, eisgan_art = pipeline.run_eisgan_path(dataset, config)
-    norm_stats = {s: a.stats for s, a in eisgan_art.items()}
-    _, baseline_art = pipeline.run_baseline_path(dataset, config, norm_stats)
-    report = pipeline.run_perturbation_study(dataset, config, eisgan_art, baseline_art)
+    report = pipeline.run_study(pipeline.load_dataset(config), config)["perturb_report"]
     pipeline.write_report(config.out_dir, "perturbreport.json", report)
     for e in report.entries:
         print(f"stage {e.stage} sigma={e.sigma} {e.path_name}: "

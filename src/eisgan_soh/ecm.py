@@ -78,7 +78,7 @@ def ecm_impedance(params: EcmParams, freq_hz) -> np.ndarray:
     return z
 
 
-def _fade_fraction(cycle: int, n_cycles: int, knee_cycle: int,
+def _fade_fraction(cycle: int, knee_cycle: int,
                    linear_rate: float, knee_rate: float) -> float:
     """Fractional capacity loss: linear fade plus quadratic growth past the knee."""
     loss = linear_rate * cycle
@@ -102,7 +102,7 @@ def build_trajectory(base: EcmParams, n_cycles: int, rng: np.random.Generator,
     knee_rate = knee_extra_fade / span ** 2
     params, cap_clean, cap = [], [], []
     for cycle in range(n_cycles):
-        fade = _fade_fraction(cycle, n_cycles, knee, linear_rate, knee_rate)
+        fade = _fade_fraction(cycle, knee, linear_rate, knee_rate)
         params.append(replace(base,
                               r0_ohm=base.r0_ohm * (1 + 1.5 * fade),
                               r1_ohm=base.r1_ohm * (1 + 2.5 * fade),
@@ -138,22 +138,6 @@ def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
         im_z = z.imag + rng.normal(0.0, meas_noise_ohm, len(freq))
         curves.append(EisCurve(cell_id, stage, cycle, freq, re_z, im_z))
     return curves
-
-
-def synth_cell(cell_id: str, n_cycles: int, stage: int, rng: np.random.Generator,
-               base: EcmParams | None = None,
-               dc_noise_amp: float = 0.02,
-               meas_noise_ohm: float = 0.0002,
-               **traj_kwargs):
-    """Synthesize one cell for one stage: per-cycle EIS curves plus capacities."""
-    if base is None:
-        base = default_params(rng)
-    traj = build_trajectory(base, n_cycles, rng, **traj_kwargs)
-    curves = stage_curves(cell_id, traj, stage, rng,
-                          dc_noise_amp=dc_noise_amp, meas_noise_ohm=meas_noise_ohm)
-    records = [CapacityRecord(cell_id, cycle, float(traj.capacity_mah[cycle]))
-               for cycle in range(n_cycles)]
-    return curves, records
 
 
 def default_params(rng: np.random.Generator) -> EcmParams:

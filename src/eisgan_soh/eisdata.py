@@ -397,12 +397,6 @@ def normalize(curves, stats: NormStats):
             for c in curves]
 
 
-def denormalize(curves, stats: NormStats):
-    return [_with_channels(c, c.re_z_ohm * stats.re_scale + stats.re_mean,
-                           c.im_z_ohm * stats.im_scale + stats.im_mean)
-            for c in curves]
-
-
 def curve_to_array(curve: EisCurve) -> np.ndarray:
     """Stack a curve into the (2, T) channel layout consumed by the GAN."""
     return np.stack([curve.re_z_ohm, curve.im_z_ohm])

@@ -50,15 +50,6 @@ class Hyperparams:
         return Hyperparams(float(sn), float(sf), float(ls))
 
 
-def se_kernel(ci, cj, hp: Hyperparams) -> float:
-    """sigma_f^2 * exp(-|ci - cj|^2 / (2 l^2)) for a single pair."""
-    ci, cj = np.asarray(ci, dtype=float), np.asarray(cj, dtype=float)
-    if ci.shape != cj.shape:
-        raise GprError(f"kernel input dims differ: {ci.shape} vs {cj.shape}")
-    d2 = float(np.sum((ci - cj) ** 2))
-    return hp.sigma_f ** 2 * float(np.exp(-d2 / (2 * hp.length_scale ** 2)))
-
-
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a[:, None, :] - b[None, :, :]
     return np.sum(d * d, axis=2)

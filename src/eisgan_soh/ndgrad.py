@@ -322,17 +322,6 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return _record(x.data * factor, (x,), lambda g, need: (g * factor,))
 
 
-def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    return _record(x.data.sum(), (x,), lambda g, need: (g * np.ones_like(x.data),))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    n = max(x.size, 1)
-    return _record(x.data.mean(), (x,), lambda g, need: (g * np.ones_like(x.data) / n,))
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------

@@ -184,9 +184,10 @@ def load_dataset(config: PipelineConfig) -> Dataset:
 
 
 def load_capacities(config: PipelineConfig) -> dict:
-    """(cell_id, cycle) -> capacity in mAh; CSV input reads capacity.csv alone."""
-    records = (load_dataset(config).capacities if config.synth is not None
-               else eisdata.load_capacity_csv(config.capacity_csv))
+    """(cell_id, cycle) -> capacity in mAh. CSV input reads capacity.csv alone;
+    synth input draws the capacity trajectories and no curves."""
+    records = (eisdata.load_capacity_csv(config.capacity_csv) if config.synth is None
+               else load_dataset(replace(config, stages=())).capacities)
     return {(r.cell_id, r.cycle): r.capacity_mah for r in records}
 
 
@@ -330,65 +331,55 @@ def _evaluate_cells(report, model, stage, curves, inputs, y):
             pred_std_mah=[float(v) for v in np.sqrt(var)]))
 
 
-def run_eisgan_path(dataset: Dataset, config: PipelineConfig,
-                    trained: dict | None = None):
-    """Latent path: GAN -> extract C_train/C_test -> GPR -> per-cell metrics.
+def _features(x, nets):
+    """GPR inputs of a normalized (N, 2, T) batch: the latent codes, or the
+    flattened 2*T spectrum when `nets` is None (the raw-EIS baseline)."""
+    return x.reshape(len(x), -1) if nets is None else eisgan.extract_latents(nets, x)
 
-    `trained` may carry {stage: (nets, stats)} to reuse existing GANs.
-    Returns (EvalReport, {stage: StageArtifacts}).
-    """
-    report = EvalReport("eisgan")
+
+def _run_path(name, dataset: Dataset, config: PipelineConfig, trained):
+    """Per stage: partition, GPR fit on the training cells, per-cell test
+    metrics. `trained(stage, train_cells)` gives the stage's (nets, stats)."""
+    report = EvalReport(name)
     artifacts = {}
     for stage in config.stages:
         train_cells, test_cells = stage_partition(dataset, stage)
-        if trained and stage in trained:
-            nets, stats = trained[stage]
-        else:
-            nets, stats, _ = train_stage_gan(dataset, config, stage)
+        nets, stats = trained(stage, train_cells)
         _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
-        model = gpr.fit(eisgan.extract_latents(nets, x_train), y_train,
+        model = gpr.fit(_features(x_train, nets), y_train,
                         restarts=config.gpr.restarts,
                         max_iter=config.gpr.max_iter, seed=config.seed)
         test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
         _evaluate_cells(report, model, stage, test_curves,
-                        eisgan.extract_latents(nets, x_test), y_test)
+                        _features(x_test, nets), y_test)
         artifacts[stage] = StageArtifacts(stage, stats, nets, model,
                                           train_cells, test_cells)
     return report, artifacts
 
 
+def run_eisgan_path(dataset: Dataset, config: PipelineConfig):
+    """Latent path: GAN -> extract C_train/C_test -> GPR -> per-cell metrics.
+    Returns (EvalReport, {stage: StageArtifacts})."""
+    return _run_path("eisgan", dataset, config,
+                     lambda stage, _: train_stage_gan(dataset, config, stage)[:2])
+
+
 def run_baseline_path(dataset: Dataset, config: PipelineConfig,
                       norm_stats: dict | None = None):
-    """Raw-EIS baseline: flatten each normalized curve to 2*T dims, same GPR."""
-    report = EvalReport("baseline")
-    artifacts = {}
-    for stage in config.stages:
-        train_cells, test_cells = stage_partition(dataset, stage)
+    """Raw-EIS baseline: flatten each normalized curve to 2*T dims, same GPR.
+    A stage missing from `norm_stats` fits its NormStats on its training cells."""
+    def trained(stage, train_cells):
         if norm_stats and stage in norm_stats:
-            stats = norm_stats[stage]
-        else:
-            stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
-        model = gpr.fit(x_train.reshape(len(x_train), -1), y_train,
-                        restarts=config.gpr.restarts,
-                        max_iter=config.gpr.max_iter, seed=config.seed)
-        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
-        _evaluate_cells(report, model, stage, test_curves,
-                        x_test.reshape(len(x_test), -1), y_test)
-        artifacts[stage] = StageArtifacts(stage, stats, None, model,
-                                          train_cells, test_cells)
-    return report, artifacts
+            return None, norm_stats[stage]
+        return None, fit_norm_stats(dataset.curves_for(stage, train_cells))
+    return _run_path("baseline", dataset, config, trained)
 
 
 def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
     """Posterior means of raw curves through one stage's latent path, or its
     raw-spectrum baseline when the artifact has no networks."""
     x = np.stack([curve_to_array(c) for c in normalize(curves, artifact.stats)])
-    if artifact.nets is None:
-        features = x.reshape(len(x), -1)
-    else:
-        features = eisgan.extract_latents(artifact.nets, x)
-    mean, _ = artifact.gpr_model.predict(features)
+    mean, _ = artifact.gpr_model.predict(_features(x, artifact.nets))
     return mean
 
 
@@ -560,6 +551,19 @@ def write_report(out_dir, name, report) -> str:
     return path
 
 
+def run_study(dataset: Dataset, config: PipelineConfig) -> dict:
+    """Both paths, the baseline on the latent path's NormStats so that both
+    see the same normalized spectra, then the perturbation study. Writes
+    nothing; returns the reports and artifacts keyed as `run_all` returns them."""
+    eisgan_report, eisgan_art = run_eisgan_path(dataset, config)
+    baseline_report, baseline_art = run_baseline_path(
+        dataset, config, {s: a.stats for s, a in eisgan_art.items()})
+    perturb_report = run_perturbation_study(dataset, config, eisgan_art, baseline_art)
+    return {"dataset": dataset, "eisgan_report": eisgan_report,
+            "baseline_report": baseline_report, "perturb_report": perturb_report,
+            "eisgan_artifacts": eisgan_art, "baseline_artifacts": baseline_art}
+
+
 def run_all(config: PipelineConfig) -> dict:
     """Execute the full study; writes reports and plot data to config.out_dir."""
     write_report(config.out_dir, "resolved_config.json", config)
@@ -571,21 +575,17 @@ def run_all(config: PipelineConfig) -> dict:
         eisdata.save_capacity_csv(os.path.join(config.out_dir, "capacity.csv"),
                                   dataset.capacities)
 
-    eisgan_report, eisgan_art = run_eisgan_path(dataset, config)
-    norm_stats = {s: a.stats for s, a in eisgan_art.items()}
-    baseline_report, baseline_art = run_baseline_path(dataset, config, norm_stats)
-    perturb_report = run_perturbation_study(dataset, config, eisgan_art, baseline_art)
+    results = run_study(dataset, config)
 
-    for name, report in (("evalreport_eisgan.json", eisgan_report),
-                         ("evalreport_baseline.json", baseline_report),
-                         ("perturbreport.json", perturb_report)):
-        write_report(config.out_dir, name, report)
-    emit_plot_data(config.out_dir, dataset, config, eisgan_report,
-                   baseline_report, perturb_report, eisgan_art)
-    write_summary(config.out_dir, eisgan_report, baseline_report)
-    for stage, art in eisgan_art.items():
+    for name, key in (("evalreport_eisgan.json", "eisgan_report"),
+                      ("evalreport_baseline.json", "baseline_report"),
+                      ("perturbreport.json", "perturb_report")):
+        write_report(config.out_dir, name, results[key])
+    emit_plot_data(config.out_dir, dataset, config, results["eisgan_report"],
+                   results["baseline_report"], results["perturb_report"],
+                   results["eisgan_artifacts"])
+    write_summary(config.out_dir, results["eisgan_report"], results["baseline_report"])
+    for stage, art in results["eisgan_artifacts"].items():
         eisgan.save_checkpoint(os.path.join(config.out_dir, f"gan_stage{stage}.npz"),
                                art.nets, art.stats)
-    return {"dataset": dataset, "eisgan_report": eisgan_report,
-            "baseline_report": baseline_report, "perturb_report": perturb_report,
-            "eisgan_artifacts": eisgan_art, "baseline_artifacts": baseline_art}
+    return results

@@ -70,19 +70,10 @@ def test_trajectory_knee_accelerates_fade():
     assert post.mean() < pre.mean()
 
 
-def test_synth_cell_base_capacity():
+def test_trajectory_starts_at_base_capacity():
     rng = np.random.default_rng(5)
-    _, records = ecm.synth_cell("X", 10, 5, rng, capacity_jitter_mah=0.0)
-    assert records[0].capacity_mah == pytest.approx(ecm.BASE_CAPACITY_MAH)
-
-
-def test_synth_cell_deterministic():
-    a_curves, a_recs = ecm.synth_cell("X", 8, 3, np.random.default_rng(7))
-    b_curves, b_recs = ecm.synth_cell("X", 8, 3, np.random.default_rng(7))
-    for a, b in zip(a_curves, b_curves):
-        assert np.array_equal(a.re_z_ohm, b.re_z_ohm)
-        assert np.array_equal(a.im_z_ohm, b.im_z_ohm)
-    assert a_recs == b_recs
+    traj = ecm.build_trajectory(simple_params(), 10, rng, capacity_jitter_mah=0.0)
+    assert traj.capacity_mah[0] == pytest.approx(ecm.BASE_CAPACITY_MAH)
 
 
 def test_dc_noise_confined_below_1hz():
@@ -144,4 +135,5 @@ def test_synth_dataset_deterministic():
     for ca, cb in zip(a.curves, b.curves):
         assert ca.key() == cb.key()
         assert np.array_equal(ca.re_z_ohm, cb.re_z_ohm)
+        assert np.array_equal(ca.im_z_ohm, cb.im_z_ohm)
     assert a.capacities == b.capacities

@@ -170,6 +170,18 @@ def test_load_dataset_csv_requires_partition(tmp_path):
     assert len(loaded.curves) == len(ds.curves)
 
 
+def _no_stage_curves(*args, **kwargs):
+    raise AssertionError("stage curves synthesised")
+
+
+def test_load_capacities_synth_draws_only_the_trajectories(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, stages=(3, 5, 7))
+    expected = {(r.cell_id, r.cycle): r.capacity_mah
+                for r in pipeline.load_dataset(cfg).capacities}
+    monkeypatch.setattr(ecm, "stage_curves", _no_stage_curves)
+    assert pipeline.load_capacities(cfg) == expected
+
+
 def test_stage_partition_respects_missing_cells(tmp_path):
     cfg = tiny_config(tmp_path)
     ds = pipeline.load_dataset(cfg)
@@ -465,6 +477,36 @@ def test_cli_predict_on_synth_config_synthesises_nothing(fitted_chain, monkeypat
     assert cli.main(["predict", "--config", path]) == 0
     capsys.readouterr()
     assert _read_bytes(pred_path) == expected
+
+
+def test_cli_fit_gpr_on_synth_config_draws_no_curves(fitted_chain, monkeypatch, capsys):
+    cfg, path = fitted_chain
+    model_path = os.path.join(cfg.out_dir, "gpr_stage5.json")
+    expected = _read_bytes(model_path)
+    os.remove(model_path)
+    monkeypatch.setattr(ecm, "stage_curves", _no_stage_curves)
+    assert cli.main(["fit-gpr", "--config", path]) == 0
+    capsys.readouterr()
+    assert _read_bytes(model_path) == expected
+
+
+def test_cli_baseline_writes_the_run_baseline_path_report(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    assert cli.main(["baseline", "--config", path]) == 0
+    capsys.readouterr()
+    report, _ = pipeline.run_baseline_path(pipeline.load_dataset(cfg), cfg)
+    assert _read_bytes(os.path.join(cfg.out_dir, "evalreport_baseline.json")) == \
+        report.to_json().encode()
+
+
+def test_cli_perturb_writes_the_run_all_perturbation_report(tiny_run, tmp_path, capsys):
+    run_cfg, _ = tiny_run
+    cfg, path = cli_config_file(tmp_path)
+    assert dataclasses.replace(cfg, out_dir=run_cfg.out_dir) == run_cfg
+    assert cli.main(["perturb", "--config", path]) == 0
+    capsys.readouterr()
+    assert _read_bytes(os.path.join(cfg.out_dir, "perturbreport.json")) == \
+        _read_bytes(os.path.join(run_cfg.out_dir, "perturbreport.json"))
 
 
 @pytest.mark.parametrize("command, keep, message", [
