@@ -87,19 +87,20 @@ def _fade_fraction(cycle: int, knee_cycle: int,
     return loss
 
 
-def build_trajectory(base: EcmParams, n_cycles: int, rng: np.random.Generator,
-                     base_capacity: float = BASE_CAPACITY_MAH,
-                     knee_frac: float = 0.8,
-                     total_linear_fade: float = 0.12,
-                     knee_extra_fade: float = 0.08,
-                     capacity_jitter_mah: float = 0.05) -> DegradationTrajectory:
-    """Grow R0/R1/R2 with the capacity-loss fraction; add capacity jitter."""
+def build_trajectory(base: EcmParams, n_cycles: int,
+                     rng: np.random.Generator) -> DegradationTrajectory:
+    """Grow R0/R1/R2 with the capacity-loss fraction; add capacity jitter.
+
+    The clean capacity starts at BASE_CAPACITY_MAH and fades linearly by 12 %
+    over the n_cycles, plus up to 8 % more that grows quadratically past the
+    knee at 80 % of them; the measured capacity adds N(0, 0.05^2) mAh jitter.
+    """
     if n_cycles < 2:
         raise EcmError(f"n_cycles must be >= 2, got {n_cycles}")
-    knee = int(knee_frac * n_cycles)
-    linear_rate = total_linear_fade / n_cycles
+    knee = int(0.8 * n_cycles)
+    linear_rate = 0.12 / n_cycles
     span = max(n_cycles - 1 - knee, 1)
-    knee_rate = knee_extra_fade / span ** 2
+    knee_rate = 0.08 / span ** 2
     params, cap_clean, cap = [], [], []
     for cycle in range(n_cycles):
         fade = _fade_fraction(cycle, knee, linear_rate, knee_rate)
@@ -108,9 +109,9 @@ def build_trajectory(base: EcmParams, n_cycles: int, rng: np.random.Generator,
                               r1_ohm=base.r1_ohm * (1 + 2.5 * fade),
                               r2_ohm=base.r2_ohm * (1 + 3.0 * fade),
                               w_sigma=base.w_sigma * (1 + 2.0 * fade)))
-        clean = base_capacity * (1 - fade)
+        clean = BASE_CAPACITY_MAH * (1 - fade)
         cap_clean.append(clean)
-        cap.append(max(clean + rng.normal(0.0, capacity_jitter_mah), 1e-3))
+        cap.append(max(clean + rng.normal(0.0, 0.05), 1e-3))
     return DegradationTrajectory(tuple(params), np.array(cap), np.array(cap_clean), knee)
 
 
@@ -172,8 +173,7 @@ def synth_cell_ids(n_train_cells: int, n_test_cells: int):
 def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
                   stages, seed: int,
                   dc_noise_amp: float = 0.02,
-                  meas_noise_ohm: float = 0.0002,
-                  **traj_kwargs) -> Dataset:
+                  meas_noise_ohm: float = 0.0002) -> Dataset:
     """Assemble a synthetic dataset with a disjoint train/test cell partition.
 
     One aging trajectory per cell, shared across all requested stages; only
@@ -187,7 +187,7 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
     for cell_idx, (cell_id, child) in enumerate(zip(cell_ids, seq.spawn(n_cells))):
         rng = np.random.default_rng(child)
         base = default_params(rng)
-        traj = build_trajectory(base, n_cycles, rng, **traj_kwargs)
+        traj = build_trajectory(base, n_cycles, rng)
         for stage in stages:
             stage_rng = np.random.default_rng([seed, cell_idx, stage])
             curves.extend(stage_curves(cell_id, traj, stage, stage_rng,

@@ -402,13 +402,10 @@ def curve_to_array(curve: EisCurve) -> np.ndarray:
     return np.stack([curve.re_z_ohm, curve.im_z_ohm])
 
 
-def array_to_channels(arr: np.ndarray, stats: NormStats | None = None):
-    """Split a (2, T) array back into (re, im), optionally denormalizing."""
-    re_z, im_z = arr[0].copy(), arr[1].copy()
-    if stats is not None:
-        re_z = re_z * stats.re_scale + stats.re_mean
-        im_z = im_z * stats.im_scale + stats.im_mean
-    return re_z, im_z
+def array_to_channels(arr: np.ndarray, stats: NormStats):
+    """Split a normalized (2, T) array back into denormalized (re, im)."""
+    return (arr[0] * stats.re_scale + stats.re_mean,
+            arr[1] * stats.im_scale + stats.im_mean)
 
 
 def perturb_curve(curve: EisCurve, sigma: float, rng: np.random.Generator) -> EisCurve:

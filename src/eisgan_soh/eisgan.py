@@ -206,13 +206,11 @@ def init_networks(config: GanConfig, rng: np.random.Generator) -> Networks:
 # ---------------------------------------------------------------------------
 
 def _forward_g(nets: Networks, code: ng.Tensor) -> ng.Tensor:
+    """Generator pass over a (B, latent_dim + noise_dim) batch of codes."""
     cfg = nets.config
     pad = (cfg.kernel_width - 1) // 2
-    batched = code.data.ndim == 2
-    batch = code.data.shape[0] if batched else 1
     h = ng.dense(code, nets.g_dense_w, nets.g_dense_b)
-    shape = ((batch, cfg.gen_widths[0], cfg.gen_base_len) if batched
-             else (cfg.gen_widths[0], cfg.gen_base_len))
+    shape = (code.data.shape[0], cfg.gen_widths[0], cfg.gen_base_len)
     h = ng.leaky_relu(ng.reshape(h, shape), cfg.alpha)
     for i, bank in enumerate(nets.g_convs):
         last = i == len(nets.g_convs) - 1
@@ -225,14 +223,13 @@ def _forward_g(nets: Networks, code: ng.Tensor) -> ng.Tensor:
 
 
 def _forward_trunk(nets: Networks, x: ng.Tensor) -> ng.Tensor:
+    """Shared D/Q trunk over a (B, channels, length) batch."""
     cfg = nets.config
     pad = (cfg.kernel_width - 1) // 2
-    batched = x.data.ndim == 3
     h = x
     for bank in nets.trunk_convs:
         h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=pad), cfg.alpha), 2)
-    flat = int(np.prod(h.data.shape[-2:]))
-    shape = (h.data.shape[0], flat) if batched else (flat,)
+    shape = (h.data.shape[0], int(np.prod(h.data.shape[1:])))
     h = ng.dense(ng.reshape(h, shape), nets.trunk_dense_w, nets.trunk_dense_b)
     return ng.leaky_relu(h, cfg.alpha)
 
@@ -252,23 +249,25 @@ def generate(nets: Networks, code: LatentCode) -> np.ndarray:
         raise GanError(
             f"code dims {code.c.shape}/{code.z.shape} do not match config "
             f"({cfg.latent_dim}/{cfg.noise_dim})")
-    inp = ng.Tensor(np.concatenate([code.c, code.z]))
-    return _forward_g(nets, inp).data
+    inp = ng.Tensor(np.concatenate([code.c, code.z])[None])
+    return _forward_g(nets, inp).data[0]
 
 
 def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     """c* = Q(D_trunk(x*)) for normalized curves.
 
-    A (channels, length) curve gives a (latent_dim,) code; a batch of shape
-    (N, channels, length) gives (N, latent_dim) codes in one trunk pass.
+    A (channels, length) curve gives a (latent_dim,) code, run as a batch of
+    one; a batch of shape (N, channels, length) gives (N, latent_dim) codes
+    in one trunk pass.
     """
     cfg = nets.config
     arr = np.asarray(curve_array, dtype=np.float64)
     if arr.ndim not in (2, 3) or arr.shape[-2:] != (cfg.channels, cfg.length):
         raise GanError(f"curve shape {arr.shape} is neither ({cfg.channels}, "
                        f"{cfg.length}) nor (N, {cfg.channels}, {cfg.length})")
-    features = _forward_trunk(nets, ng.Tensor(arr))
-    return _q_mean(nets, features).data
+    single = arr.ndim == 2
+    codes = _q_mean(nets, _forward_trunk(nets, ng.Tensor(arr[None] if single else arr))).data
+    return codes[0] if single else codes
 
 
 def latent_sweep(nets: Networks, dim_index: int, grid=None) -> np.ndarray:
@@ -320,40 +319,40 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     cfg = nets.config
     batch = real_batch.shape[0]
 
-    # (1) discriminator
+    def update(opt, loss_fn):
+        """Record loss_fn() on a fresh tape, take one clipped step of `opt` on
+        it and return (loss, gradient norm); the tape is freed on return."""
+        with ng.Tape() as tape:
+            loss = loss_fn()
+            grads = ng.backward(tape, loss, opt.params)
+        grads, norm = ng.clip_global_norm(grads, cfg.grad_clip)
+        opt.step(grads)
+        return float(loss.data), norm
+
+    # (1) discriminator; the fakes are constants, drawn outside any tape
     fake = _forward_g(nets, ng.Tensor(_sample_codes(cfg, batch, rng))).data
-    with ng.Tape() as tape:
+
+    def d_loss():
         logit_real = _d_logit(nets, _forward_trunk(nets, ng.Tensor(real_batch)))
         logit_fake = _d_logit(nets, _forward_trunk(nets, ng.Tensor(fake)))
-        loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
-                        ng.bce_logit_loss(logit_fake, False))
-        grads = ng.backward(tape, loss_d, opts.opt_d.params)
-    grads, norm_d = ng.clip_global_norm(grads, cfg.grad_clip)
-    opts.opt_d.step(grads)
+        return ng.add(ng.bce_logit_loss(logit_real, True),
+                      ng.bce_logit_loss(logit_fake, False))
+
+    loss_d, norm_d = update(opts.opt_d, d_loss)
 
     # (2) generator, non-saturating
-    with ng.Tape() as tape:
-        x_g = _forward_g(nets, ng.Tensor(_sample_codes(cfg, batch, rng)))
-        loss_g = ng.bce_logit_loss(_d_logit(nets, _forward_trunk(nets, x_g)), True)
-        grads = ng.backward(tape, loss_g, opts.opt_g.params)
-    grads, norm_g = ng.clip_global_norm(grads, cfg.grad_clip)
-    opts.opt_g.step(grads)
+    g_codes = _sample_codes(cfg, batch, rng)
+    loss_g, norm_g = update(opts.opt_g, lambda: ng.bce_logit_loss(
+        _d_logit(nets, _forward_trunk(nets, _forward_g(nets, ng.Tensor(g_codes)))), True))
 
     # (3) mutual-information surrogate: G and Q jointly
     codes = _sample_codes(cfg, batch, rng)
-    with ng.Tape() as tape:
-        x_g = _forward_g(nets, ng.Tensor(codes))
-        q_mean = _q_mean(nets, _forward_trunk(nets, x_g))
-        loss_mi = ng.scale(
-            ng.gaussian_nll(q_mean, codes[:, :cfg.latent_dim], cfg.q_sigma),
-            cfg.lambda_mi)
-        grads = ng.backward(tape, loss_mi, opts.opt_q.params)
-    grads, norm_mi = ng.clip_global_norm(grads, cfg.grad_clip)
-    opts.opt_q.step(grads)
+    loss_mi, norm_mi = update(opts.opt_q, lambda: ng.scale(ng.gaussian_nll(
+        _q_mean(nets, _forward_trunk(nets, _forward_g(nets, ng.Tensor(codes)))),
+        codes[:, :cfg.latent_dim], cfg.q_sigma), cfg.lambda_mi))
 
-    losses = {"loss_d": float(loss_d.data), "loss_g": float(loss_g.data),
-              "loss_mi": float(loss_mi.data), "grad_norm_d": norm_d,
-              "grad_norm_g": norm_g, "grad_norm_mi": norm_mi}
+    losses = {"loss_d": loss_d, "loss_g": loss_g, "loss_mi": loss_mi,
+              "grad_norm_d": norm_d, "grad_norm_g": norm_g, "grad_norm_mi": norm_mi}
     for name, value in losses.items():
         if not np.isfinite(value):
             raise GanError(f"non-finite {name} in training step")
@@ -369,25 +368,19 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
     nets = init_networks(config, rng)
     opts = Optimizers.build(nets)
     report = TrainReport()
+    names = [f.name for f in fields(TrainReport)]
     n = len(data)
     batch = min(config.batch_size, n)
     for _ in range(config.epochs):
         order = rng.permutation(n)
-        sums = np.zeros(6)
+        sums = np.zeros(len(names))
         steps = 0
         for start in range(0, n - batch + 1, batch):
-            real = data[order[start:start + batch]]
-            losses = train_step(nets, real, opts, rng)
-            sums += [losses[k] for k in ("loss_d", "loss_g", "loss_mi",
-                                         "grad_norm_d", "grad_norm_g", "grad_norm_mi")]
+            losses = train_step(nets, data[order[start:start + batch]], opts, rng)
+            sums += [losses[name] for name in names]
             steps += 1
-        means = sums / max(steps, 1)
-        report.loss_d.append(means[0])
-        report.loss_g.append(means[1])
-        report.loss_mi.append(means[2])
-        report.grad_norm_d.append(means[3])
-        report.grad_norm_g.append(means[4])
-        report.grad_norm_mi.append(means[5])
+        for name, mean in zip(names, sums / max(steps, 1)):
+            getattr(report, name).append(mean)
     return nets, report
 
 

@@ -41,9 +41,6 @@ class Hyperparams:
         if min(self.sigma_n, self.sigma_f, self.length_scale) <= 0:
             raise GprError(f"hyperparameters must be positive: {self}")
 
-    def as_log(self) -> np.ndarray:
-        return np.log([self.sigma_n, self.sigma_f, self.length_scale])
-
     @staticmethod
     def from_log(theta) -> "Hyperparams":
         sn, sf, ls = np.exp(theta)
@@ -204,7 +201,7 @@ class GprModel:
                               hp, obj["y_mean"], obj["y_scale"])
 
 
-def _ascend(d2, y, theta0, max_iter=200, tol=1e-9):
+def _ascend(d2, y, theta0, max_iter=200):
     """Gradient ascent on L over log-hyperparameters with backtracking.
 
     `d2` holds the training set's squared distances, computed once per fit.
@@ -236,13 +233,13 @@ def _ascend(d2, y, theta0, max_iter=200, tol=1e-9):
                 improved = True
                 break
             trial_step *= 0.5
-        if not improved or trial_step * gnorm < tol:
+        if not improved or trial_step * gnorm < 1e-9:
             break
     return theta, lml
 
 
-def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
-        max_iter: int = 200, seed: int = 0) -> GprModel:
+def fit(inputs, targets, restarts: int = 10, max_iter: int = 200,
+        seed: int = 0) -> GprModel:
     """Maximize the log marginal likelihood from several random starts."""
     if restarts < 1 or max_iter < 1:
         raise GprError(f"restarts and max_iter must be >= 1, got {restarts}, {max_iter}")
@@ -257,13 +254,9 @@ def fit(inputs, targets, init: Hyperparams | None = None, restarts: int = 10,
     d2 = _sqdist(c, c)
 
     rng = np.random.default_rng(seed)
-    starts = []
-    if init is not None:
-        starts.append(init.as_log())
-    starts.append(np.log([0.1, 1.0, 1.0]))
+    starts = [np.log([0.1, 1.0, 1.0])]
     while len(starts) < restarts:
         starts.append(rng.uniform(np.log(0.01), np.log(10.0), size=3))
-    starts = starts[:restarts] if init is None else starts[:restarts + 1]
 
     best_theta, best_lml = None, -np.inf
     failures = []

@@ -39,16 +39,15 @@ _ACTIVE_TAPE: "Tape | None" = None
 class Tensor:
     """Dense float64 array node in the computation graph."""
 
-    __slots__ = ("data", "parents", "backward_fn", "is_param", "name")
+    __slots__ = ("data", "parents", "backward_fn", "is_param")
 
-    def __init__(self, data, is_param=False, name=None):
+    def __init__(self, data, is_param=False):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(self.data).all():
-            raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
+            raise NonFiniteError("non-finite values in tensor")
         self.parents: tuple = ()
         self.backward_fn = None
         self.is_param = bool(is_param)
-        self.name = name
 
     @property
     def shape(self):
@@ -59,7 +58,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = self.name or ("param" if self.is_param else "tensor")
+        tag = "param" if self.is_param else "tensor"
         return f"Tensor({tag}, shape={self.data.shape})"
 
 
@@ -375,12 +374,11 @@ class AdamP:
     never apply and is not implemented: this is plain Adam.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -392,12 +390,12 @@ class AdamP:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError("non-finite gradient; step rejected")
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= self.lr * update

@@ -49,6 +49,12 @@ def metrics(y, y_hat):
 # configuration
 # ---------------------------------------------------------------------------
 
+def _finite_nonnegative(value) -> bool:
+    """True for a real number (not a bool) that is finite and >= 0."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and np.isfinite(value) and value >= 0)
+
+
 @dataclass(frozen=True)
 class SynthSettings:
     n_train_cells: int = 4
@@ -59,6 +65,10 @@ class SynthSettings:
 
     def __post_init__(self):
         check_int_fields(self, PipelineError)
+        for name in ("dc_noise_amp", "meas_noise_ohm"):
+            if not _finite_nonnegative(getattr(self, name)):
+                raise PipelineError(
+                    f"synth {name} must be a finite number >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +95,9 @@ class PerturbSettings:
         check_int_fields(self, PipelineError)
         if self.n_samples < 1:
             raise PipelineError(f"perturb n_samples must be >= 1, got {self.n_samples}")
-        if not all(isinstance(s, (int, float, np.integer, np.floating))
-                   and not isinstance(s, bool) and np.isfinite(s) and s >= 0
-                   for s in self.sigmas):
+        if self.cycle < 0:
+            raise PipelineError(f"perturb cycle must be >= 0, got {self.cycle}")
+        if not all(_finite_nonnegative(s) for s in self.sigmas):
             raise PipelineError(
                 f"perturb sigmas must be finite numbers >= 0, got {self.sigmas}")
 
@@ -110,6 +120,10 @@ class PipelineConfig:
         check_int_fields(self, PipelineError)
         if not all(is_int(s) and 1 <= s <= 9 for s in self.stages):
             raise PipelineError(f"stages must lie in 1..9, got {self.stages}")
+        repeated = sorted({s for s in self.stages if self.stages.count(s) > 1})
+        if repeated:
+            raise PipelineError(f"stages must be distinct, got {self.stages}: "
+                                f"stage {repeated[0]} is repeated")
         if set(self.train_cells) & set(self.test_cells):
             raise PipelineError("train and test cells overlap")
         if self.synth is None and (self.eis_csv is None or self.capacity_csv is None):
@@ -383,22 +397,29 @@ def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
     return mean
 
 
+def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
+    """The clean curve a stage's perturbation study perturbs: `perturb.cell`
+    (by default the stage's first test cell) at cycle `perturb.cycle`; a cell
+    that lacks that cycle gives its `perturb.cycle`-th curve, or its last."""
+    pert = config.perturb
+    cell_id = pert.cell if pert.cell is not None else stage_partition(dataset, stage)[1][0]
+    stage_curves = dataset.curves_for(stage, [cell_id])
+    if not stage_curves:
+        raise PipelineError(f"stage {stage}: no curves for cell {cell_id}")
+    cycles = [c.cycle for c in stage_curves]
+    cycle = pert.cycle if pert.cycle in cycles else cycles[min(len(cycles) - 1, pert.cycle)]
+    return next(c for c in stage_curves if c.cycle == cycle)
+
+
 def run_perturbation_study(dataset: Dataset, config: PipelineConfig,
                            eisgan_art: dict, baseline_art: dict) -> PerturbReport:
     """Gaussian-perturbation robustness: deviations of both paths per (stage, sigma)."""
     pert = config.perturb
     report = None
     for stage in config.stages:
-        _, test_cells = stage_partition(dataset, stage)
-        cell_id = pert.cell if pert.cell is not None else test_cells[0]
-        stage_curves = dataset.curves_for(stage, [cell_id])
-        if not stage_curves:
-            raise PipelineError(f"stage {stage}: no curves for cell {cell_id}")
-        cycles = [c.cycle for c in stage_curves]
-        cycle = pert.cycle if pert.cycle in cycles else cycles[min(len(cycles) - 1, pert.cycle)]
-        curve = next(c for c in stage_curves if c.cycle == cycle)
+        curve = _perturb_target(dataset, config, stage)
         if report is None:
-            report = PerturbReport(cell_id=cell_id, cycle=cycle)
+            report = PerturbReport(cell_id=curve.cell_id, cycle=curve.cycle)
 
         for path_name, art in (("eisgan", eisgan_art[stage]),
                                ("baseline", baseline_art[stage])):
@@ -554,7 +575,10 @@ def write_report(out_dir, name, report) -> str:
 def run_study(dataset: Dataset, config: PipelineConfig) -> dict:
     """Both paths, the baseline on the latent path's NormStats so that both
     see the same normalized spectra, then the perturbation study. Writes
-    nothing; returns the reports and artifacts keyed as `run_all` returns them."""
+    nothing; returns the reports and artifacts keyed as `run_all` returns them.
+    A `perturb.cell` that a stage lacks is refused before any training."""
+    for stage in config.stages:
+        _perturb_target(dataset, config, stage)
     eisgan_report, eisgan_art = run_eisgan_path(dataset, config)
     baseline_report, baseline_art = run_baseline_path(
         dataset, config, {s: a.stats for s, a in eisgan_art.items()})

@@ -57,14 +57,13 @@ def test_impedance_rejects_nonpositive_frequency():
 
 def test_trajectory_capacity_monotone_without_jitter():
     rng = np.random.default_rng(3)
-    traj = ecm.build_trajectory(simple_params(), 200, rng, capacity_jitter_mah=0.0)
+    traj = ecm.build_trajectory(simple_params(), 200, rng)
     assert np.all(np.diff(traj.capacity_clean_mah) <= 0)
-    assert np.array_equal(traj.capacity_mah, traj.capacity_clean_mah)
 
 
 def test_trajectory_knee_accelerates_fade():
     rng = np.random.default_rng(3)
-    traj = ecm.build_trajectory(simple_params(), 100, rng, capacity_jitter_mah=0.0)
+    traj = ecm.build_trajectory(simple_params(), 100, rng)
     pre = np.diff(traj.capacity_clean_mah[:traj.knee_cycle])
     post = np.diff(traj.capacity_clean_mah[traj.knee_cycle + 1:])
     assert post.mean() < pre.mean()
@@ -72,14 +71,14 @@ def test_trajectory_knee_accelerates_fade():
 
 def test_trajectory_starts_at_base_capacity():
     rng = np.random.default_rng(5)
-    traj = ecm.build_trajectory(simple_params(), 10, rng, capacity_jitter_mah=0.0)
-    assert traj.capacity_mah[0] == pytest.approx(ecm.BASE_CAPACITY_MAH)
+    traj = ecm.build_trajectory(simple_params(), 10, rng)
+    assert traj.capacity_clean_mah[0] == pytest.approx(ecm.BASE_CAPACITY_MAH)
 
 
 def test_dc_noise_confined_below_1hz():
     rng = np.random.default_rng(9)
     base = ecm.default_params(rng)
-    traj = ecm.build_trajectory(base, 5, rng, capacity_jitter_mah=0.0)
+    traj = ecm.build_trajectory(base, 5, rng)
     quiet = ecm.stage_curves("X", traj, 5, np.random.default_rng(1), meas_noise_ohm=0.0)
     noisy = ecm.stage_curves("X", traj, 6, np.random.default_rng(1), meas_noise_ohm=0.0)
     for a, b in zip(quiet, noisy):
@@ -91,7 +90,7 @@ def test_dc_noise_confined_below_1hz():
 def test_nyquist_trace_continuity():
     rng = np.random.default_rng(11)
     base = ecm.default_params(rng)
-    traj = ecm.build_trajectory(base, 3, rng, capacity_jitter_mah=0.0)
+    traj = ecm.build_trajectory(base, 3, rng)
     (curve, *_) = ecm.stage_curves("X", traj, 5, rng, meas_noise_ohm=0.0)
     pts = curve.re_z_ohm + 1j * curve.im_z_ohm
     spacing = np.abs(np.diff(pts))

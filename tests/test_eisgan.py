@@ -162,8 +162,8 @@ def test_extract_latents_batch_matches_per_curve_loop():
 def test_extract_is_q_of_trunk():
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(3))
     x = np.random.default_rng(4).standard_normal((2, 60))
-    features = eisgan._forward_trunk(nets, ng.Tensor(x))
-    by_hand = nets.q_head_w.data @ features.data + nets.q_head_b.data
+    features = eisgan._forward_trunk(nets, ng.Tensor(x[None])).data[0]
+    by_hand = nets.q_head_w.data @ features + nets.q_head_b.data
     assert np.allclose(eisgan.extract_latents(nets, x), by_hand, atol=1e-12)
 
 
@@ -292,6 +292,112 @@ def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
     assert rep == ref_rep
     for p, ref in zip(nets.all_params(), ref_nets.all_params()):
         assert np.array_equal(p.data, ref.data)
+
+
+# References for the bit-identity tests below: `train_step` written as three
+# separate tape/backward/clip/step blocks, and forward passes that also run a
+# single unbatched curve or code.
+
+def reference_forward_g(nets, code):
+    cfg = nets.config
+    pad = (cfg.kernel_width - 1) // 2
+    batched = code.data.ndim == 2
+    batch = code.data.shape[0] if batched else 1
+    h = ng.dense(code, nets.g_dense_w, nets.g_dense_b)
+    shape = ((batch, cfg.gen_widths[0], cfg.gen_base_len) if batched
+             else (cfg.gen_widths[0], cfg.gen_base_len))
+    h = ng.leaky_relu(ng.reshape(h, shape), cfg.alpha)
+    for i, bank in enumerate(nets.g_convs):
+        last = i == len(nets.g_convs) - 1
+        if not last:
+            h = ng.upsample_nearest(h, 2)
+        h = ng.conv1d(h, bank, padding=pad)
+        if not last:
+            h = ng.leaky_relu(h, cfg.alpha)
+    return h
+
+
+def reference_forward_trunk(nets, x):
+    cfg = nets.config
+    pad = (cfg.kernel_width - 1) // 2
+    batched = x.data.ndim == 3
+    h = x
+    for bank in nets.trunk_convs:
+        h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=pad), cfg.alpha), 2)
+    flat = int(np.prod(h.data.shape[-2:]))
+    shape = (h.data.shape[0], flat) if batched else (flat,)
+    h = ng.dense(ng.reshape(h, shape), nets.trunk_dense_w, nets.trunk_dense_b)
+    return ng.leaky_relu(h, cfg.alpha)
+
+
+def reference_train_step(nets, real_batch, opts, rng):
+    cfg = nets.config
+    batch = real_batch.shape[0]
+    sample = eisgan._sample_codes
+
+    fake = reference_forward_g(nets, ng.Tensor(sample(cfg, batch, rng))).data
+    with ng.Tape() as tape:
+        logit_real = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(real_batch)))
+        logit_fake = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(fake)))
+        loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
+                        ng.bce_logit_loss(logit_fake, False))
+        grads = ng.backward(tape, loss_d, opts.opt_d.params)
+    grads, norm_d = ng.clip_global_norm(grads, cfg.grad_clip)
+    opts.opt_d.step(grads)
+
+    with ng.Tape() as tape:
+        x_g = reference_forward_g(nets, ng.Tensor(sample(cfg, batch, rng)))
+        loss_g = ng.bce_logit_loss(
+            eisgan._d_logit(nets, reference_forward_trunk(nets, x_g)), True)
+        grads = ng.backward(tape, loss_g, opts.opt_g.params)
+    grads, norm_g = ng.clip_global_norm(grads, cfg.grad_clip)
+    opts.opt_g.step(grads)
+
+    codes = sample(cfg, batch, rng)
+    with ng.Tape() as tape:
+        x_g = reference_forward_g(nets, ng.Tensor(codes))
+        q_mean = eisgan._q_mean(nets, reference_forward_trunk(nets, x_g))
+        loss_mi = ng.scale(
+            ng.gaussian_nll(q_mean, codes[:, :cfg.latent_dim], cfg.q_sigma),
+            cfg.lambda_mi)
+        grads = ng.backward(tape, loss_mi, opts.opt_q.params)
+    grads, norm_mi = ng.clip_global_norm(grads, cfg.grad_clip)
+    opts.opt_q.step(grads)
+
+    losses = {"loss_d": float(loss_d.data), "loss_g": float(loss_g.data),
+              "loss_mi": float(loss_mi.data), "grad_norm_d": norm_d,
+              "grad_norm_g": norm_g, "grad_norm_mi": norm_mi}
+    for name, value in losses.items():
+        if not np.isfinite(value):
+            raise GanError(f"non-finite {name} in training step")
+    return losses
+
+
+def test_train_bit_identical_with_reference_train_step(monkeypatch):
+    data = toy_batch(24, seed=6)
+    cfg = tiny_config(epochs=2)
+    nets, rep = eisgan.train(data, cfg)
+    monkeypatch.setattr(eisgan, "train_step", reference_train_step)
+    ref_nets, ref_rep = eisgan.train(data, cfg)
+    assert rep == ref_rep
+    assert len(rep.grad_norm_mi) == 2
+    for p, ref in zip(nets.all_params(), ref_nets.all_params()):
+        assert np.array_equal(p.data, ref.data)
+    assert np.array_equal(eisgan.extract_latents(nets, data),
+                          eisgan.extract_latents(ref_nets, data))
+
+
+def test_single_curve_and_code_equal_unbatched_reference():
+    nets, _ = eisgan.train(toy_batch(16, seed=8), tiny_config(epochs=1))
+    rng = np.random.default_rng(9)
+    for curve in rng.standard_normal((4, 2, 60)):
+        features = reference_forward_trunk(nets, ng.Tensor(curve))
+        assert np.array_equal(eisgan.extract_latents(nets, curve),
+                              eisgan._q_mean(nets, features).data)
+    for _ in range(4):
+        code = LatentCode(rng.standard_normal(9), rng.standard_normal(16))
+        reference = reference_forward_g(nets, ng.Tensor(np.concatenate([code.c, code.z])))
+        assert np.array_equal(eisgan.generate(nets, code), reference.data)
 
 
 def test_mi_objective_descends_under_joint_updates():

@@ -268,15 +268,6 @@ def test_predict_rejects_non_finite_rows(bad):
 # fitting
 # ---------------------------------------------------------------------------
 
-def test_fit_refit_is_stable():
-    rng = np.random.default_rng(7)
-    c = rng.standard_normal((40, 2))
-    y = np.sin(c[:, 0]) + 0.1 * rng.standard_normal(40)
-    model = gpr.fit(c, y, restarts=4, seed=0)
-    refit = gpr.fit(c, y, init=model.hp, restarts=1, seed=0)
-    assert refit.lml >= model.lml - 1e-8
-
-
 def test_fit_recovers_gp_hyperparams():
     rng = np.random.default_rng(8)
     truth = Hyperparams(0.1, 1.0, 1.2)

@@ -81,6 +81,18 @@ def test_config_rejects_bad_stage():
         PipelineConfig(synth=SynthSettings(), stages=(0,))
 
 
+def test_config_rejects_repeated_stage():
+    with pytest.raises(PipelineError, match="stage 5 is repeated"):
+        PipelineConfig.from_dict({"synth": {}, "stages": [4, 5, 6, 5]})
+    with pytest.raises(PipelineError, match="stage 3 is repeated"):
+        PipelineConfig(synth=SynthSettings(), stages=(3, 3))
+
+
+def test_synth_accepts_zero_noise_amplitudes():
+    s = SynthSettings(dc_noise_amp=0, meas_noise_ohm=0.0)
+    assert (s.dc_noise_amp, s.meas_noise_ohm) == (0, 0.0)
+
+
 def test_config_rejects_overlapping_cells():
     with pytest.raises(PipelineError):
         PipelineConfig(synth=SynthSettings(), train_cells=("A",), test_cells=("A",))
@@ -315,10 +327,35 @@ def test_checkpoint_reloads_from_run(tiny_run):
         assert np.array_equal(pa.data, pb.data)
 
 
-def test_run_all_rejects_too_few_cycles_before_training(tmp_path, monkeypatch):
-    def no_training(*args, **kwargs):
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if a GAN starts training."""
+    def train(*args, **kwargs):
         raise AssertionError("GAN training started")
-    monkeypatch.setattr(eisgan, "train", no_training)
+    monkeypatch.setattr(eisgan, "train", train)
+
+
+def test_run_all_rejects_absent_perturb_cell_before_training(tmp_path, no_training):
+    cfg = tiny_config(tmp_path / "out", perturb=PerturbSettings(
+        sigmas=(0.003,), n_samples=5, cell="SYN09", cycle=3))
+    with pytest.raises(PipelineError, match="stage 5: no curves for cell SYN09"):
+        pipeline.run_all(cfg)
+    written = os.listdir(cfg.out_dir)
+    assert not [f for f in written if f.startswith("evalreport_")]
+    assert not [f for f in written if f.startswith("gan_stage")]
+
+
+def test_cli_perturb_rejects_absent_cell_before_training(tmp_path, capsys, no_training):
+    cfg, path = cli_config_file(tmp_path, perturb=PerturbSettings(
+        sigmas=(0.003,), n_samples=5, cell="SYN09", cycle=3))
+    assert cli.main(["perturb", "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "PipelineError",
+                    "message": "stage 5: no curves for cell SYN09"}
+    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
+
+
+def test_run_all_rejects_too_few_cycles_before_training(tmp_path, no_training):
     cfg = tiny_config(tmp_path / "out",
                       synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
     with pytest.raises(PipelineError, match="at least 3"):
@@ -647,6 +684,15 @@ def test_cli_bad_gan_config_prints_json_error_line(tmp_path, capsys):
     ("gan", "trunk_widths", 5, "PipelineError"),
     ("perturb", "sigmas", 0.003, "PipelineError"),
     ("perturb", "sigmas", ["0.003"], "PipelineError"),
+    (None, "stages", [5, 5], "PipelineError"),
+    ("perturb", "cycle", -1, "PipelineError"),
+    ("perturb", "cycle", -100, "PipelineError"),
+    ("synth", "dc_noise_amp", -0.02, "PipelineError"),
+    ("synth", "dc_noise_amp", float("nan"), "PipelineError"),
+    ("synth", "dc_noise_amp", "0.02", "PipelineError"),
+    ("synth", "meas_noise_ohm", -0.0002, "PipelineError"),
+    ("synth", "meas_noise_ohm", float("nan"), "PipelineError"),
+    ("synth", "meas_noise_ohm", float("inf"), "PipelineError"),
 ])
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error):
