@@ -159,7 +159,7 @@ class TrainReport:
 
 def _uniform_init(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(max(fan_in, 1))
-    return ng.Tensor(rng.uniform(-bound, bound, size=shape), is_param=True)
+    return ng.Tensor(rng.uniform(-bound, bound, size=shape))
 
 
 def _conv_bank(rng, c_out, c_in, k_w):

@@ -2,6 +2,10 @@
 
 Provides exactly the primitives the EIS GAN needs (1D convolution, dense
 layers, leaky ReLU, the two loss heads) plus an Adam optimizer.
+Every op takes `Tensor` operands whose data carry a leading batch axis:
+(B, channels, length) into `conv1d`, (B, n) into `dense`, (B, k) into
+`gaussian_nll`; a single curve or code is a batch of one. The pool,
+upsample and activation ops act on the last axis of such batches.
 Every op records onto the active Tape; replaying a tape with identical
 inputs is bit-for-bit deterministic.
 
@@ -39,15 +43,14 @@ _ACTIVE_TAPE: "Tape | None" = None
 class Tensor:
     """Dense float64 array node in the computation graph."""
 
-    __slots__ = ("data", "parents", "backward_fn", "is_param")
+    __slots__ = ("data", "parents", "backward_fn")
 
-    def __init__(self, data, is_param=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(self.data).all():
             raise NonFiniteError("non-finite values in tensor")
         self.parents: tuple = ()
         self.backward_fn = None
-        self.is_param = bool(is_param)
 
     @property
     def shape(self):
@@ -56,10 +59,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def __repr__(self):
-        tag = "param" if self.is_param else "tensor"
-        return f"Tensor({tag}, shape={self.data.shape})"
 
 
 class Tape:
@@ -87,10 +86,6 @@ def _record(out_data, parents, backward_fn):
         out.backward_fn = backward_fn
         _ACTIVE_TAPE.nodes.append(out)
     return out
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -121,26 +116,22 @@ class ConvKernelBank:
 def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
     """Valid cross-correlation with stride 1 after symmetric zero padding.
 
-    Accepts (R_in, L) or batched (B, R_in, L) input; output length is
-    L + 2*padding - K_w + 1.
+    Takes (B, R_in, L) input and gives (B, K_out, L_out) output, with
+    L_out = L + 2*padding - K_w + 1.
     """
-    x = _as_tensor(x)
     w, b = bank.kernels, bank.biases
     k_out, r_in, k_w = w.shape
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or xd.shape[1] != r_in:
+    if x.data.ndim != 3 or x.shape[1] != r_in:
         raise ShapeError(
-            f"conv1d input shape {x.shape} incompatible with kernel R_in={r_in}")
-    length = xd.shape[2]
+            f"conv1d input shape {x.shape} is not (B, R_in={r_in}, L)")
+    batch, _, length = x.shape
     if length + 2 * padding < k_w:
         raise ShapeError(f"L={length} with padding={padding} shorter than kernel K_w={k_w}")
-    batch = xd.shape[0]
     if padding:
         xp = np.zeros((batch, r_in, length + 2 * padding))
-        xp[:, :, padding:padding + length] = xd
+        xp[:, :, padding:padding + length] = x.data
     else:
-        xp = xd
+        xp = x.data
     l_out = length + 2 * padding - k_w + 1
     # im2col: a single GEMM per conv beats windowed einsum at these sizes;
     # col[c, k, b, t] = xp[b, c, t + k], filled with one slice copy per tap
@@ -154,8 +145,7 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
         + b.data[None, :, None]
 
     def bw(g, need):
-        gb = g[None] if squeeze and g.ndim == 2 else g
-        g_mat = gb.transpose(1, 0, 2).reshape(k_out, batch * l_out)
+        g_mat = g.transpose(1, 0, 2).reshape(k_out, batch * l_out)
         gx = gw = gbias = None
         if need[1]:
             gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
@@ -172,28 +162,23 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
                 lo, hi = max(shift, 0), min(shift + l_out, length)
                 if lo < hi:
                     gx[:, :, lo:hi] += gcol[:, :, k, lo - shift:hi - shift]
-            if squeeze:
-                gx = gx[0]
         return gx, gw, gbias
 
-    return _record(out[0] if squeeze else out, (x, w, b), bw)
+    return _record(out, (x, w, b), bw)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map weights @ x + bias; x may be (n,) or batched (B, n)."""
-    x, weights, bias = _as_tensor(x), _as_tensor(weights), _as_tensor(bias)
+    """Affine map x @ weights.T + bias of a (B, n) batch into (B, m)."""
     m, n = weights.shape
-    if x.data.shape[-1] != n or bias.shape != (m,):
-        raise ShapeError(
-            f"dense shapes do not conform: x{x.shape} W{weights.shape} b{bias.shape}")
+    if x.data.ndim != 2 or x.shape[1] != n or bias.shape != (m,):
+        raise ShapeError(f"dense shapes do not conform: x{x.shape} W{weights.shape} "
+                         f"b{bias.shape}; x must be (B, {n})")
     out = x.data @ weights.data.T + bias.data
 
     def bw(g, need):
-        g2 = g if g.ndim == 2 else g[None]
-        x2 = x.data if x.data.ndim == 2 else x.data[None]
         gx = g @ weights.data if need[0] else None
-        gw = g2.T @ x2 if need[1] else None
-        gb = g2.sum(axis=0) if need[2] else None
+        gw = g.T @ x.data if need[1] else None
+        gb = g.sum(axis=0) if need[2] else None
         return gx, gw, gb
 
     return _record(out, (x, weights, bias), bw)
@@ -202,7 +187,6 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, alpha: float) -> Tensor:
     if not 0.0 < alpha < 1.0:
         raise NdgradError(f"alpha must lie in (0,1), got {alpha}")
-    x = _as_tensor(x)
     out = np.maximum(alpha * x.data, x.data)
     slopes = np.array([alpha, 1.0])
 
@@ -214,17 +198,12 @@ def leaky_relu(x: Tensor, alpha: float) -> Tensor:
 
 
 def bce_logit_loss(logit: Tensor, target_is_real: bool) -> Tensor:
-    """Binary cross-entropy on logits, averaged over all elements.
+    """Binary cross-entropy on a batch of logits, averaged over all elements.
 
     Numerically stable: -log sigmoid(l) for real targets, -log(1-sigmoid(l))
     for fake, both via logaddexp.
     """
-    logit = _as_tensor(logit)
-    n = max(logit.size, 1)
-    if target_is_real:
-        out = np.logaddexp(0.0, -logit.data).mean() if logit.size else 0.0
-    else:
-        out = np.logaddexp(0.0, logit.data).mean() if logit.size else 0.0
+    out = np.logaddexp(0.0, -logit.data if target_is_real else logit.data).mean()
 
     def bw(g, need):
         # exp overflows to inf for logits below about -709; 1 / (1 + inf) = 0
@@ -232,7 +211,7 @@ def bce_logit_loss(logit: Tensor, target_is_real: bool) -> Tensor:
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-logit.data))
         d = (p - 1.0) if target_is_real else p
-        return (g * d / n,)
+        return (g * d / logit.size,)
 
     return _record(out, (logit,), bw)
 
@@ -240,17 +219,16 @@ def bce_logit_loss(logit: Tensor, target_is_real: bool) -> Tensor:
 def gaussian_nll(pred_mean: Tensor, code, fixed_sigma: float) -> Tensor:
     """Negative log density of `code` under N(pred_mean, fixed_sigma^2 I).
 
-    Summed over code dimensions, averaged over the batch; `code` is a
-    constant (no gradient flows into it).
+    Both are (B, k); summed over the k code dimensions, averaged over the
+    batch. `code` is a constant array (no gradient flows into it).
     """
     if fixed_sigma <= 0:
         raise NdgradError(f"fixed_sigma must be positive, got {fixed_sigma}")
-    pred_mean = _as_tensor(pred_mean)
     c = np.asarray(code, dtype=np.float64)
-    if c.shape != pred_mean.shape:
-        raise ShapeError(f"code shape {c.shape} != pred_mean shape {pred_mean.shape}")
-    k = c.shape[-1] if c.ndim else 1
-    batch = c.shape[0] if c.ndim == 2 else 1
+    if c.ndim != 2 or c.shape != pred_mean.shape:
+        raise ShapeError(f"gaussian_nll code shape {c.shape} and pred_mean shape "
+                         f"{pred_mean.shape} are not the same (B, k)")
+    batch, k = c.shape
     var = fixed_sigma ** 2
     resid = pred_mean.data - c
     out = (0.5 * np.sum(resid ** 2) / var + 0.5 * k * batch * np.log(2 * np.pi * var)) / batch
@@ -271,7 +249,6 @@ def _tap_sum(a, width, stop):
 
 def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
     """Non-overlapping average pool along the last axis; trailing remainder dropped."""
-    x = _as_tensor(x)
     length = x.data.shape[-1]
     l_out = length // width
     if l_out < 1:
@@ -290,7 +267,6 @@ def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
 
 
 def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    x = _as_tensor(x)
     out = np.repeat(x.data, factor, axis=-1)
 
     def bw(g, need):
@@ -300,7 +276,6 @@ def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
     out = x.data.reshape(shape)
 
     def bw(g, need):
@@ -310,14 +285,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     return _record(a.data + b.data, (a, b), lambda g, need: (g, g))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
-    x = _as_tensor(x)
     return _record(x.data * factor, (x,), lambda g, need: (g * factor,))
 
 

@@ -378,15 +378,12 @@ def run_eisgan_path(dataset: Dataset, config: PipelineConfig):
                      lambda stage, _: train_stage_gan(dataset, config, stage)[:2])
 
 
-def run_baseline_path(dataset: Dataset, config: PipelineConfig,
-                      norm_stats: dict | None = None):
+def run_baseline_path(dataset: Dataset, config: PipelineConfig):
     """Raw-EIS baseline: flatten each normalized curve to 2*T dims, same GPR.
-    A stage missing from `norm_stats` fits its NormStats on its training cells."""
-    def trained(stage, train_cells):
-        if norm_stats and stage in norm_stats:
-            return None, norm_stats[stage]
-        return None, fit_norm_stats(dataset.curves_for(stage, train_cells))
-    return _run_path("baseline", dataset, config, trained)
+    Each stage fits its NormStats on its training cells, as the latent path
+    does, so both paths see the same normalized spectra."""
+    return _run_path("baseline", dataset, config, lambda stage, train_cells: (
+        None, fit_norm_stats(dataset.curves_for(stage, train_cells))))
 
 
 def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
@@ -572,16 +569,20 @@ def write_report(out_dir, name, report) -> str:
     return path
 
 
+def _require_stages(config: PipelineConfig) -> None:
+    if not config.stages:
+        raise PipelineError("stages is empty: a study needs at least one stage")
+
+
 def run_study(dataset: Dataset, config: PipelineConfig) -> dict:
-    """Both paths, the baseline on the latent path's NormStats so that both
-    see the same normalized spectra, then the perturbation study. Writes
-    nothing; returns the reports and artifacts keyed as `run_all` returns them.
-    A `perturb.cell` that a stage lacks is refused before any training."""
+    """Both paths, then the perturbation study. Writes nothing; returns the
+    reports and artifacts keyed as `run_all` returns them. Empty `stages`,
+    or a `perturb.cell` that a stage lacks, is refused before any training."""
+    _require_stages(config)
     for stage in config.stages:
         _perturb_target(dataset, config, stage)
     eisgan_report, eisgan_art = run_eisgan_path(dataset, config)
-    baseline_report, baseline_art = run_baseline_path(
-        dataset, config, {s: a.stats for s, a in eisgan_art.items()})
+    baseline_report, baseline_art = run_baseline_path(dataset, config)
     perturb_report = run_perturbation_study(dataset, config, eisgan_art, baseline_art)
     return {"dataset": dataset, "eisgan_report": eisgan_report,
             "baseline_report": baseline_report, "perturb_report": perturb_report,
@@ -590,6 +591,7 @@ def run_study(dataset: Dataset, config: PipelineConfig) -> dict:
 
 def run_all(config: PipelineConfig) -> dict:
     """Execute the full study; writes reports and plot data to config.out_dir."""
+    _require_stages(config)
     write_report(config.out_dir, "resolved_config.json", config)
 
     dataset = load_dataset(config)

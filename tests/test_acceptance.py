@@ -77,21 +77,21 @@ def test_criterion_1_gradient_correctness(capsys):
 
         def run():
             # chains conv1d, upsample, pool, leaky relu, reshape, dense,
-            # both losses, add, and scale through one backward pass
-            bank = ng.ConvKernelBank(ng.Tensor(kern, is_param=True),
-                                     ng.Tensor(bias, is_param=True))
-            w2t = ng.Tensor(w2, is_param=True)
-            b2t = ng.Tensor(b2, is_param=True)
+            # both losses, add, and scale through one backward pass, on a
+            # batch of one as training runs them
+            bank = ng.ConvKernelBank(ng.Tensor(kern), ng.Tensor(bias))
+            w2t = ng.Tensor(w2)
+            b2t = ng.Tensor(b2)
             params = [bank.kernels, bank.biases, w2t, b2t]
             with ng.Tape() as tape:
-                h = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                h = ng.conv1d(ng.Tensor(x[None]), bank, padding=pad)
                 h = ng.upsample_nearest(h, 2)
                 h = ng.avg_pool1d(h, 2)
                 h = ng.leaky_relu(h, 0.01)
-                h = ng.reshape(h, (flat_dim,))
+                h = ng.reshape(h, (1, flat_dim))
                 out = ng.dense(h, w2t, b2t)
                 loss = ng.add(ng.bce_logit_loss(out, bool(trial % 2)),
-                              ng.scale(ng.gaussian_nll(out, code, 1.0), 0.1))
+                              ng.scale(ng.gaussian_nll(out, code[None], 1.0), 0.1))
                 grads = ng.backward(tape, loss, params)
             return float(loss.data), grads
 
@@ -284,8 +284,7 @@ def test_criterion_7_robustness_soft(capsys):
         seed=0)
     ds = pipeline.load_dataset(config)
     _, eisgan_art = pipeline.run_eisgan_path(ds, config)
-    norm_stats = {s: a.stats for s, a in eisgan_art.items()}
-    _, baseline_art = pipeline.run_baseline_path(ds, config, norm_stats)
+    _, baseline_art = pipeline.run_baseline_path(ds, config)
     report = pipeline.run_perturbation_study(ds, config, eisgan_art, baseline_art)
 
     mads = {}

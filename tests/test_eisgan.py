@@ -294,18 +294,14 @@ def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
         assert np.array_equal(p.data, ref.data)
 
 
-# References for the bit-identity tests below: `train_step` written as three
-# separate tape/backward/clip/step blocks, and forward passes that also run a
-# single unbatched curve or code.
+# References for the bit-identity test below: `train_step` written as three
+# separate tape/backward/clip/step blocks, with its own forward passes.
 
 def reference_forward_g(nets, code):
     cfg = nets.config
     pad = (cfg.kernel_width - 1) // 2
-    batched = code.data.ndim == 2
-    batch = code.data.shape[0] if batched else 1
     h = ng.dense(code, nets.g_dense_w, nets.g_dense_b)
-    shape = ((batch, cfg.gen_widths[0], cfg.gen_base_len) if batched
-             else (cfg.gen_widths[0], cfg.gen_base_len))
+    shape = (code.data.shape[0], cfg.gen_widths[0], cfg.gen_base_len)
     h = ng.leaky_relu(ng.reshape(h, shape), cfg.alpha)
     for i, bank in enumerate(nets.g_convs):
         last = i == len(nets.g_convs) - 1
@@ -320,13 +316,11 @@ def reference_forward_g(nets, code):
 def reference_forward_trunk(nets, x):
     cfg = nets.config
     pad = (cfg.kernel_width - 1) // 2
-    batched = x.data.ndim == 3
     h = x
     for bank in nets.trunk_convs:
         h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=pad), cfg.alpha), 2)
     flat = int(np.prod(h.data.shape[-2:]))
-    shape = (h.data.shape[0], flat) if batched else (flat,)
-    h = ng.dense(ng.reshape(h, shape), nets.trunk_dense_w, nets.trunk_dense_b)
+    h = ng.dense(ng.reshape(h, (h.data.shape[0], flat)), nets.trunk_dense_w, nets.trunk_dense_b)
     return ng.leaky_relu(h, cfg.alpha)
 
 
@@ -385,19 +379,6 @@ def test_train_bit_identical_with_reference_train_step(monkeypatch):
         assert np.array_equal(p.data, ref.data)
     assert np.array_equal(eisgan.extract_latents(nets, data),
                           eisgan.extract_latents(ref_nets, data))
-
-
-def test_single_curve_and_code_equal_unbatched_reference():
-    nets, _ = eisgan.train(toy_batch(16, seed=8), tiny_config(epochs=1))
-    rng = np.random.default_rng(9)
-    for curve in rng.standard_normal((4, 2, 60)):
-        features = reference_forward_trunk(nets, ng.Tensor(curve))
-        assert np.array_equal(eisgan.extract_latents(nets, curve),
-                              eisgan._q_mean(nets, features).data)
-    for _ in range(4):
-        code = LatentCode(rng.standard_normal(9), rng.standard_normal(16))
-        reference = reference_forward_g(nets, ng.Tensor(np.concatenate([code.c, code.z])))
-        assert np.array_equal(eisgan.generate(nets, code), reference.data)
 
 
 def test_mi_objective_descends_under_joint_updates():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,13 @@ from eisgan_soh import ndgrad as ng
 
 def make_bank(rng, k_out, r_in, k_w):
     return ng.ConvKernelBank(
-        ng.Tensor(rng.standard_normal((k_out, r_in, k_w)), is_param=True),
-        ng.Tensor(rng.standard_normal(k_out), is_param=True))
+        ng.Tensor(rng.standard_normal((k_out, r_in, k_w))),
+        ng.Tensor(rng.standard_normal(k_out)))
 
 
 def sum_loss(x):
     """The sum of every element of x as a scalar loss: a dense row of ones."""
-    flat = ng.reshape(x, (x.size,))
+    flat = ng.reshape(x, (1, x.size))
     total = ng.dense(flat, ng.Tensor(np.ones((1, x.size))), ng.Tensor(np.zeros(1)))
     return ng.reshape(total, ())
 
@@ -40,42 +42,48 @@ def central_diff(loss_fn, arrays, grads, h=1e-5, rel_tol=1e-4):
 
 def test_conv1d_identity_kernel():
     bank = ng.ConvKernelBank(ng.Tensor(np.ones((1, 1, 1))), ng.Tensor(np.zeros(1)))
-    out = ng.conv1d(ng.Tensor([[1.0, 2.0, 3.0]]), bank, padding=0)
-    np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+    out = ng.conv1d(ng.Tensor([[[1.0, 2.0, 3.0]]]), bank, padding=0)
+    np.testing.assert_array_equal(out.data, [[[1.0, 2.0, 3.0]]])
 
 
 def test_conv1d_hand_sum():
     # kernel [1,1], bias 10: outputs are pairwise sums plus bias
     bank = ng.ConvKernelBank(ng.Tensor(np.ones((1, 1, 2))), ng.Tensor([10.0]))
-    out = ng.conv1d(ng.Tensor([[1.0, 2.0, 3.0]]), bank, padding=0)
-    np.testing.assert_array_equal(out.data, [[13.0, 15.0]])
+    out = ng.conv1d(ng.Tensor([[[1.0, 2.0, 3.0]]]), bank, padding=0)
+    np.testing.assert_array_equal(out.data, [[[13.0, 15.0]]])
 
 
 def test_conv1d_bias_only():
     bank = ng.ConvKernelBank(ng.Tensor(np.zeros((2, 1, 3))), ng.Tensor([0.5, 0.5]))
-    out = ng.conv1d(ng.Tensor(np.zeros((1, 8))), bank, padding=1)
+    out = ng.conv1d(ng.Tensor(np.zeros((1, 1, 8))), bank, padding=1)
     assert np.all(out.data == 0.5)
 
 
 def test_conv1d_output_length():
     rng = np.random.default_rng(0)
     bank = make_bank(rng, 3, 2, 5)
-    out = ng.conv1d(ng.Tensor(rng.standard_normal((2, 60))), bank, padding=2)
-    assert out.shape == (3, 60)
+    out = ng.conv1d(ng.Tensor(rng.standard_normal((1, 2, 60))), bank, padding=2)
+    assert out.shape == (1, 3, 60)
 
 
 def test_conv1d_channel_mismatch_rejected():
     rng = np.random.default_rng(0)
     bank = make_bank(rng, 3, 2, 5)
     with pytest.raises(ng.ShapeError):
-        ng.conv1d(ng.Tensor(rng.standard_normal((4, 60))), bank, padding=2)
+        ng.conv1d(ng.Tensor(rng.standard_normal((1, 4, 60))), bank, padding=2)
+
+
+def test_conv1d_rejects_unbatched_input():
+    bank = make_bank(np.random.default_rng(0), 3, 2, 5)
+    with pytest.raises(ng.ShapeError, match=r"conv1d input shape \(2, 60\)"):
+        ng.conv1d(ng.Tensor(np.zeros((2, 60))), bank, padding=2)
 
 
 def test_conv1d_too_short_rejected():
     rng = np.random.default_rng(0)
     bank = make_bank(rng, 1, 1, 7)
     with pytest.raises(ng.ShapeError):
-        ng.conv1d(ng.Tensor(rng.standard_normal((1, 4))), bank, padding=1)
+        ng.conv1d(ng.Tensor(rng.standard_normal((1, 1, 4))), bank, padding=1)
 
 
 def test_conv1d_matches_triple_loop_reference():
@@ -88,7 +96,7 @@ def test_conv1d_matches_triple_loop_reference():
         pad = rng.integers(0, 3)
         x = rng.standard_normal((r_in, length))
         bank = make_bank(rng, k_out, r_in, k_w)
-        out = ng.conv1d(ng.Tensor(x), bank, padding=pad).data
+        out = ng.conv1d(ng.Tensor(x[None]), bank, padding=pad).data[0]
         xp = np.pad(x, ((0, 0), (pad, pad)))
         l_out = length + 2 * pad - k_w + 1
         ref = np.zeros((k_out, l_out))
@@ -107,13 +115,10 @@ def reference_conv1d(x, bank, padding=0):
 
     Its backward ignores `need` and always returns all three gradients.
     """
-    x = ng._as_tensor(x)
     w, b = bank.kernels, bank.biases
     k_out, r_in, k_w = w.shape
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    batch, length = xd.shape[0], xd.shape[2]
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
+    batch, _, length = x.shape
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     l_out = length + 2 * padding - k_w + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, k_w, axis=2)
     col = win.transpose(1, 3, 0, 2).reshape(r_in * k_w, batch * l_out)
@@ -122,8 +127,7 @@ def reference_conv1d(x, bank, padding=0):
         + b.data[None, :, None]
 
     def bw(g, need):
-        gb = g[None] if squeeze and g.ndim == 2 else g
-        g_mat = gb.transpose(1, 0, 2).reshape(k_out, batch * l_out)
+        g_mat = g.transpose(1, 0, 2).reshape(k_out, batch * l_out)
         gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
         gbias = g_mat.sum(axis=1)
         gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, batch, l_out).transpose(2, 0, 1, 3)
@@ -131,12 +135,12 @@ def reference_conv1d(x, bank, padding=0):
         for k in range(k_w):
             gxp[:, :, k:k + l_out] += gcol[:, :, k, :]
         gx = gxp[:, :, padding:padding + length] if padding else gxp
-        return (gx[0] if squeeze else gx), gw, gbias
+        return gx, gw, gbias
 
-    return ng._record(out[0] if squeeze else out, (x, w, b), bw)
+    return ng._record(out, (x, w, b), bw)
 
 
-@pytest.mark.parametrize("batch", [None, 1, 4])
+@pytest.mark.parametrize("batch", [1, 4])
 def test_conv1d_bit_identical_to_pad_window_reference(batch):
     rng = np.random.default_rng(21)
     for k_w in range(1, 6):
@@ -144,8 +148,7 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
             for r_in in (1, 3):
                 k_out = int(rng.integers(1, 9))
                 length = int(rng.integers(max(k_w - 2 * pad, 1), 40))
-                shape = (r_in, length) if batch is None else (batch, r_in, length)
-                x = rng.standard_normal(shape)
+                x = rng.standard_normal((batch, r_in, length))
                 bank = make_bank(rng, k_out, r_in, k_w)
                 with ng.Tape():
                     out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
@@ -156,7 +159,7 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
                                                           ref.backward_fn(g, need)))
                 for got, want in pairs:
                     assert got.shape == want.shape
-                    if r_in == 1 and batch in (None, 1):
+                    if r_in == 1 and batch == 1:
                         # the reference's reshape returns an overlapping strided
                         # view here, not a copy, so its GEMM rounds differently
                         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -164,7 +167,7 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
                         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("batch", [None, 1, 4])
+@pytest.mark.parametrize("batch", [1, 4])
 def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
     # padding at or beyond the input length: some taps land wholly in the
     # discarded margins, and col2im must skip them
@@ -174,8 +177,7 @@ def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
             for length in range(1, 5):
                 if length + 2 * pad < k_w:
                     continue
-                shape = (3, length) if batch is None else (batch, 3, length)
-                x = rng.standard_normal(shape)
+                x = rng.standard_normal((batch, 3, length))
                 bank = make_bank(rng, 4, 3, k_w)
                 with ng.Tape():
                     out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
@@ -197,33 +199,38 @@ def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
 # ---------------------------------------------------------------------------
 
 def test_dense_identity():
-    out = ng.dense(ng.Tensor([1.0, 2.0]), ng.Tensor(np.eye(2)), ng.Tensor(np.zeros(2)))
-    np.testing.assert_array_equal(out.data, [1.0, 2.0])
+    out = ng.dense(ng.Tensor([[1.0, 2.0]]), ng.Tensor(np.eye(2)), ng.Tensor(np.zeros(2)))
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_dense_hand_case():
-    out = ng.dense(ng.Tensor([2.0, 3.0]), ng.Tensor([[1.0, 1.0]]), ng.Tensor([-1.0]))
-    np.testing.assert_array_equal(out.data, [4.0])
+    out = ng.dense(ng.Tensor([[2.0, 3.0]]), ng.Tensor([[1.0, 1.0]]), ng.Tensor([-1.0]))
+    np.testing.assert_array_equal(out.data, [[4.0]])
 
 
 def test_dense_zero_weights():
-    out = ng.dense(ng.Tensor([2.0, 3.0]), ng.Tensor([[0.0, 0.0]]), ng.Tensor([7.0]))
-    np.testing.assert_array_equal(out.data, [7.0])
+    out = ng.dense(ng.Tensor([[2.0, 3.0]]), ng.Tensor([[0.0, 0.0]]), ng.Tensor([7.0]))
+    np.testing.assert_array_equal(out.data, [[7.0]])
 
 
 def test_dense_shape_mismatch_rejected():
     with pytest.raises(ng.ShapeError):
-        ng.dense(ng.Tensor([1.0, 2.0, 3.0]), ng.Tensor([[1.0, 1.0]]), ng.Tensor([0.0]))
+        ng.dense(ng.Tensor([[1.0, 2.0, 3.0]]), ng.Tensor([[1.0, 1.0]]), ng.Tensor([0.0]))
+
+
+def test_dense_rejects_unbatched_input():
+    with pytest.raises(ng.ShapeError, match=r"dense shapes .* x\(2,\)"):
+        ng.dense(ng.Tensor([1.0, 2.0]), ng.Tensor(np.eye(2)), ng.Tensor(np.zeros(2)))
 
 
 def test_leaky_relu_values():
-    out = ng.leaky_relu(ng.Tensor([2.0, -1.0, 0.0]), 0.01)
-    np.testing.assert_allclose(out.data, [2.0, -0.01, 0.0])
+    out = ng.leaky_relu(ng.Tensor([[2.0, -1.0, 0.0]]), 0.01)
+    np.testing.assert_allclose(out.data, [[2.0, -0.01, 0.0]])
 
 
 def test_leaky_relu_alpha_range():
     with pytest.raises(ng.NdgradError):
-        ng.leaky_relu(ng.Tensor([1.0]), 1.5)
+        ng.leaky_relu(ng.Tensor([[1.0]]), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,41 +239,47 @@ def test_leaky_relu_alpha_range():
 
 def test_bce_logit_zero():
     for target in (True, False):
-        out = ng.bce_logit_loss(ng.Tensor(0.0), target)
+        out = ng.bce_logit_loss(ng.Tensor([[0.0]]), target)
         assert abs(float(out.data) - np.log(2)) < 1e-12
 
 
 def test_bce_logit_limit_real():
-    out = ng.bce_logit_loss(ng.Tensor(500.0), True)
+    out = ng.bce_logit_loss(ng.Tensor([[500.0]]), True)
     assert float(out.data) < 1e-12
 
 
 def test_bce_logit_fake_one():
-    out = ng.bce_logit_loss(ng.Tensor(1.0), False)
+    out = ng.bce_logit_loss(ng.Tensor([[1.0]]), False)
     assert abs(float(out.data) - np.log(1 + np.e)) < 1e-12
 
 
 def test_bce_logit_stable_at_700():
     for logit in (-700.0, 700.0):
         for target in (True, False):
-            assert np.isfinite(float(ng.bce_logit_loss(ng.Tensor(logit), target).data))
+            assert np.isfinite(float(ng.bce_logit_loss(ng.Tensor([[logit]]), target).data))
 
 
 def test_gaussian_nll_zero_residual():
-    out = ng.gaussian_nll(ng.Tensor([0.3]), np.array([0.3]), 1.0)
+    out = ng.gaussian_nll(ng.Tensor([[0.3]]), np.array([[0.3]]), 1.0)
     assert abs(float(out.data) - 0.5 * np.log(2 * np.pi)) < 1e-12
 
 
 def test_gaussian_nll_quadratic_scaling():
-    base = float(ng.gaussian_nll(ng.Tensor([1.0, 1.0, 1.0]), np.zeros(3), 2.0).data)
-    doubled = float(ng.gaussian_nll(ng.Tensor([2.0, 2.0, 2.0]), np.zeros(3), 2.0).data)
+    base = float(ng.gaussian_nll(ng.Tensor([[1.0, 1.0, 1.0]]), np.zeros((1, 3)), 2.0).data)
+    doubled = float(ng.gaussian_nll(ng.Tensor([[2.0, 2.0, 2.0]]), np.zeros((1, 3)), 2.0).data)
     # residual doubling adds 3 * delta^2 / (2 sigma^2) to the quadratic term
     assert abs((doubled - base) - 3.0 * 3.0 / (2 * 4.0)) < 1e-12
 
 
 def test_gaussian_nll_empty_code():
-    out = ng.gaussian_nll(ng.Tensor(np.zeros(0)), np.zeros(0), 1.0)
+    out = ng.gaussian_nll(ng.Tensor(np.zeros((1, 0))), np.zeros((1, 0)), 1.0)
     assert float(out.data) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3,), ()], ids=["1d", "0d"])
+def test_gaussian_nll_rejects_unbatched_code(shape):
+    with pytest.raises(ng.ShapeError, match="gaussian_nll code shape " + re.escape(str(shape))):
+        ng.gaussian_nll(ng.Tensor(np.zeros(shape)), np.zeros(shape), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +287,8 @@ def test_gaussian_nll_empty_code():
 # ---------------------------------------------------------------------------
 
 def test_backward_disconnected_param_zero():
-    x = ng.Tensor([1.0, 2.0], is_param=True)
-    unused = ng.Tensor([5.0], is_param=True)
+    x = ng.Tensor([[1.0, 2.0]])
+    unused = ng.Tensor([5.0])
     with ng.Tape() as tape:
         loss = sum_loss(x)
         grads = ng.backward(tape, loss, [x, unused])
@@ -283,7 +296,7 @@ def test_backward_disconnected_param_zero():
 
 
 def test_backward_rejects_nonscalar_loss():
-    x = ng.Tensor([1.0, 2.0], is_param=True)
+    x = ng.Tensor([[1.0, 2.0]])
     with ng.Tape() as tape:
         out = ng.leaky_relu(x, 0.1)
         with pytest.raises(ng.ShapeError):
@@ -297,10 +310,10 @@ def test_dense_lrelu_chain_matches_finite_differences():
     x = rng.standard_normal(6)
 
     def run():
-        wt = ng.Tensor(w, is_param=True)
-        bt = ng.Tensor(b, is_param=True)
+        wt = ng.Tensor(w)
+        bt = ng.Tensor(b)
         with ng.Tape() as tape:
-            out = ng.leaky_relu(ng.dense(ng.Tensor(x), wt, bt), 0.01)
+            out = ng.leaky_relu(ng.dense(ng.Tensor(x[None]), wt, bt), 0.01)
             loss = sum_loss(out)
             grads = ng.backward(tape, loss, [wt, bt])
         return float(loss.data), grads
@@ -331,20 +344,19 @@ def test_all_ops_gradcheck_random_shapes():
         code = rng.standard_normal(3)
 
         def run():
-            bank = ng.ConvKernelBank(ng.Tensor(kern, is_param=True),
-                                     ng.Tensor(bias, is_param=True))
-            w2t = ng.Tensor(w2, is_param=True)
-            b2t = ng.Tensor(b2, is_param=True)
+            bank = ng.ConvKernelBank(ng.Tensor(kern), ng.Tensor(bias))
+            w2t = ng.Tensor(w2)
+            b2t = ng.Tensor(b2)
             params = [bank.kernels, bank.biases, w2t, b2t]
             with ng.Tape() as tape:
-                h = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                h = ng.conv1d(ng.Tensor(x[None]), bank, padding=pad)
                 h = ng.upsample_nearest(h, 2)
                 h = ng.avg_pool1d(h, 2)
                 h = ng.leaky_relu(h, 0.01)
-                h = ng.reshape(h, (flat_dim,))
+                h = ng.reshape(h, (1, flat_dim))
                 out = ng.dense(h, w2t, b2t)
                 loss = ng.add(ng.bce_logit_loss(out, bool(trial % 2)),
-                              ng.scale(ng.gaussian_nll(out, code, 1.0), 0.1))
+                              ng.scale(ng.gaussian_nll(out, code[None], 1.0), 0.1))
                 grads = ng.backward(tape, loss, params)
             return float(loss.data), grads
 
@@ -357,7 +369,7 @@ def test_all_ops_gradcheck_random_shapes():
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_avg_pool1d_equals_mean_reference(width):
     rng = np.random.default_rng(22)
-    for shape in ((7,), (3, 16), (4, 2, 31)):
+    for shape in ((1, 1, 7), (1, 3, 16), (4, 2, 31)):
         x = rng.standard_normal(shape)
         l_out = shape[-1] // width
         ref = x[..., :l_out * width].reshape(*shape[:-1], l_out, width).mean(axis=-1)
@@ -369,25 +381,20 @@ def test_avg_pool1d_equals_mean_reference(width):
 # them bit for bit. Every reference backward ignores `need`.
 
 def reference_dense(x, weights, bias):
-    x, weights, bias = ng._as_tensor(x), ng._as_tensor(weights), ng._as_tensor(bias)
     out = x.data @ weights.data.T + bias.data
 
     def bw(g, need):
-        g2 = g if g.ndim == 2 else g[None]
-        x2 = x.data if x.data.ndim == 2 else x.data[None]
-        return g @ weights.data, g2.T @ x2, g2.sum(axis=0)
+        return g @ weights.data, g.T @ x.data, g.sum(axis=0)
 
     return ng._record(out, (x, weights, bias), bw)
 
 
 def reference_leaky_relu(x, alpha):
-    x = ng._as_tensor(x)
     out = np.maximum(alpha * x.data, x.data)
     return ng._record(out, (x,), lambda g, need: (np.where(x.data > 0, g, alpha * g),))
 
 
 def reference_avg_pool1d(x, width=2):
-    x = ng._as_tensor(x)
     l_out = x.data.shape[-1] // width
     trimmed = x.data[..., :l_out * width]
     out = trimmed.reshape(*x.data.shape[:-1], l_out, width).sum(axis=-1) / width
@@ -401,7 +408,6 @@ def reference_avg_pool1d(x, width=2):
 
 
 def reference_upsample_nearest(x, factor=2):
-    x = ng._as_tensor(x)
     out = np.repeat(x.data, factor, axis=-1)
     return ng._record(out, (x,),
                       lambda g, need: (g.reshape(*x.data.shape, factor).sum(axis=-1),))
@@ -441,7 +447,7 @@ def _op_and_reference(op, ref, x, arg, g_rng):
     assert np.array_equal(got_g, want_g)
 
 
-ELEMENTWISE_SHAPES = ((15,), (3, 15), (4, 2, 31), (2, 16, 60), (5, 8))
+ELEMENTWISE_SHAPES = ((1, 1, 15), (1, 3, 15), (4, 2, 31), (2, 16, 60), (5, 8))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -452,9 +458,9 @@ def test_avg_pool1d_bit_identical_to_reference(width):
                           rng.standard_normal(shape), width, rng)
     # odd length, dropped tail: 15 -> 7 at width 2, and the tail's gradient is 0
     with ng.Tape():
-        out = ng.avg_pool1d(ng.Tensor(np.arange(15.0)), 2)
-    assert out.shape == (7,)
-    assert out.backward_fn(np.ones(7), (True,))[0][-1] == 0.0
+        out = ng.avg_pool1d(ng.Tensor(np.arange(15.0).reshape(1, 1, 15)), 2)
+    assert out.shape == (1, 1, 7)
+    assert out.backward_fn(np.ones((1, 1, 7)), (True,))[0][0, 0, -1] == 0.0
 
 
 @pytest.mark.parametrize("factor", [1, 2, 3])
@@ -475,16 +481,18 @@ def test_leaky_relu_bit_identical_to_reference(alpha):
 
 
 def _small_net_tape(rng, batched):
-    """A conv -> lrelu -> pool -> upsample -> pool -> dense chain on one tape."""
+    """A conv -> lrelu -> pool -> upsample -> pool -> dense chain on one tape,
+    over five samples, or over one sample as a batch of one."""
+    batch = 5 if batched else 1
     bank = make_bank(rng, 3, 2, 3)
-    w = ng.Tensor(rng.standard_normal((4, 3 * 8)), is_param=True)
-    b = ng.Tensor(rng.standard_normal(4), is_param=True)
-    x = ng.Tensor(rng.standard_normal((5, 2, 17) if batched else (2, 17)))
+    w = ng.Tensor(rng.standard_normal((4, 3 * 8)))
+    b = ng.Tensor(rng.standard_normal(4))
+    x = ng.Tensor(rng.standard_normal((batch, 2, 17)))
     tape = ng.Tape()
     with tape:
         h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(x, bank, padding=1), 0.01), 2)
         h = ng.avg_pool1d(ng.upsample_nearest(h, 3), 3)
-        h = ng.reshape(h, (5, 24) if batched else (24,))
+        h = ng.reshape(h, (batch, 24))
         h = ng.leaky_relu(ng.dense(h, w, b), 0.01)
         loss = ng.bce_logit_loss(h, True)
     return tape, loss, [bank.kernels, bank.biases, w, b]
@@ -537,7 +545,7 @@ def test_backward_never_asks_for_constant_inputs():
 
 def test_bce_backward_no_overflow_warning_at_large_negative_logit():
     import warnings
-    logits = np.array([-800.0, -709.0, 0.0, 30.0])
+    logits = np.array([[-800.0], [-709.0], [0.0], [30.0]])
     for target in (True, False):
         with ng.Tape():
             out = ng.bce_logit_loss(ng.Tensor(logits), target)
@@ -546,19 +554,18 @@ def test_bce_backward_no_overflow_warning_at_large_negative_logit():
                 (grad,) = out.backward_fn(np.float64(1.0), (True,))
         with np.errstate(over="ignore"):
             p = 1.0 / (1.0 + np.exp(-logits))
-        assert p[0] == 0.0
+        assert p[0, 0] == 0.0
         assert np.array_equal(grad, 1.0 * ((p - 1.0) if target else p) / 4)
 
 
 def test_tape_replay_determinism():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 12))
+    x = rng.standard_normal((1, 2, 12))
     kern = rng.standard_normal((3, 2, 3))
     bias = rng.standard_normal(3)
 
     def run():
-        bank = ng.ConvKernelBank(ng.Tensor(kern, is_param=True),
-                                 ng.Tensor(bias, is_param=True))
+        bank = ng.ConvKernelBank(ng.Tensor(kern), ng.Tensor(bias))
         with ng.Tape() as tape:
             out = ng.leaky_relu(ng.conv1d(ng.Tensor(x), bank, padding=1), 0.01)
             loss = ng.scale(sum_loss(out), 1.0 / out.size)
@@ -582,14 +589,14 @@ def test_nonfinite_input_trapped():
 # ---------------------------------------------------------------------------
 
 def test_adamp_zero_gradient_no_change():
-    p = ng.Tensor([1.0, -2.0], is_param=True)
+    p = ng.Tensor([1.0, -2.0])
     opt = ng.AdamP([p], lr=1e-3)
     opt.step([np.zeros(2)])
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 def test_adamp_first_step_hand_trace():
-    p = ng.Tensor([0.0], is_param=True)
+    p = ng.Tensor([0.0])
     opt = ng.AdamP([p], lr=1e-3)
     opt.step([np.ones(1)])
     # bias-corrected first step: -lr * 1 / (1 + eps)
@@ -598,7 +605,7 @@ def test_adamp_first_step_hand_trace():
 
 
 def test_adamp_monotone_under_constant_gradient():
-    p = ng.Tensor([1.0], is_param=True)
+    p = ng.Tensor([1.0])
     opt = ng.AdamP([p], lr=1e-2)
     values = [p.data[0]]
     for _ in range(5):
@@ -608,7 +615,7 @@ def test_adamp_monotone_under_constant_gradient():
 
 
 def test_adamp_rejects_nonfinite_gradient():
-    p = ng.Tensor([1.0], is_param=True)
+    p = ng.Tensor([1.0])
     opt = ng.AdamP([p], lr=1e-3)
     with pytest.raises(ng.NonFiniteError):
         opt.step([np.array([np.inf])])

@@ -616,99 +616,59 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     assert set(blob) == {"error", "message"}
 
 
-def test_cli_bad_perturb_config_prints_json_error_line(tmp_path, capsys):
-    _, path = cli_config_file(tmp_path)
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["perturb"]["n_samples"] = 0
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-    assert cli.main(["perturb", "--config", path]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "PipelineError"
-    assert captured.out == ""
-
-
-def test_cli_bad_gpr_config_prints_json_error_line(tmp_path, capsys):
-    _, path = cli_config_file(tmp_path)
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["gpr"] = {"restarts": 0}
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-    assert cli.main(["fit-gpr", "--config", path]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "PipelineError"
-    assert captured.out == ""
-
-
-def test_cli_bad_gan_config_prints_json_error_line(tmp_path, capsys):
-    cfg, path = cli_config_file(tmp_path)
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["gan"] = {"batch_size": 0}
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
-    assert cli.main(["run-all", "--config", path]) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "GanError"
-    assert "batch_size" in json.loads(lines[0])["message"]
-    assert captured.out == ""
-    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
-
-
-@pytest.mark.parametrize("section, key, value, error", [
-    ("gan", "batch_sise", 8, "PipelineError"),
-    ("gpr", "restart", 2, "PipelineError"),
-    (None, "bogus", 1, "PipelineError"),
-    ("perturb", "sigma", [0.001], "PipelineError"),
-    ("synth", "n_cells", 3, "PipelineError"),
-    ("gan", "batch_size", 2.5, "GanError"),
-    ("gan", "epochs", True, "GanError"),
-    ("gan", "trunk_widths", [16, 32.0, 64, 64], "GanError"),
-    ("gpr", "restarts", 2.5, "PipelineError"),
-    ("gpr", "max_iter", True, "PipelineError"),
-    ("perturb", "n_samples", 2.5, "PipelineError"),
-    ("perturb", "cycle", False, "PipelineError"),
-    ("synth", "n_cycles", 8.0, "PipelineError"),
-    (None, "seed", 1.5, "PipelineError"),
-    (None, "stages", [5.0], "PipelineError"),
-    (None, "stages", 5, "PipelineError"),
-    (None, "test_cells", "SYN03", "PipelineError"),
-    ("gan", "trunk_widths", 5, "PipelineError"),
-    ("perturb", "sigmas", 0.003, "PipelineError"),
-    ("perturb", "sigmas", ["0.003"], "PipelineError"),
-    (None, "stages", [5, 5], "PipelineError"),
-    ("perturb", "cycle", -1, "PipelineError"),
-    ("perturb", "cycle", -100, "PipelineError"),
-    ("synth", "dc_noise_amp", -0.02, "PipelineError"),
-    ("synth", "dc_noise_amp", float("nan"), "PipelineError"),
-    ("synth", "dc_noise_amp", "0.02", "PipelineError"),
-    ("synth", "meas_noise_ohm", -0.0002, "PipelineError"),
-    ("synth", "meas_noise_ohm", float("nan"), "PipelineError"),
-    ("synth", "meas_noise_ohm", float("inf"), "PipelineError"),
+# `command` comes last, so each row's id still starts with its section and key
+@pytest.mark.parametrize("section, key, value, error, command", [
+    ("gan", "batch_sise", 8, "PipelineError", "run-all"),
+    ("gpr", "restart", 2, "PipelineError", "run-all"),
+    (None, "bogus", 1, "PipelineError", "run-all"),
+    ("perturb", "sigma", [0.001], "PipelineError", "run-all"),
+    ("synth", "n_cells", 3, "PipelineError", "run-all"),
+    ("gan", "batch_size", 2.5, "GanError", "run-all"),
+    ("gan", "epochs", True, "GanError", "run-all"),
+    ("gan", "trunk_widths", [16, 32.0, 64, 64], "GanError", "run-all"),
+    ("gpr", "restarts", 2.5, "PipelineError", "run-all"),
+    ("gpr", "max_iter", True, "PipelineError", "run-all"),
+    ("perturb", "n_samples", 2.5, "PipelineError", "run-all"),
+    ("perturb", "cycle", False, "PipelineError", "run-all"),
+    ("synth", "n_cycles", 8.0, "PipelineError", "run-all"),
+    (None, "seed", 1.5, "PipelineError", "run-all"),
+    (None, "stages", [5.0], "PipelineError", "run-all"),
+    (None, "stages", 5, "PipelineError", "run-all"),
+    (None, "test_cells", "SYN03", "PipelineError", "run-all"),
+    ("gan", "trunk_widths", 5, "PipelineError", "run-all"),
+    ("perturb", "sigmas", 0.003, "PipelineError", "run-all"),
+    ("perturb", "sigmas", ["0.003"], "PipelineError", "run-all"),
+    (None, "stages", [5, 5], "PipelineError", "run-all"),
+    ("perturb", "cycle", -1, "PipelineError", "run-all"),
+    ("perturb", "cycle", -100, "PipelineError", "run-all"),
+    ("synth", "dc_noise_amp", -0.02, "PipelineError", "run-all"),
+    ("synth", "dc_noise_amp", float("nan"), "PipelineError", "run-all"),
+    ("synth", "dc_noise_amp", "0.02", "PipelineError", "run-all"),
+    ("synth", "meas_noise_ohm", -0.0002, "PipelineError", "run-all"),
+    ("synth", "meas_noise_ohm", float("nan"), "PipelineError", "run-all"),
+    ("synth", "meas_noise_ohm", float("inf"), "PipelineError", "run-all"),
+    ("perturb", "n_samples", 0, "PipelineError", "perturb"),
+    ("gpr", "restarts", 0, "PipelineError", "fit-gpr"),
+    ("gan", "batch_size", 0, "GanError", "run-all"),
+    (None, "stages", [], "PipelineError", "run-all"),
+    (None, "stages", [], "PipelineError", "perturb"),
 ])
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
-                                                           key, value, error):
-    _, path = cli_config_file(tmp_path)
+                                                           key, value, error, command):
+    cfg, path = cli_config_file(tmp_path)
     with open(path) as fh:
         blob = json.load(fh)
     (blob if section is None else blob[section])[key] = value
     with open(path, "w") as fh:
         json.dump(blob, fh)
-    assert cli.main(["run-all", "--config", path]) == 1
+    assert cli.main([command, "--config", path]) == 1
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert key in json.loads(lines[0])["message"]
     assert captured.out == ""
+    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
 
 
 @pytest.mark.parametrize("section", ["gan", "gpr", "perturb", "synth"])
