@@ -51,8 +51,8 @@ class GanConfig:
     kernel_width: int = 5
     lr_d: float = 4e-4
     lr_g: float = 1e-4
-    lr_q: float = 1e-4
-    lambda_mi: float = 0.1
+    #: weight of the code NLL in both the D/Q and the G loss
+    lambda_mi: float = 3.0
     batch_size: int = 32
     epochs: int = 250
     seed: int = 0
@@ -70,7 +70,7 @@ class GanConfig:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
         if not (np.isfinite(self.lambda_mi) and self.lambda_mi >= 0):
             raise GanError(f"lambda_mi must be finite and nonnegative, got {self.lambda_mi}")
-        if not all(positive(lr) for lr in (self.lr_d, self.lr_g, self.lr_q)):
+        if not all(positive(lr) for lr in (self.lr_d, self.lr_g)):
             raise GanError("learning rates must be finite and positive")
         if self.batch_size < 1 or self.epochs < 1 or self.feature_dim < 1:
             raise GanError("batch_size, epochs and feature_dim must be >= 1")
@@ -154,7 +154,6 @@ class TrainReport:
     loss_mi: list[float] = field(default_factory=list)
     grad_norm_d: list[float] = field(default_factory=list)
     grad_norm_g: list[float] = field(default_factory=list)
-    grad_norm_mi: list[float] = field(default_factory=list)
 
 
 def _uniform_init(rng, shape, fan_in):
@@ -253,6 +252,17 @@ def generate(nets: Networks, code: LatentCode) -> np.ndarray:
     return _forward_g(nets, inp).data[0]
 
 
+def _curve_tensor(batch: np.ndarray, what: str) -> ng.Tensor:
+    """Tensor of a (N, channels, length) batch of curves. The Tensor's own
+    finiteness check is the only scan; when it fails, the GanError names the
+    first curve holding NaN or +-inf."""
+    try:
+        return ng.Tensor(batch)
+    except ng.NonFiniteError:
+        row = int(np.argmin(np.isfinite(batch).all(axis=(1, 2))))
+        raise GanError(f"{what} {row} holds non-finite values") from None
+
+
 def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     """c* = Q(D_trunk(x*)) for normalized curves.
 
@@ -266,7 +276,8 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
         raise GanError(f"curve shape {arr.shape} is neither ({cfg.channels}, "
                        f"{cfg.length}) nor (N, {cfg.channels}, {cfg.length})")
     single = arr.ndim == 2
-    codes = _q_mean(nets, _forward_trunk(nets, ng.Tensor(arr[None] if single else arr))).data
+    batch = _curve_tensor(arr[None] if single else arr, "curve")
+    codes = _q_mean(nets, _forward_trunk(nets, batch)).data
     return codes[0] if single else codes
 
 
@@ -290,18 +301,18 @@ def latent_sweep(nets: Networks, dim_index: int, grid=None) -> np.ndarray:
 
 @dataclass
 class Optimizers:
+    """One Adam per sub-update of `train_step`, over disjoint parameters:
+    `opt_d` steps D, the shared trunk and Q (lr_d), `opt_g` steps G (lr_g)."""
+
     opt_d: ng.AdamP
     opt_g: ng.AdamP
-    opt_q: ng.AdamP
 
     @staticmethod
     def build(nets: Networks) -> "Optimizers":
         cfg = nets.config
         return Optimizers(
-            opt_d=ng.AdamP(nets.d_params(), lr=cfg.lr_d),
-            opt_g=ng.AdamP(nets.g_params(), lr=cfg.lr_g),
-            opt_q=ng.AdamP(nets.g_params() + nets.trunk_params() + nets.q_params(),
-                           lr=cfg.lr_q))
+            opt_d=ng.AdamP(nets.d_params() + nets.q_params(), lr=cfg.lr_d),
+            opt_g=ng.AdamP(nets.g_params(), lr=cfg.lr_g))
 
 
 def _sample_codes(cfg: GanConfig, batch: int, rng) -> np.ndarray:
@@ -310,49 +321,58 @@ def _sample_codes(cfg: GanConfig, batch: int, rng) -> np.ndarray:
 
 def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
                rng: np.random.Generator) -> dict:
-    """One adversarial + mutual-information step.
+    """One InfoGAN step (Chen et al. 2016): two sub-updates, each adding
+    lambda_mi (default 3.0) times the code negative log-likelihood L_I to
+    its loss.
 
-    Sub-updates: (1) discriminator on real vs fresh fakes, (2) generator via
-    the non-saturating loss, (3) generator and Q head jointly on the scaled
-    code negative log-likelihood (the constant code entropy is dropped).
+    (1) D, trunk and Q on BCE(real) + BCE(fake) + lambda * L_I, where Q reads
+    the trunk features D reads of fakes drawn outside any tape; (2) G on the
+    non-saturating BCE + lambda * L_I of its own batch. The reported
+    `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
+    unscaled L_I of the G batch (the constant code entropy is dropped).
     """
     cfg = nets.config
     batch = real_batch.shape[0]
 
-    def update(opt, loss_fn):
-        """Record loss_fn() on a fresh tape, take one clipped step of `opt` on
-        it and return (loss, gradient norm); the tape is freed on return."""
+    def update(opt, losses_fn):
+        """Record losses_fn() -> (adversarial, code NLL) on a fresh tape, take
+        one clipped step of `opt` on adversarial + lambda * NLL and return
+        (adversarial, NLL, gradient norm); the tape is freed on return."""
         with ng.Tape() as tape:
-            loss = loss_fn()
+            adv, nll = losses_fn()
+            loss = ng.add(adv, ng.scale(nll, cfg.lambda_mi))
             grads = ng.backward(tape, loss, opt.params)
         grads, norm = ng.clip_global_norm(grads, cfg.grad_clip)
         opt.step(grads)
-        return float(loss.data), norm
+        return float(adv.data), float(nll.data), norm
 
-    # (1) discriminator; the fakes are constants, drawn outside any tape
-    fake = _forward_g(nets, ng.Tensor(_sample_codes(cfg, batch, rng))).data
+    def code_nll(features, codes):
+        return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim], cfg.q_sigma)
 
-    def d_loss():
+    # (1) discriminator and Q; the fakes are constants, drawn outside any tape
+    d_codes = _sample_codes(cfg, batch, rng)
+    fake = _forward_g(nets, ng.Tensor(d_codes)).data
+
+    def d_losses():
         logit_real = _d_logit(nets, _forward_trunk(nets, ng.Tensor(real_batch)))
-        logit_fake = _d_logit(nets, _forward_trunk(nets, ng.Tensor(fake)))
-        return ng.add(ng.bce_logit_loss(logit_real, True),
-                      ng.bce_logit_loss(logit_fake, False))
+        features = _forward_trunk(nets, ng.Tensor(fake))
+        return (ng.add(ng.bce_logit_loss(logit_real, True),
+                       ng.bce_logit_loss(_d_logit(nets, features), False)),
+                code_nll(features, d_codes))
 
-    loss_d, norm_d = update(opts.opt_d, d_loss)
+    loss_d, _, norm_d = update(opts.opt_d, d_losses)
 
     # (2) generator, non-saturating
     g_codes = _sample_codes(cfg, batch, rng)
-    loss_g, norm_g = update(opts.opt_g, lambda: ng.bce_logit_loss(
-        _d_logit(nets, _forward_trunk(nets, _forward_g(nets, ng.Tensor(g_codes)))), True))
 
-    # (3) mutual-information surrogate: G and Q jointly
-    codes = _sample_codes(cfg, batch, rng)
-    loss_mi, norm_mi = update(opts.opt_q, lambda: ng.scale(ng.gaussian_nll(
-        _q_mean(nets, _forward_trunk(nets, _forward_g(nets, ng.Tensor(codes)))),
-        codes[:, :cfg.latent_dim], cfg.q_sigma), cfg.lambda_mi))
+    def g_losses():
+        features = _forward_trunk(nets, _forward_g(nets, ng.Tensor(g_codes)))
+        return ng.bce_logit_loss(_d_logit(nets, features), True), code_nll(features, g_codes)
+
+    loss_g, loss_mi, norm_g = update(opts.opt_g, g_losses)
 
     losses = {"loss_d": loss_d, "loss_g": loss_g, "loss_mi": loss_mi,
-              "grad_norm_d": norm_d, "grad_norm_g": norm_g, "grad_norm_mi": norm_mi}
+              "grad_norm_d": norm_d, "grad_norm_g": norm_g}
     for name, value in losses.items():
         if not np.isfinite(value):
             raise GanError(f"non-finite {name} in training step")
@@ -364,6 +384,9 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
     data = np.asarray(real_curves, dtype=np.float64)
     if data.ndim != 3 or data.shape[1:] != (config.channels, config.length):
         raise GanError(f"training data shape {data.shape} incompatible with config")
+    if len(data) == 0:
+        raise GanError("training data holds no curves")
+    _curve_tensor(data, "training curve")  # names the first non-finite curve
     rng = np.random.default_rng(config.seed)
     nets = init_networks(config, rng)
     opts = Optimizers.build(nets)
@@ -379,7 +402,7 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
             losses = train_step(nets, data[order[start:start + batch]], opts, rng)
             sums += [losses[name] for name in names]
             steps += 1
-        for name, mean in zip(names, sums / max(steps, 1)):
+        for name, mean in zip(names, sums / steps):
             getattr(report, name).append(mean)
     return nets, report
 

@@ -46,7 +46,7 @@ def test_config_rejects_negative_lambda():
     {"trunk_widths": ()}, {"trunk_widths": (16, 0)}, {"trunk_widths": (8,) * 6},
     {"gen_widths": (64, -1, 16)},
     {"feature_dim": 0},
-    {"lr_d": float("nan")}, {"lr_g": float("inf")}, {"lr_q": 0.0}, {"lr_d": -1e-4},
+    {"lr_d": float("nan")}, {"lr_g": float("inf")}, {"lr_g": 0.0}, {"lr_d": -1e-4},
     {"lambda_mi": float("nan")}, {"lambda_mi": float("inf")},
 ])
 def test_config_rejects_bad_values(kwargs):
@@ -237,6 +237,30 @@ def test_train_rejects_bad_data_shape():
         eisgan.train(np.zeros((8, 2, 59)), tiny_config())
 
 
+def test_train_rejects_empty_data():
+    with pytest.raises(GanError, match="no curves"):
+        eisgan.train(np.zeros((0, 2, 60)), tiny_config())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_nonfinite_curve_naming_row(bad):
+    data = toy_batch(8)
+    data[5, 1, 7] = bad
+    data[6, 0, 0] = bad
+    with pytest.raises(GanError, match="training curve 5 holds non-finite"):
+        eisgan.train(data, tiny_config())
+
+
+def test_extract_latents_rejects_nonfinite_curve_naming_row():
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
+    x = toy_batch(4)
+    x[2, 0, 30] = np.nan
+    with pytest.raises(GanError, match="curve 2 holds non-finite"):
+        eisgan.extract_latents(nets, x)
+    with pytest.raises(GanError, match="curve 0 holds non-finite"):
+        eisgan.extract_latents(nets, x[2])
+
+
 def test_train_deterministic_and_reports_every_epoch():
     data = toy_batch(24, seed=7)
     cfg = tiny_config(epochs=3)
@@ -294,8 +318,9 @@ def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
         assert np.array_equal(p.data, ref.data)
 
 
-# References for the bit-identity test below: `train_step` written as three
-# separate tape/backward/clip/step blocks, with its own forward passes.
+# References for the bit-identity test below: `train_step` written as its two
+# InfoGAN sub-updates, each with its own tape, clip and Adam step, and with
+# its own forward passes.
 
 def reference_forward_g(nets, code):
     cfg = nets.config
@@ -328,39 +353,36 @@ def reference_train_step(nets, real_batch, opts, rng):
     cfg = nets.config
     batch = real_batch.shape[0]
     sample = eisgan._sample_codes
+    k = cfg.latent_dim
 
-    fake = reference_forward_g(nets, ng.Tensor(sample(cfg, batch, rng))).data
+    # D, trunk and Q: BCE on real and fake plus lambda * code NLL of the fakes
+    d_codes = sample(cfg, batch, rng)
+    fake = reference_forward_g(nets, ng.Tensor(d_codes)).data
     with ng.Tape() as tape:
         logit_real = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(real_batch)))
-        logit_fake = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(fake)))
+        features = reference_forward_trunk(nets, ng.Tensor(fake))
         loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
-                        ng.bce_logit_loss(logit_fake, False))
-        grads = ng.backward(tape, loss_d, opts.opt_d.params)
+                        ng.bce_logit_loss(eisgan._d_logit(nets, features), False))
+        nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], cfg.q_sigma)
+        total = ng.add(loss_d, ng.scale(nll_d, cfg.lambda_mi))
+        grads = ng.backward(tape, total, nets.d_params() + nets.q_params())
     grads, norm_d = ng.clip_global_norm(grads, cfg.grad_clip)
     opts.opt_d.step(grads)
 
+    # G: non-saturating BCE plus lambda * code NLL of its own batch
+    g_codes = sample(cfg, batch, rng)
     with ng.Tape() as tape:
-        x_g = reference_forward_g(nets, ng.Tensor(sample(cfg, batch, rng)))
-        loss_g = ng.bce_logit_loss(
-            eisgan._d_logit(nets, reference_forward_trunk(nets, x_g)), True)
-        grads = ng.backward(tape, loss_g, opts.opt_g.params)
+        features = reference_forward_trunk(nets, reference_forward_g(nets, ng.Tensor(g_codes)))
+        loss_g = ng.bce_logit_loss(eisgan._d_logit(nets, features), True)
+        loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k], cfg.q_sigma)
+        total = ng.add(loss_g, ng.scale(loss_mi, cfg.lambda_mi))
+        grads = ng.backward(tape, total, nets.g_params())
     grads, norm_g = ng.clip_global_norm(grads, cfg.grad_clip)
     opts.opt_g.step(grads)
 
-    codes = sample(cfg, batch, rng)
-    with ng.Tape() as tape:
-        x_g = reference_forward_g(nets, ng.Tensor(codes))
-        q_mean = eisgan._q_mean(nets, reference_forward_trunk(nets, x_g))
-        loss_mi = ng.scale(
-            ng.gaussian_nll(q_mean, codes[:, :cfg.latent_dim], cfg.q_sigma),
-            cfg.lambda_mi)
-        grads = ng.backward(tape, loss_mi, opts.opt_q.params)
-    grads, norm_mi = ng.clip_global_norm(grads, cfg.grad_clip)
-    opts.opt_q.step(grads)
-
     losses = {"loss_d": float(loss_d.data), "loss_g": float(loss_g.data),
               "loss_mi": float(loss_mi.data), "grad_norm_d": norm_d,
-              "grad_norm_g": norm_g, "grad_norm_mi": norm_mi}
+              "grad_norm_g": norm_g}
     for name, value in losses.items():
         if not np.isfinite(value):
             raise GanError(f"non-finite {name} in training step")
@@ -374,11 +396,61 @@ def test_train_bit_identical_with_reference_train_step(monkeypatch):
     monkeypatch.setattr(eisgan, "train_step", reference_train_step)
     ref_nets, ref_rep = eisgan.train(data, cfg)
     assert rep == ref_rep
-    assert len(rep.grad_norm_mi) == 2
+    assert len(rep.grad_norm_g) == 2
     for p, ref in zip(nets.all_params(), ref_nets.all_params()):
         assert np.array_equal(p.data, ref.data)
     assert np.array_equal(eisgan.extract_latents(nets, data),
                           eisgan.extract_latents(ref_nets, data))
+
+
+def test_optimizers_hold_disjoint_params_covering_all():
+    # no parameter may carry two sets of Adam moments
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(0))
+    opts = eisgan.Optimizers.build(nets)
+    d_ids = [id(p) for p in opts.opt_d.params]
+    g_ids = [id(p) for p in opts.opt_g.params]
+    assert not set(d_ids) & set(g_ids)
+    assert len(set(d_ids)) == len(d_ids) and len(set(g_ids)) == len(g_ids)
+    assert sorted(d_ids + g_ids) == sorted(id(p) for p in nets.all_params())
+
+
+def _params_after_steps(lambda_mi, steps=3):
+    cfg = tiny_config(lambda_mi=lambda_mi)
+    nets = eisgan.init_networks(cfg, np.random.default_rng(0))
+    opts = eisgan.Optimizers.build(nets)
+    rng = np.random.default_rng(1)
+    for i in range(steps):
+        eisgan.train_step(nets, toy_batch(16, seed=i), opts, rng)
+    return np.concatenate([p.data.ravel() for p in nets.all_params()])
+
+
+def test_lambda_mi_moves_training():
+    # Adam ignores the scale of a loss it steps alone; lambda weighs the code
+    # NLL against the adversarial terms, so it must change the trajectory
+    a, b = _params_after_steps(0.3), _params_after_steps(3.0)
+    assert np.linalg.norm(a - b) / np.linalg.norm(a) > 3e-3
+
+
+def test_train_step_op_counts(monkeypatch):
+    # two sub-updates at the default widths: the fake draw (3 G convs), the D
+    # step (4 + 4 trunk convs) and the G step (3 + 4), two backward sweeps and
+    # two Adam steps
+    counts = {"conv1d": 0, "backward": 0, "step": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ng, "conv1d", counting("conv1d", ng.conv1d))
+    monkeypatch.setattr(ng, "backward", counting("backward", ng.backward))
+    monkeypatch.setattr(ng.AdamP, "step", counting("step", ng.AdamP.step))
+    cfg = GanConfig()
+    nets = eisgan.init_networks(cfg, np.random.default_rng(0))
+    opts = eisgan.Optimizers.build(nets)
+    eisgan.train_step(nets, toy_batch(cfg.batch_size), opts, np.random.default_rng(1))
+    assert counts == {"conv1d": 18, "backward": 2, "step": 2}
 
 
 def test_mi_objective_descends_under_joint_updates():
@@ -509,6 +581,16 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     header["config"]["dropout"] = 0.5
     _rewrite(path, arrays, header)
     with pytest.raises(GanError, match="dropout"):
+        eisgan.load_checkpoint(path)
+
+
+def test_checkpoint_with_lr_q_is_refused(tmp_path):
+    # checkpoints written while a third Adam stepped on lr_q must be retrained
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["config"]["lr_q"] = 1e-4
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match=r"unknown \['lr_q'\]"):
         eisgan.load_checkpoint(path)
 
 

@@ -98,6 +98,12 @@ def test_config_rejects_overlapping_cells():
         PipelineConfig(synth=SynthSettings(), train_cells=("A",), test_cells=("A",))
 
 
+def test_config_refuses_removed_lr_q():
+    # G and Q no longer take a third Adam step, so lr_q is no setting
+    with pytest.raises(PipelineError, match="lr_q"):
+        PipelineConfig.from_dict({"gan": {"lr_q": 1e-4}})
+
+
 def test_config_requires_data_source():
     with pytest.raises(PipelineError):
         PipelineConfig(synth=None)
