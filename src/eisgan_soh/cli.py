@@ -137,17 +137,18 @@ def cmd_predict(config: PipelineConfig):
 def cmd_evaluate(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     pipeline.check_plot_cycles(dataset, config)
-    report, artifacts = pipeline.run_eisgan_path(dataset, config)
+    results = pipeline.run_study(dataset, config, ("eisgan",))
+    report = results["eisgan_report"]
     pipeline.write_report(config.out_dir, "evalreport_eisgan.json", report)
     pipeline.emit_plot_data(config.out_dir, dataset, config, report,
-                            None, None, artifacts)
+                            None, None, results["eisgan_artifacts"])
     pipeline.write_summary(config.out_dir, report, None)
     _print_metrics(report)
 
 
 def cmd_baseline(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
-    report, _ = pipeline.run_baseline_path(dataset, config)
+    report = pipeline.run_study(pipeline.load_dataset(config), config,
+                                ("baseline",))["baseline_report"]
     pipeline.write_report(config.out_dir, "evalreport_baseline.json", report)
     _print_metrics(report)
 

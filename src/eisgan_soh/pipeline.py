@@ -97,9 +97,10 @@ class PerturbSettings:
             raise PipelineError(f"perturb n_samples must be >= 1, got {self.n_samples}")
         if self.cycle < 0:
             raise PipelineError(f"perturb cycle must be >= 0, got {self.cycle}")
-        if not all(_finite_nonnegative(s) for s in self.sigmas):
-            raise PipelineError(
-                f"perturb sigmas must be finite numbers >= 0, got {self.sigmas}")
+        if (not self.sigmas or not all(_finite_nonnegative(s) for s in self.sigmas)
+                or len(set(self.sigmas)) < len(self.sigmas)):
+            raise PipelineError("perturb sigmas must be distinct finite numbers >= 0, "
+                                f"at least one, got {self.sigmas}")
 
 
 @dataclass(frozen=True)
@@ -351,41 +352,6 @@ def _features(x, nets):
     return x.reshape(len(x), -1) if nets is None else eisgan.extract_latents(nets, x)
 
 
-def _run_path(name, dataset: Dataset, config: PipelineConfig, trained):
-    """Per stage: partition, GPR fit on the training cells, per-cell test
-    metrics. `trained(stage, train_cells)` gives the stage's (nets, stats)."""
-    report = EvalReport(name)
-    artifacts = {}
-    for stage in config.stages:
-        train_cells, test_cells = stage_partition(dataset, stage)
-        nets, stats = trained(stage, train_cells)
-        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
-        model = gpr.fit(_features(x_train, nets), y_train,
-                        restarts=config.gpr.restarts,
-                        max_iter=config.gpr.max_iter, seed=config.seed)
-        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
-        _evaluate_cells(report, model, stage, test_curves,
-                        _features(x_test, nets), y_test)
-        artifacts[stage] = StageArtifacts(stage, stats, nets, model,
-                                          train_cells, test_cells)
-    return report, artifacts
-
-
-def run_eisgan_path(dataset: Dataset, config: PipelineConfig):
-    """Latent path: GAN -> extract C_train/C_test -> GPR -> per-cell metrics.
-    Returns (EvalReport, {stage: StageArtifacts})."""
-    return _run_path("eisgan", dataset, config,
-                     lambda stage, _: train_stage_gan(dataset, config, stage)[:2])
-
-
-def run_baseline_path(dataset: Dataset, config: PipelineConfig):
-    """Raw-EIS baseline: flatten each normalized curve to 2*T dims, same GPR.
-    Each stage fits its NormStats on its training cells, as the latent path
-    does, so both paths see the same normalized spectra."""
-    return _run_path("baseline", dataset, config, lambda stage, train_cells: (
-        None, fit_norm_stats(dataset.curves_for(stage, train_cells))))
-
-
 def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
     """Posterior means of raw curves through one stage's latent path, or its
     raw-spectrum baseline when the artifact has no networks."""
@@ -408,33 +374,25 @@ def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
     return next(c for c in stage_curves if c.cycle == cycle)
 
 
-def run_perturbation_study(dataset: Dataset, config: PipelineConfig,
-                           eisgan_art: dict, baseline_art: dict) -> PerturbReport:
-    """Gaussian-perturbation robustness: deviations of both paths per (stage, sigma)."""
-    pert = config.perturb
-    report = None
-    for stage in config.stages:
-        curve = _perturb_target(dataset, config, stage)
-        if report is None:
-            report = PerturbReport(cell_id=curve.cell_id, cycle=curve.cycle)
-
-        for path_name, art in (("eisgan", eisgan_art[stage]),
-                               ("baseline", baseline_art[stage])):
-            clean_pred = _predict_means([curve], art)[0]
-            for sigma in pert.sigmas:
-                rng = np.random.default_rng(
-                    [config.seed, stage, int(round(sigma * 1e6)),
-                     0 if path_name == "eisgan" else 1])
-                noisy = [eisdata.perturb_curve(curve, sigma, rng)
-                         for _ in range(pert.n_samples)]
-                devs = _predict_means(noisy, art) - clean_pred
-                med, q25, q75, wlo, whi, outliers = box_stats(devs)
-                report.entries.append(PerturbEntry(
-                    stage=stage, sigma=sigma, path_name=path_name,
-                    deviations_mah=[float(d) for d in devs],
-                    median=med, q25=q25, q75=q75,
-                    whisker_lo=wlo, whisker_hi=whi, outliers=outliers))
-    return report
+def _perturb_entries(config: PipelineConfig, path_name: str, curve,
+                     art: StageArtifacts) -> list[PerturbEntry]:
+    """One path's Gaussian-perturbation deviations at one stage, per sigma."""
+    clean_pred = _predict_means([curve], art)[0]
+    entries = []
+    for sigma in config.perturb.sigmas:
+        rng = np.random.default_rng(
+            [config.seed, art.stage, int(round(sigma * 1e6)),
+             0 if path_name == "eisgan" else 1])
+        noisy = [eisdata.perturb_curve(curve, sigma, rng)
+                 for _ in range(config.perturb.n_samples)]
+        devs = _predict_means(noisy, art) - clean_pred
+        med, q25, q75, wlo, whi, outliers = box_stats(devs)
+        entries.append(PerturbEntry(
+            stage=art.stage, sigma=sigma, path_name=path_name,
+            deviations_mah=[float(d) for d in devs],
+            median=med, q25=q25, q75=q75,
+            whisker_lo=wlo, whisker_hi=whi, outliers=outliers))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +532,41 @@ def _require_stages(config: PipelineConfig) -> None:
         raise PipelineError("stages is empty: a study needs at least one stage")
 
 
-def run_study(dataset: Dataset, config: PipelineConfig) -> dict:
-    """Both paths, then the perturbation study. Writes nothing; returns the
-    reports and artifacts keyed as `run_all` returns them. Empty `stages`,
-    or a `perturb.cell` that a stage lacks, is refused before any training."""
+PATHS = ("eisgan", "baseline")
+
+
+def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
+    """The study, stage by stage: the partition, the NormStats fit on the
+    training cells and the arrays once; the GAN when "eisgan" is in `paths`;
+    then per path the GPR fit, test metrics and perturbation entries. Writes
+    nothing; returns the reports and artifacts keyed as `run_all` does. Empty
+    `stages`, or a `perturb.cell` a stage lacks, is refused before training."""
     _require_stages(config)
+    targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}
+    first = targets[config.stages[0]]
+    results = {"dataset": dataset,
+               "perturb_report": PerturbReport(cell_id=first.cell_id, cycle=first.cycle)}
+    for name in paths:
+        results[f"{name}_report"], results[f"{name}_artifacts"] = EvalReport(name), {}
     for stage in config.stages:
-        _perturb_target(dataset, config, stage)
-    eisgan_report, eisgan_art = run_eisgan_path(dataset, config)
-    baseline_report, baseline_art = run_baseline_path(dataset, config)
-    perturb_report = run_perturbation_study(dataset, config, eisgan_art, baseline_art)
-    return {"dataset": dataset, "eisgan_report": eisgan_report,
-            "baseline_report": baseline_report, "perturb_report": perturb_report,
-            "eisgan_artifacts": eisgan_art, "baseline_artifacts": baseline_art}
+        train_cells, test_cells = stage_partition(dataset, stage)
+        stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
+        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
+        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
+        nets = {"baseline": None}
+        if "eisgan" in paths:
+            nets["eisgan"], _ = eisgan.train(x_train, _stage_gan_config(config, stage))
+        for name in paths:
+            model = gpr.fit(_features(x_train, nets[name]), y_train,
+                            restarts=config.gpr.restarts,
+                            max_iter=config.gpr.max_iter, seed=config.seed)
+            _evaluate_cells(results[f"{name}_report"], model, stage, test_curves,
+                            _features(x_test, nets[name]), y_test)
+            art = StageArtifacts(stage, stats, nets[name], model, train_cells, test_cells)
+            results[f"{name}_artifacts"][stage] = art
+            results["perturb_report"].entries.extend(
+                _perturb_entries(config, name, targets[stage], art))
+    return results
 
 
 def run_all(config: PipelineConfig) -> dict:
@@ -603,10 +583,9 @@ def run_all(config: PipelineConfig) -> dict:
 
     results = run_study(dataset, config)
 
-    for name, key in (("evalreport_eisgan.json", "eisgan_report"),
-                      ("evalreport_baseline.json", "baseline_report"),
-                      ("perturbreport.json", "perturb_report")):
-        write_report(config.out_dir, name, results[key])
+    for name in PATHS:
+        write_report(config.out_dir, f"evalreport_{name}.json", results[f"{name}_report"])
+    write_report(config.out_dir, "perturbreport.json", results["perturb_report"])
     emit_plot_data(config.out_dir, dataset, config, results["eisgan_report"],
                    results["baseline_report"], results["perturb_report"],
                    results["eisgan_artifacts"])

@@ -283,9 +283,7 @@ def test_criterion_7_robustness_soft(capsys):
         perturb=PerturbSettings(sigmas=(0.003,), n_samples=100, cycle=40),
         seed=0)
     ds = pipeline.load_dataset(config)
-    _, eisgan_art = pipeline.run_eisgan_path(ds, config)
-    _, baseline_art = pipeline.run_baseline_path(ds, config)
-    report = pipeline.run_perturbation_study(ds, config, eisgan_art, baseline_art)
+    report = pipeline.run_study(ds, config)["perturb_report"]
 
     mads = {}
     for e in report.entries:

@@ -142,6 +142,8 @@ def test_config_from_dict_nested_sections():
     {"n_samples": 2.5},
     {"n_samples": True},
     {"cycle": 1.5},
+    {"sigmas": ()},
+    {"sigmas": (0.003, 0.003)},
 ])
 def test_perturb_settings_reject_bad_values(kwargs):
     with pytest.raises(PipelineError):
@@ -533,23 +535,38 @@ def test_cli_fit_gpr_on_synth_config_draws_no_curves(fitted_chain, monkeypatch, 
     assert _read_bytes(model_path) == expected
 
 
-def test_cli_baseline_writes_the_run_baseline_path_report(tmp_path, capsys):
-    cfg, path = cli_config_file(tmp_path)
-    assert cli.main(["baseline", "--config", path]) == 0
-    capsys.readouterr()
-    report, _ = pipeline.run_baseline_path(pipeline.load_dataset(cfg), cfg)
-    assert _read_bytes(os.path.join(cfg.out_dir, "evalreport_baseline.json")) == \
-        report.to_json().encode()
-
-
-def test_cli_perturb_writes_the_run_all_perturbation_report(tiny_run, tmp_path, capsys):
+def _cli_writes_the_run_all_file(tiny_run, tmp_path, command, name):
+    """`command` on tiny_run's config writes the same `name` as its run-all."""
     run_cfg, _ = tiny_run
     cfg, path = cli_config_file(tmp_path)
     assert dataclasses.replace(cfg, out_dir=run_cfg.out_dir) == run_cfg
-    assert cli.main(["perturb", "--config", path]) == 0
-    capsys.readouterr()
-    assert _read_bytes(os.path.join(cfg.out_dir, "perturbreport.json")) == \
-        _read_bytes(os.path.join(run_cfg.out_dir, "perturbreport.json"))
+    assert cli.main([command, "--config", path]) == 0
+    assert _read_bytes(os.path.join(cfg.out_dir, name)) == \
+        _read_bytes(os.path.join(run_cfg.out_dir, name))
+
+
+def test_cli_baseline_writes_the_run_all_baseline_report(tiny_run, tmp_path, no_training):
+    # no_training: the baseline path trains no GAN
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, "baseline", "evalreport_baseline.json")
+
+
+def test_cli_evaluate_writes_the_run_all_eisgan_report(tiny_run, tmp_path):
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, "evaluate", "evalreport_eisgan.json")
+
+
+def test_cli_perturb_writes_the_run_all_perturbation_report(tiny_run, tmp_path):
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, "perturb", "perturbreport.json")
+
+
+def test_run_study_keeps_the_config_order_of_stages_paths_and_sigmas(tmp_path):
+    cfg = tiny_config(tmp_path, stages=(5, 3), perturb=PerturbSettings(
+        sigmas=(0.003, 0.001), n_samples=3, cycle=3))
+    results = pipeline.run_study(pipeline.load_dataset(cfg), cfg)
+    for name in pipeline.PATHS:
+        assert [e.stage for e in results[f"{name}_report"].cells] == [5, 3]
+    assert [(e.stage, e.path_name, e.sigma) for e in results["perturb_report"].entries] == [
+        (stage, name, sigma) for stage in (5, 3) for name in ("eisgan", "baseline")
+        for sigma in (0.003, 0.001)]
 
 
 @pytest.mark.parametrize("command, keep, message", [
@@ -658,6 +675,8 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     ("gan", "batch_size", 0, "GanError", "run-all"),
     (None, "stages", [], "PipelineError", "run-all"),
     (None, "stages", [], "PipelineError", "perturb"),
+    ("perturb", "sigmas", [], "PipelineError", "run-all"),
+    ("perturb", "sigmas", [0.003, 0.003], "PipelineError", "perturb"),
 ])
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error, command):
