@@ -22,7 +22,8 @@ config = pipeline.PipelineConfig(
 
 print("training both paths ...")
 report = pipeline.run_study(pipeline.load_dataset(config), config)["perturb_report"]
-print(f"\nperturbing {report.cell_id} cycle {report.cycle}, "
+target = report.entries[0]
+print(f"\nperturbing {target.cell_id} cycle {target.cycle}, "
       f"50 noise draws per sigma\n")
 print(f"{'sigma':>7} {'path':>9} {'median dev':>11} {'IQR':>17}")
 for e in report.entries:

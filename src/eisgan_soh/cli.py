@@ -73,7 +73,7 @@ def cmd_extract(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        curves, x, _ = pipeline._stage_arrays(dataset, stage, None, stats)
+        curves, x = pipeline._stage_arrays(dataset, stage, None, stats)
         rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
                 for c, lat in zip(curves, eisgan.extract_latents(nets, x))]
         header = ["cell_id", "stage", "cycle"] + [

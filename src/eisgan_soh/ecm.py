@@ -3,7 +3,8 @@
 Circuit: series inductance + ohmic resistance + two R||CPE arcs + Warburg
 diffusion tail (nine parameters). An aging trajectory grows the resistive
 elements as capacity fades, so generated spectra carry ground-truth
-capacity information for end-to-end tests.
+capacity information for end-to-end tests. Of the paper's two stage
+conditions only direct current is modelled (`eisdata.DC_STAGES`).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eisdata import (CapacityRecord, Dataset, EisCurve, log_grid, stage_tag,
+from .eisdata import (CapacityRecord, Dataset, DC_STAGES, EisCurve, log_grid,
                       T_POINTS)
 
 #: nominal coin-cell capacity in mAh
@@ -43,7 +44,7 @@ class EcmParams:
 
     def __post_init__(self):
         for name in ("r0_ohm", "r1_ohm", "q1", "r2_ohm", "q2", "w_sigma", "l_ind"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise EcmError(f"{name} must be nonnegative, got {getattr(self, name)}")
         for name in ("phi1", "phi2"):
             if not 0 < getattr(self, name) <= 1:
@@ -52,16 +53,13 @@ class EcmParams:
 
 @dataclass(frozen=True)
 class DegradationTrajectory:
-    """Per-cycle circuit parameters and capacity for one cell."""
+    """One cell's circuit and capacity per cycle: the aged fields of `circuit`
+    (`r0_ohm`, `r1_ohm`, `r2_ohm`, `w_sigma`) are (n_cycles, 1) columns."""
 
-    params: tuple[EcmParams, ...]
+    circuit: EcmParams
     capacity_mah: np.ndarray
     capacity_clean_mah: np.ndarray
     knee_cycle: int
-
-    def __post_init__(self):
-        if not 0 <= self.knee_cycle < len(self.params):
-            raise EcmError("knee_cycle outside trajectory")
 
 
 def ecm_impedance(params: EcmParams, freq_hz) -> np.ndarray:
@@ -78,15 +76,6 @@ def ecm_impedance(params: EcmParams, freq_hz) -> np.ndarray:
     return z
 
 
-def _fade_fraction(cycle: int, knee_cycle: int,
-                   linear_rate: float, knee_rate: float) -> float:
-    """Fractional capacity loss: linear fade plus quadratic growth past the knee."""
-    loss = linear_rate * cycle
-    if cycle > knee_cycle:
-        loss += knee_rate * (cycle - knee_cycle) ** 2
-    return loss
-
-
 def build_trajectory(base: EcmParams, n_cycles: int,
                      rng: np.random.Generator) -> DegradationTrajectory:
     """Grow R0/R1/R2 with the capacity-loss fraction; add capacity jitter.
@@ -99,20 +88,18 @@ def build_trajectory(base: EcmParams, n_cycles: int,
         raise EcmError(f"n_cycles must be >= 2, got {n_cycles}")
     knee = int(0.8 * n_cycles)
     linear_rate = 0.12 / n_cycles
-    span = max(n_cycles - 1 - knee, 1)
-    knee_rate = 0.08 / span ** 2
-    params, cap_clean, cap = [], [], []
-    for cycle in range(n_cycles):
-        fade = _fade_fraction(cycle, knee, linear_rate, knee_rate)
-        params.append(replace(base,
-                              r0_ohm=base.r0_ohm * (1 + 1.5 * fade),
-                              r1_ohm=base.r1_ohm * (1 + 2.5 * fade),
-                              r2_ohm=base.r2_ohm * (1 + 3.0 * fade),
-                              w_sigma=base.w_sigma * (1 + 2.0 * fade)))
-        clean = BASE_CAPACITY_MAH * (1 - fade)
-        cap_clean.append(clean)
-        cap.append(max(clean + rng.normal(0.0, 0.05), 1e-3))
-    return DegradationTrajectory(tuple(params), np.array(cap), np.array(cap_clean), knee)
+    knee_rate = 0.08 / max(n_cycles - 1 - knee, 1) ** 2
+    cycle = np.arange(n_cycles)
+    fade = linear_rate * cycle + knee_rate * np.maximum(cycle - knee, 0) ** 2
+    col = fade[:, None]
+    circuit = replace(base,
+                      r0_ohm=base.r0_ohm * (1 + 1.5 * col),
+                      r1_ohm=base.r1_ohm * (1 + 2.5 * col),
+                      r2_ohm=base.r2_ohm * (1 + 3.0 * col),
+                      w_sigma=base.w_sigma * (1 + 2.0 * col))
+    clean = BASE_CAPACITY_MAH * (1 - fade)
+    cap = np.maximum(clean + rng.normal(0.0, 0.05, n_cycles), 1e-3)
+    return DegradationTrajectory(circuit, cap, clean, knee)
 
 
 def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
@@ -121,24 +108,21 @@ def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
                  meas_noise_ohm: float = 0.0002) -> list[EisCurve]:
     """Evaluate a trajectory on the 60-point grid with stage-dependent noise.
 
-    Stages with DC get multiplicative 1/f-weighted fluctuations below 1 Hz,
+    Stages in DC_STAGES get multiplicative 1/f-weighted fluctuations below 1 Hz,
     mimicking the low-frequency scatter of in-operando measurements.
     """
     freq = log_grid(F_MAX_HZ, F_MIN_HZ, T_POINTS)
-    has_dc = stage_tag(stage).has_dc
-    low = freq < 1.0
-    weight = np.zeros_like(freq)
-    weight[low] = 1.0 / np.sqrt(freq[low])
-
-    curves = []
-    for cycle, params in enumerate(traj.params):
-        z = ecm_impedance(params, freq)
-        if has_dc and dc_noise_amp > 0:
-            z = z * (1 + dc_noise_amp * weight * rng.standard_normal(len(freq)))
-        re_z = z.real + rng.normal(0.0, meas_noise_ohm, len(freq))
-        im_z = z.imag + rng.normal(0.0, meas_noise_ohm, len(freq))
-        curves.append(EisCurve(cell_id, stage, cycle, freq, re_z, im_z))
-    return curves
+    z = ecm_impedance(traj.circuit, freq)
+    dc = stage in DC_STAGES and dc_noise_amp > 0
+    # per cycle: the DC factor (DC stages only), then the Re and Im noise
+    draw = rng.standard_normal((len(z), 3 if dc else 2, len(freq)))
+    if dc:
+        weight = np.where(freq < 1.0, 1.0 / np.sqrt(freq), 0.0)
+        z = z * (1 + dc_noise_amp * weight * draw[:, 0])
+    re_z = z.real + meas_noise_ohm * draw[:, -2]
+    im_z = z.imag + meas_noise_ohm * draw[:, -1]
+    return [EisCurve(cell_id, stage, cycle, freq, re_z[cycle], im_z[cycle])
+            for cycle in range(len(z))]
 
 
 def default_params(rng: np.random.Generator) -> EcmParams:
@@ -177,22 +161,19 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
     """Assemble a synthetic dataset with a disjoint train/test cell partition.
 
     One aging trajectory per cell, shared across all requested stages; only
-    the measurement noise differs between stages.
+    the noise, with the DC factor on DC stages, differs between stages.
     """
     train_ids, test_ids = synth_cell_ids(n_train_cells, n_test_cells)
     cell_ids = train_ids + test_ids
-    n_cells = len(cell_ids)
-    seq = np.random.SeedSequence(seed)
+    children = np.random.SeedSequence(seed).spawn(len(cell_ids))
     curves, records = [], []
-    for cell_idx, (cell_id, child) in enumerate(zip(cell_ids, seq.spawn(n_cells))):
+    for cell_idx, (cell_id, child) in enumerate(zip(cell_ids, children)):
         rng = np.random.default_rng(child)
-        base = default_params(rng)
-        traj = build_trajectory(base, n_cycles, rng)
+        traj = build_trajectory(default_params(rng), n_cycles, rng)
         for stage in stages:
-            stage_rng = np.random.default_rng([seed, cell_idx, stage])
-            curves.extend(stage_curves(cell_id, traj, stage, stage_rng,
-                                       dc_noise_amp=dc_noise_amp,
-                                       meas_noise_ohm=meas_noise_ohm))
+            curves.extend(stage_curves(cell_id, traj, stage,
+                                       np.random.default_rng([seed, cell_idx, stage]),
+                                       dc_noise_amp, meas_noise_ohm))
         records.extend(CapacityRecord(cell_id, cycle, float(traj.capacity_mah[cycle]))
                        for cycle in range(n_cycles))
     return Dataset(curves=curves, capacities=records,

@@ -62,32 +62,9 @@ class EisCurve:
         return len(self.freq_hz)
 
 
-@dataclass(frozen=True)
-class StageTag:
-    stage: int
-    description: str
-    has_resting: bool
-    has_dc: bool
-
-
-#: the nine measurement stages with their resting / direct-current flags
-STAGES = (
-    StageTag(1, "Before charging", True, False),
-    StageTag(2, "Start charging", True, True),
-    StageTag(3, "After 20-min charging", False, True),
-    StageTag(4, "After charging and before resting", False, False),
-    StageTag(5, "After 15-min rest", True, False),
-    StageTag(6, "Start discharging", True, True),
-    StageTag(7, "After 10-min discharging", False, True),
-    StageTag(8, "After discharging and before resting", False, False),
-    StageTag(9, "After 15-min rest", True, False),
-)
-
-
-def stage_tag(stage: int) -> StageTag:
-    if not 1 <= stage <= 9:
-        raise DataError(f"unknown stage {stage}")
-    return STAGES[stage - 1]
+#: the measurement stages taken under direct current: 2 start charging, 3 after
+#: 20-min charging, 6 start discharging, 7 after 10-min discharging (of nine, 1..9)
+DC_STAGES = frozenset({2, 3, 6, 7})
 
 
 @dataclass(frozen=True)
@@ -119,7 +96,8 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Curves plus capacity records with a declared train/test cell partition."""
+    """Curves plus capacity records with a declared train/test cell partition.
+    A curve needs a capacity record only when its capacity is looked up."""
 
     curves: list[EisCurve]
     capacities: list[CapacityRecord]
@@ -136,13 +114,12 @@ class Dataset:
             if key in self._cap_map:
                 raise DataError(f"duplicate capacity record for {key}")
             self._cap_map[key] = rec.capacity_mah
-        for curve in self.curves:
-            if (curve.cell_id, curve.cycle) not in self._cap_map:
-                raise DataError(
-                    f"curve {curve.key()} has no matching capacity record")
 
     def capacity(self, cell_id: str, cycle: int) -> float:
-        return self._cap_map[(cell_id, cycle)]
+        try:
+            return self._cap_map[(cell_id, cycle)]
+        except KeyError:
+            raise DataError(f"no capacity record for {(cell_id, cycle)}") from None
 
     def curves_for(self, stage: int, cells=None) -> list[EisCurve]:
         out = [c for c in self.curves if c.stage == stage

@@ -243,6 +243,8 @@ class EvalReport:
 @dataclass
 class PerturbEntry:
     stage: int
+    cell_id: str
+    cycle: int
     sigma: float
     path_name: str
     deviations_mah: list[float]
@@ -256,13 +258,10 @@ class PerturbEntry:
 
 @dataclass
 class PerturbReport:
-    cell_id: str
-    cycle: int
     entries: list[PerturbEntry] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({"cell_id": self.cell_id, "cycle": self.cycle,
-                           "entries": [dataclasses.asdict(e) for e in self.entries]},
+        return json.dumps({"entries": [dataclasses.asdict(e) for e in self.entries]},
                           indent=2, sort_keys=True)
 
 
@@ -315,19 +314,23 @@ def _stage_gan_config(config: PipelineConfig, stage: int) -> GanConfig:
 
 
 def _stage_arrays(dataset, stage, cells, stats):
-    """A stage's curves for `cells` (all cells when None), their normalized
-    (N, 2, T) array and their capacities (N,)."""
+    """A stage's curves for `cells` (all cells when None) and their normalized
+    (N, 2, T) array."""
     curves = dataset.curves_for(stage, cells)
-    x = np.stack([curve_to_array(c) for c in normalize(curves, stats)])
-    y = np.array([dataset.capacity(c.cell_id, c.cycle) for c in curves])
-    return curves, x, y
+    return curves, np.stack([curve_to_array(c) for c in normalize(curves, stats)])
+
+
+def _capacities(dataset, stage, cells) -> np.ndarray:
+    """Capacities of a stage's curves for `cells`; a missing record raises DataError."""
+    return np.array([dataset.capacity(c.cell_id, c.cycle)
+                     for c in dataset.curves_for(stage, cells)])
 
 
 def train_stage_gan(dataset: Dataset, config: PipelineConfig, stage: int):
     """Fit NormStats on training cells, train the stage GAN on them."""
     train_cells, _ = stage_partition(dataset, stage)
     stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-    _, x, _ = _stage_arrays(dataset, stage, train_cells, stats)
+    _, x = _stage_arrays(dataset, stage, train_cells, stats)
     nets, report = eisgan.train(x, _stage_gan_config(config, stage))
     return nets, stats, report
 
@@ -388,7 +391,8 @@ def _perturb_entries(config: PipelineConfig, path_name: str, curve,
         devs = _predict_means(noisy, art) - clean_pred
         med, q25, q75, wlo, whi, outliers = box_stats(devs)
         entries.append(PerturbEntry(
-            stage=art.stage, sigma=sigma, path_name=path_name,
+            stage=art.stage, cell_id=curve.cell_id, cycle=curve.cycle,
+            sigma=sigma, path_name=path_name,
             deviations_mah=[float(d) for d in devs],
             median=med, q25=q25, q75=q75,
             whisker_lo=wlo, whisker_hi=whi, outliers=outliers))
@@ -456,7 +460,7 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
     for stage in config.stages:
         art = artifacts[stage]
         cell_id = art.test_cells[0]
-        curves, x, caps = _stage_arrays(dataset, stage, [cell_id], art.stats)
+        curves, x = _stage_arrays(dataset, stage, [cell_id], art.stats)
 
         # Nyquist traces across a handful of cycles
         n_show = min(5, len(curves))
@@ -467,7 +471,8 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
              ["cycle", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"], rows)
 
         # latent sweeps for the top two selected dimensions
-        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x), caps)
+        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x),
+                                      eisgan_report.cell(stage, cell_id).measured_mah)
         for rank, dim in enumerate(sel.top2, start=1):
             emit(f"sweep_stage{stage}_c{rank}.csv", SWEEP_HEADER,
                  sweep_rows(art.nets, art.stats, dim, curves[0].freq_hz))
@@ -540,19 +545,21 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     training cells and the arrays once; the GAN when "eisgan" is in `paths`;
     then per path the GPR fit, test metrics and perturbation entries. Writes
     nothing; returns the reports and artifacts keyed as `run_all` does. Empty
-    `stages`, or a `perturb.cell` a stage lacks, is refused before training."""
+    `stages`, a `perturb.cell` a stage lacks, or a train or test curve without
+    a capacity record is refused before training."""
     _require_stages(config)
     targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}
-    first = targets[config.stages[0]]
-    results = {"dataset": dataset,
-               "perturb_report": PerturbReport(cell_id=first.cell_id, cycle=first.cycle)}
+    capacities = {s: [_capacities(dataset, s, cells) for cells in stage_partition(dataset, s)]
+                  for s in config.stages}
+    results = {"dataset": dataset, "perturb_report": PerturbReport()}
     for name in paths:
         results[f"{name}_report"], results[f"{name}_artifacts"] = EvalReport(name), {}
     for stage in config.stages:
         train_cells, test_cells = stage_partition(dataset, stage)
         stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-        _, x_train, y_train = _stage_arrays(dataset, stage, train_cells, stats)
-        test_curves, x_test, y_test = _stage_arrays(dataset, stage, test_cells, stats)
+        _, x_train = _stage_arrays(dataset, stage, train_cells, stats)
+        test_curves, x_test = _stage_arrays(dataset, stage, test_cells, stats)
+        y_train, y_test = capacities[stage]
         nets = {"baseline": None}
         if "eisgan" in paths:
             nets["eisgan"], _ = eisgan.train(x_train, _stage_gan_config(config, stage))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,76 @@ def test_synth_dataset_deterministic():
         assert np.array_equal(ca.re_z_ohm, cb.re_z_ohm)
         assert np.array_equal(ca.im_z_ohm, cb.im_z_ohm)
     assert a.capacities == b.capacities
+
+
+# ---------------------------------------------------------------------------
+# array synthesis against the per-cycle reference
+# ---------------------------------------------------------------------------
+
+def _reference_trajectory(base, n_cycles, rng):
+    """Per-cycle circuits and capacities, one `EcmParams` per cycle."""
+    knee = int(0.8 * n_cycles)
+    linear_rate = 0.12 / n_cycles
+    knee_rate = 0.08 / max(n_cycles - 1 - knee, 1) ** 2
+    params, cap, cap_clean = [], [], []
+    for cycle in range(n_cycles):
+        fade = linear_rate * cycle
+        if cycle > knee:
+            fade += knee_rate * (cycle - knee) ** 2
+        params.append(replace(base,
+                              r0_ohm=base.r0_ohm * (1 + 1.5 * fade),
+                              r1_ohm=base.r1_ohm * (1 + 2.5 * fade),
+                              r2_ohm=base.r2_ohm * (1 + 3.0 * fade),
+                              w_sigma=base.w_sigma * (1 + 2.0 * fade)))
+        clean = ecm.BASE_CAPACITY_MAH * (1 - fade)
+        cap_clean.append(clean)
+        cap.append(max(clean + rng.normal(0.0, 0.05), 1e-3))
+    return params, np.array(cap), np.array(cap_clean)
+
+
+def _reference_stage_curves(params, stage, rng, dc_noise_amp, meas_noise_ohm):
+    """Per-cycle (re, im) arrays, drawn cycle by cycle."""
+    freq = ecm.log_grid(ecm.F_MAX_HZ, ecm.F_MIN_HZ, 60)
+    low = freq < 1.0
+    weight = np.zeros_like(freq)
+    weight[low] = 1.0 / np.sqrt(freq[low])
+    out = []
+    for p in params:
+        z = ecm.ecm_impedance(p, freq)
+        if stage in (2, 3, 6, 7) and dc_noise_amp > 0:
+            z = z * (1 + dc_noise_amp * weight * rng.standard_normal(len(freq)))
+        out.append((z.real + rng.normal(0.0, meas_noise_ohm, len(freq)),
+                    z.imag + rng.normal(0.0, meas_noise_ohm, len(freq))))
+    return out
+
+
+@pytest.mark.parametrize("n_cycles", [2, 8, 37])
+@pytest.mark.parametrize("stage", [6, 5])
+@pytest.mark.parametrize("noise", [{}, {"dc_noise_amp": 0.0}, {"meas_noise_ohm": 0.0}])
+def test_array_synthesis_matches_the_per_cycle_reference(n_cycles, stage, noise):
+    amp, meas = noise.get("dc_noise_amp", 0.02), noise.get("meas_noise_ohm", 0.0002)
+    base = ecm.default_params(np.random.default_rng(4))
+    traj = ecm.build_trajectory(base, n_cycles, np.random.default_rng(5))
+    params, cap, cap_clean = _reference_trajectory(base, n_cycles, np.random.default_rng(5))
+    assert np.array_equal(traj.capacity_mah, cap)
+    assert np.array_equal(traj.capacity_clean_mah, cap_clean)
+    assert traj.knee_cycle == int(0.8 * n_cycles)
+
+    curves = ecm.stage_curves("X", traj, stage, np.random.default_rng(6), amp, meas)
+    reference = _reference_stage_curves(params, stage, np.random.default_rng(6), amp, meas)
+    assert [c.cycle for c in curves] == list(range(n_cycles))
+    for curve, (re_z, im_z) in zip(curves, reference, strict=True):
+        assert np.array_equal(curve.re_z_ohm, re_z)
+        assert np.array_equal(curve.im_z_ohm, im_z)
+
+
+def test_trajectory_circuit_holds_one_column_per_cycle():
+    traj = ecm.build_trajectory(simple_params(), 7, np.random.default_rng(0))
+    for name in ("r0_ohm", "r1_ohm", "r2_ohm", "w_sigma"):
+        assert getattr(traj.circuit, name).shape == (7, 1)
+    assert ecm.ecm_impedance(traj.circuit, [1e3, 1.0]).shape == (7, 2)
+
+
+def test_negative_column_refused():
+    with pytest.raises(EcmError, match="r0_ohm must be nonnegative"):
+        simple_params(r0_ohm=np.array([[0.1], [-0.1]]))

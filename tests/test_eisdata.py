@@ -41,19 +41,23 @@ def test_capacity_must_be_positive():
 
 
 def test_stage_table_matches_measurement_protocol():
-    # nine stages; resting absent in 3, 4, 7, 8; DC present in 2, 3, 6, 7
-    assert len(eisdata.STAGES) == 9
-    assert [t.stage for t in eisdata.STAGES] == list(range(1, 10))
-    no_rest = {t.stage for t in eisdata.STAGES if not t.has_resting}
-    with_dc = {t.stage for t in eisdata.STAGES if t.has_dc}
-    assert no_rest == {3, 4, 7, 8}
-    assert with_dc == {2, 3, 6, 7}
+    # of the nine stages, DC is present in 2, 3, 6 and 7
+    assert eisdata.DC_STAGES == {2, 3, 6, 7}
 
 
 def test_dataset_requires_capacity_records():
-    curve = make_curve()
-    with pytest.raises(DataError):
-        Dataset([curve], [], ("C1",), ("C2",))
+    # a curve needs its capacity record only when the capacity is looked up
+    ds = Dataset([make_curve(cycle=0), make_curve(cycle=1)],
+                 [CapacityRecord("C1", 0, 40.0)], ("C1",), ("C2",))
+    assert ds.capacity("C1", 0) == 40.0
+    with pytest.raises(DataError, match=r"no capacity record for \('C1', 1\)"):
+        ds.capacity("C1", 1)
+
+
+def test_dataset_refuses_duplicate_capacity_records():
+    cap = CapacityRecord("C1", 0, 40.0)
+    with pytest.raises(DataError, match=r"duplicate capacity record for \('C1', 0\)"):
+        Dataset([make_curve()], [cap, cap], ("C1",), ("C2",))
 
 
 def test_dataset_rejects_overlapping_partition():

@@ -270,8 +270,8 @@ def test_run_all_perturb_report(tiny_run):
     for e in report.entries:
         assert len(e.deviations_mah) == cfg.perturb.n_samples
         assert e.q25 <= e.median <= e.q75
-    # requested cycle 3 exists in the 8-cycle run
-    assert report.cycle == 3
+        # requested cycle 3 exists in the 8-cycle run
+        assert (e.cell_id, e.cycle) == (results["dataset"].test_cells[0], 3)
 
 
 def _reference_prediction(curve, art):
@@ -284,10 +284,9 @@ def _reference_prediction(curve, art):
 
 def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
     cfg, results = tiny_run
-    report = results["perturb_report"]
-    curve = next(c for c in results["dataset"].curves_for(5, [report.cell_id])
-                 if c.cycle == report.cycle)
-    for e in report.entries:
+    for e in results["perturb_report"].entries:
+        curve = next(c for c in results["dataset"].curves_for(e.stage, [e.cell_id])
+                     if c.cycle == e.cycle)
         art = results[f"{e.path_name}_artifacts"][e.stage]
         rng = np.random.default_rng([cfg.seed, e.stage, int(round(e.sigma * 1e6)),
                                      0 if e.path_name == "eisgan" else 1])
@@ -384,6 +383,17 @@ def cli_config_file(tmp_path, **overrides):
     return cfg, str(path)
 
 
+def csv_config_file(tmp_path, ds, curves, capacities, **overrides):
+    """`curves` and `capacities` written to eis.csv and capacity.csv in
+    tmp_path, and a config file that reads them with `ds`'s partition."""
+    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
+    eisdata.save_eis_csv(eis_path, curves)
+    eisdata.save_capacity_csv(cap_path, capacities)
+    return cli_config_file(tmp_path, synth=None, eis_csv=str(eis_path),
+                           capacity_csv=str(cap_path), train_cells=ds.train_cells,
+                           test_cells=ds.test_cells, **overrides)
+
+
 def test_cli_synth_writes_csvs(tmp_path, capsys):
     cfg, path = cli_config_file(tmp_path)
     assert cli.main(["synth", "--config", path]) == 0
@@ -463,16 +473,9 @@ def _read_bytes(path):
 
 def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
     ds = pipeline.load_dataset(tiny_config(tmp_path))
-    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
-    eisdata.save_eis_csv(eis_path, ds.curves)
-    eisdata.save_capacity_csv(cap_path, ds.capacities)
-    cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
-                      capacity_csv=str(cap_path), train_cells=ds.train_cells,
-                      test_cells=ds.test_cells)
-    path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
     for command in ("train-gan", "extract"):
-        assert cli.main([command, "--config", str(path)]) == 0, command
+        assert cli.main([command, "--config", path]) == 0, command
 
     # the reference: partition and capacities taken from the ingested curves
     dataset = pipeline.load_dataset(cfg)
@@ -489,9 +492,9 @@ def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
                                    "pred_std_mah"],
                         [(r[0], 5, r[2], m, np.sqrt(v)) for r, m, v in zip(test_rows, mean, var)])
 
-    os.remove(eis_path)
+    os.remove(cfg.eis_csv)
     for command in ("fit-gpr", "predict"):
-        assert cli.main([command, "--config", str(path)]) == 0, command
+        assert cli.main([command, "--config", path]) == 0, command
     capsys.readouterr()
     assert _read_bytes(os.path.join(cfg.out_dir, "gpr_stage5.json")) == \
         model.to_json().encode()
@@ -569,6 +572,22 @@ def test_run_study_keeps_the_config_order_of_stages_paths_and_sigmas(tmp_path):
         for sigma in (0.003, 0.001)]
 
 
+def test_perturb_entries_name_their_own_stage_target(tmp_path, no_training):
+    # stage 3 lacks SYN03, so its first test cell, and perturbation target, is SYN04
+    cfg = tiny_config(tmp_path, stages=(5, 3),
+                      synth=SynthSettings(n_train_cells=2, n_test_cells=2, n_cycles=8))
+    ds = pipeline.load_dataset(cfg)
+    keep = [c for c in ds.curves if (c.cell_id, c.stage) != ("SYN03", 3)]
+    reduced = eisdata.Dataset(keep, ds.capacities, ds.train_cells, ds.test_cells)
+    report = pipeline.run_study(reduced, cfg, ("baseline",))["perturb_report"]
+    assert [(e.stage, e.cell_id, e.cycle) for e in report.entries] == [
+        (5, "SYN03", 3), (3, "SYN04", 3)]
+    blob = json.loads(report.to_json())
+    assert list(blob) == ["entries"]
+    assert [(e["stage"], e["cell_id"]) for e in blob["entries"]] == [
+        (5, "SYN03"), (3, "SYN04")]
+
+
 @pytest.mark.parametrize("command, keep, message", [
     ("predict", "train", "no latent rows for test cells ('SYN03',)"),
     ("predict", "test", "empty partition"),
@@ -596,22 +615,49 @@ def test_cli_partition_errors_from_latent_rows(fitted_chain, capsys, command, ke
 
 def test_cli_fit_gpr_names_a_missing_capacity_record(tmp_path, capsys):
     ds = pipeline.load_dataset(tiny_config(tmp_path))
-    eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
-    eisdata.save_eis_csv(eis_path, ds.curves)
-    eisdata.save_capacity_csv(cap_path, ds.capacities)
-    cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
-                      capacity_csv=str(cap_path), train_cells=ds.train_cells,
-                      test_cells=ds.test_cells)
-    path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
     for command in ("train-gan", "extract"):
-        assert cli.main([command, "--config", str(path)]) == 0, command
-    eisdata.save_capacity_csv(cap_path, [r for r in ds.capacities
-                                         if (r.cell_id, r.cycle) != ("SYN02", 4)])
-    assert cli.main(["fit-gpr", "--config", str(path)]) == 1
+        assert cli.main([command, "--config", path]) == 0, command
+    eisdata.save_capacity_csv(cfg.capacity_csv, [r for r in ds.capacities
+                                                 if (r.cell_id, r.cycle) != ("SYN02", 4)])
+    assert cli.main(["fit-gpr", "--config", path]) == 1
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob["error"] == "PipelineError"
     assert "no capacity record for latent row(s) [('SYN02', 4)]" in blob["message"]
+
+
+def test_cli_chain_estimates_cells_without_capacity_records(tmp_path, capsys):
+    # train-gan and extract read no capacities, and fit-gpr only the training
+    # cells', so the chain predicts the same on train-only capacities
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    train_only = [r for r in ds.capacities if r.cell_id in ds.train_cells]
+    predictions = []
+    for name, capacities in (("all", ds.capacities), ("train_only", train_only)):
+        os.mkdir(tmp_path / name)
+        cfg, path = csv_config_file(tmp_path / name, ds, ds.curves, capacities)
+        for command in ("train-gan", "extract", "fit-gpr", "predict"):
+            assert cli.main([command, "--config", path]) == 0, (name, command)
+        predictions.append(_read_bytes(os.path.join(cfg.out_dir, "predictions_stage5.csv")))
+    capsys.readouterr()
+    rows = list(csv.reader(predictions[1].decode().splitlines()))[1:]
+    assert [(r[0], int(r[2])) for r in rows] == [
+        (c.cell_id, c.cycle) for c in ds.curves_for(5, ds.test_cells)]
+    assert predictions[1] == predictions[0]
+
+
+def test_run_all_refuses_a_missing_test_capacity_before_training(tmp_path, no_training):
+    # SYN04 is tested at stage 3 only; its capacities are missing, so the
+    # study fails before it trains the stage-5 GAN
+    ds = pipeline.load_dataset(tiny_config(tmp_path, stages=(5, 3), synth=SynthSettings(
+        n_train_cells=2, n_test_cells=2, n_cycles=8)))
+    cfg, _ = csv_config_file(
+        tmp_path, ds, [c for c in ds.curves if (c.cell_id, c.stage) != ("SYN04", 5)],
+        [r for r in ds.capacities if r.cell_id != "SYN04"], stages=(5, 3))
+    with pytest.raises(eisdata.DataError, match=r"no capacity record for \('SYN04', 0\)"):
+        pipeline.run_all(cfg)
+    written = os.listdir(cfg.out_dir)
+    assert not [f for f in written if f.startswith("evalreport_")]
+    assert not [f for f in written if f.startswith("gan_stage")]
 
 
 def test_write_report_creates_the_directory_and_writes_to_json(tmp_path):
