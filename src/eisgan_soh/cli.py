@@ -42,12 +42,6 @@ def _latents_csv_path(config, stage):
     return os.path.join(config.out_dir, f"latents_stage{stage}.csv")
 
 
-def _print_metrics(report: pipeline.EvalReport):
-    for e in report.cells:
-        print(f"stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
-              f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
-
-
 def cmd_synth(config: PipelineConfig):
     dataset = pipeline.load_dataset(config)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -59,7 +53,7 @@ def cmd_synth(config: PipelineConfig):
 
 
 def cmd_train_gan(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
+    dataset = pipeline.load_dataset(config, capacities=False)
     os.makedirs(config.out_dir, exist_ok=True)
     for stage in config.stages:
         nets, stats, report = pipeline.train_stage_gan(dataset, config, stage)
@@ -70,24 +64,41 @@ def cmd_train_gan(config: PipelineConfig):
 
 
 def cmd_extract(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
+    dataset = pipeline.load_dataset(config, capacities=False)
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
         curves, x = pipeline._stage_arrays(dataset, stage, None, stats)
         rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
                 for c, lat in zip(curves, eisgan.extract_latents(nets, x))]
-        header = ["cell_id", "stage", "cycle"] + [
-            f"c{i + 1}" for i in range(nets.config.latent_dim)]
-        pipeline._write_csv(_latents_csv_path(config, stage), header, rows)
+        pipeline._write_csv(_latents_csv_path(config, stage),
+                            _latents_header(nets.config.latent_dim), rows)
         print(f"stage {stage}: wrote {len(rows)} latent rows")
 
 
+def _latents_header(latent_dim):
+    return ["cell_id", "stage", "cycle"] + [f"c{i + 1}" for i in range(latent_dim)]
+
+
 def _read_latents(path):
+    """(cell_id, stage, cycle, codes) per row of a latents CSV as `extract`
+    writes it; a wrong header, field count or number raises PipelineError
+    naming the file and the row (the header is row 1)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        return [(r[0], int(r[1]), int(r[2]), np.array([float(v) for v in r[3:]]))
-                for r in reader]
+        header = next(reader, [])
+        if len(header) < 4 or header != _latents_header(len(header) - 3):
+            raise pipeline.PipelineError(
+                f"{path}: header must be cell_id,stage,cycle,c1..ck, got {header}")
+        rows = []
+        for row_num, r in enumerate(reader, start=2):
+            if len(r) != len(header):
+                raise pipeline.PipelineError(
+                    f"{path} row {row_num}: expected {len(header)} fields, got {len(r)}")
+            try:
+                rows.append((r[0], int(r[1]), int(r[2]), np.array([float(v) for v in r[3:]])))
+            except ValueError as exc:
+                raise pipeline.PipelineError(f"{path} row {row_num}: {exc}") from None
+        return rows
 
 
 # `fit-gpr` and `predict` read no EIS curves: `extract` writes a latent row for
@@ -134,33 +145,6 @@ def cmd_predict(config: PipelineConfig):
         print(f"stage {stage}: wrote {len(out_rows)} predictions")
 
 
-def cmd_evaluate(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config)
-    pipeline.check_plot_cycles(dataset, config)
-    results = pipeline.run_study(dataset, config, ("eisgan",))
-    report = results["eisgan_report"]
-    pipeline.write_report(config.out_dir, "evalreport_eisgan.json", report)
-    pipeline.emit_plot_data(config.out_dir, dataset, config, report,
-                            None, None, results["eisgan_artifacts"])
-    pipeline.write_summary(config.out_dir, report, None)
-    _print_metrics(report)
-
-
-def cmd_baseline(config: PipelineConfig):
-    report = pipeline.run_study(pipeline.load_dataset(config), config,
-                                ("baseline",))["baseline_report"]
-    pipeline.write_report(config.out_dir, "evalreport_baseline.json", report)
-    _print_metrics(report)
-
-
-def cmd_perturb(config: PipelineConfig):
-    report = pipeline.run_study(pipeline.load_dataset(config), config)["perturb_report"]
-    pipeline.write_report(config.out_dir, "perturbreport.json", report)
-    for e in report.entries:
-        print(f"stage {e.stage} sigma={e.sigma} {e.path_name}: "
-              f"median={e.median:.5f} IQR=[{e.q25:.5f}, {e.q75:.5f}]")
-
-
 def cmd_sweep(config: PipelineConfig):
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
@@ -172,10 +156,20 @@ def cmd_sweep(config: PipelineConfig):
         print(f"stage {stage}: wrote sweeps for {nets.config.latent_dim} dims")
 
 
-def cmd_run_all(config: PipelineConfig):
-    results = pipeline.run_all(config)
-    _print_metrics(results["eisgan_report"])
-    print(f"reports written to {config.out_dir}")
+def _study(paths):
+    """A study command: `pipeline.run_all` over `paths`, then the metrics of
+    each path and the perturbation entries."""
+    def command(config: PipelineConfig):
+        results = pipeline.run_all(config, paths)
+        for name in paths:
+            for e in results[f"{name}_report"].cells:
+                print(f"{name} stage {e.stage} {e.cell_id}: MAE={e.mae_mah:.4f} mAh "
+                      f"RMSE={e.rmse_mah:.4f} mAh R2={e.r2:.4f}")
+        for e in results["perturb_report"].entries:
+            print(f"{e.path_name} stage {e.stage} sigma={e.sigma}: "
+                  f"median={e.median:.5f} IQR=[{e.q25:.5f}, {e.q75:.5f}]")
+        print(f"reports written to {config.out_dir}")
+    return command
 
 
 COMMANDS = {
@@ -184,11 +178,11 @@ COMMANDS = {
     "extract": cmd_extract,
     "fit-gpr": cmd_fit_gpr,
     "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "baseline": cmd_baseline,
-    "perturb": cmd_perturb,
+    "evaluate": _study(("eisgan",)),
+    "baseline": _study(("baseline",)),
+    "perturb": _study(pipeline.PATHS),
     "sweep": cmd_sweep,
-    "run-all": cmd_run_all,
+    "run-all": _study(pipeline.PATHS),
 }
 
 

@@ -193,12 +193,20 @@ class GprModel:
 
     @staticmethod
     def from_json(text: str) -> "GprModel":
-        obj = json.loads(text)
-        if obj.get("format") != "gpr-model-v1":
-            raise GprError(f"unknown model format {obj.get('format')!r}")
-        hp = Hyperparams(*obj["hyperparams"])
-        return GprModel.build(np.array(obj["inputs"]), np.array(obj["targets"]),
-                              hp, obj["y_mean"], obj["y_scale"])
+        """Inverse of `to_json`; any malformed content raises GprError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GprError(f"unreadable model file: {exc}") from None
+        fmt = obj.get("format") if isinstance(obj, dict) else None
+        if fmt != "gpr-model-v1":
+            raise GprError(f"unknown model format {fmt!r}")
+        try:
+            hp = Hyperparams(*obj["hyperparams"])
+            return GprModel.build(np.array(obj["inputs"]), np.array(obj["targets"]),
+                                  hp, float(obj["y_mean"]), float(obj["y_scale"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GprError(f"bad model file: {exc!r}") from None
 
 
 def _ascend(d2, y, theta0, max_iter=200):

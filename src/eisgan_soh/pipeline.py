@@ -181,8 +181,10 @@ def declared_partition(config: PipelineConfig):
     return config.train_cells, config.test_cells
 
 
-def load_dataset(config: PipelineConfig) -> Dataset:
-    """Synthesize or ingest the dataset declared by the config."""
+def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
+    """Synthesize or ingest the dataset declared by the config. With
+    `capacities` False, CSV input reads eis.csv alone and holds no capacity
+    record, for commands that look none up."""
     if config.synth is not None:
         s = config.synth
         return ecm.synth_dataset(s.n_train_cells, s.n_test_cells, s.n_cycles,
@@ -191,7 +193,7 @@ def load_dataset(config: PipelineConfig) -> Dataset:
                                  meas_noise_ohm=s.meas_noise_ohm)
     train_cells, test_cells = declared_partition(config)
     curves = eisdata.load_eis_csv(config.eis_csv)
-    caps = eisdata.load_capacity_csv(config.capacity_csv)
+    caps = eisdata.load_capacity_csv(config.capacity_csv) if capacities else []
     curves = [c if c.n_points == eisdata.T_POINTS else eisdata.resample_log_grid(c)
               for c in curves]
     return Dataset(curves=curves, capacities=caps,
@@ -443,12 +445,10 @@ def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
                 f"plot data needs at least {eisgan.MIN_RANK_CYCLES}")
 
 
-def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
-                   eisgan_report: EvalReport, baseline_report: EvalReport | None,
-                   perturb_report: PerturbReport | None,
-                   artifacts: dict) -> list[str]:
-    """Write CSV series for Nyquist curves, sweeps, latent traces, scatter,
-    prediction bands, and perturbation box stats. Returns written paths."""
+def emit_plot_data(outdir, dataset: Dataset, results: dict, paths) -> list[str]:
+    """Write CSV series for Nyquist curves, sweeps and latent traces (when
+    "eisgan" is in `paths`), scatter and prediction bands per path, and
+    perturbation box stats. Returns written paths."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
@@ -457,8 +457,7 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
         _write_csv(path, header, rows)
         written.append(path)
 
-    for stage in config.stages:
-        art = artifacts[stage]
+    for stage, art in results.get("eisgan_artifacts", {}).items():
         cell_id = art.test_cells[0]
         curves, x = _stage_arrays(dataset, stage, [cell_id], art.stats)
 
@@ -471,8 +470,8 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
              ["cycle", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"], rows)
 
         # latent sweeps for the top two selected dimensions
-        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x),
-                                      eisgan_report.cell(stage, cell_id).measured_mah)
+        measured = results["eisgan_report"].cell(stage, cell_id).measured_mah
+        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x), measured)
         for rank, dim in enumerate(sel.top2, start=1):
             emit(f"sweep_stage{stage}_c{rank}.csv", SWEEP_HEADER,
                  sweep_rows(art.nets, art.stats, dim, curves[0].freq_hz))
@@ -484,38 +483,35 @@ def emit_plot_data(outdir, dataset: Dataset, config: PipelineConfig,
         emit(f"latents_stage{stage}_{cell_id}.csv", ["cycle", "c1", "c2"], rows)
 
     # predicted vs measured scatter, and per-cell bands
-    for report in filter(None, (eisgan_report, baseline_report)):
+    for name in paths:
+        cells = results[f"{name}_report"].cells
         rows = [(e.stage, e.cell_id, cy, m, p)
-                for e in report.cells
+                for e in cells
                 for cy, m, p in zip(e.cycles, e.measured_mah, e.pred_mean_mah)]
-        emit(f"scatter_{report.path_name}.csv",
+        emit(f"scatter_{name}.csv",
              ["stage", "cell_id", "cycle", "measured_mah", "predicted_mah"], rows)
-        for e in report.cells:
+        for e in cells:
             rows = [(cy, m, p, p - s, p + s)
                     for cy, m, p, s in zip(e.cycles, e.measured_mah,
                                            e.pred_mean_mah, e.pred_std_mah)]
-            emit(f"band_{report.path_name}_stage{e.stage}_{e.cell_id}.csv",
+            emit(f"band_{name}_stage{e.stage}_{e.cell_id}.csv",
                  ["cycle", "measured", "mean", "lower", "upper"], rows)
 
-    if perturb_report is not None:
-        rows = [(e.stage, e.sigma, e.path_name, e.median, e.q25, e.q75,
-                 e.whisker_lo, e.whisker_hi, len(e.outliers))
-                for e in perturb_report.entries]
-        emit("perturb_box.csv",
-             ["stage", "sigma", "path", "median", "q25", "q75",
-              "whisker_lo", "whisker_hi", "n_outliers"], rows)
-
+    rows = [(e.stage, e.sigma, e.path_name, e.median, e.q25, e.q75,
+             e.whisker_lo, e.whisker_hi, len(e.outliers))
+            for e in results["perturb_report"].entries]
+    emit("perturb_box.csv",
+         ["stage", "sigma", "path", "median", "q25", "q75",
+          "whisker_lo", "whisker_hi", "n_outliers"], rows)
     return written
 
 
-def write_summary(outdir, eisgan_report: EvalReport,
-                  baseline_report: EvalReport | None) -> str:
+def write_summary(outdir, results: dict, paths) -> str:
     """Single structured-text summary keyed by (stage, cell)."""
     summary = {}
-    for report in filter(None, (eisgan_report, baseline_report)):
-        for e in report.cells:
-            key = f"stage{e.stage}/{e.cell_id}"
-            summary.setdefault(key, {})[report.path_name] = {
+    for name in paths:
+        for e in results[f"{name}_report"].cells:
+            summary.setdefault(f"stage{e.stage}/{e.cell_id}", {})[name] = {
                 "mae_mah": e.mae_mah, "rmse_mah": e.rmse_mah, "r2": e.r2}
     path = os.path.join(outdir, "summary.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -532,11 +528,6 @@ def write_report(out_dir, name, report) -> str:
     return path
 
 
-def _require_stages(config: PipelineConfig) -> None:
-    if not config.stages:
-        raise PipelineError("stages is empty: a study needs at least one stage")
-
-
 PATHS = ("eisgan", "baseline")
 
 
@@ -547,7 +538,8 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     nothing; returns the reports and artifacts keyed as `run_all` does. Empty
     `stages`, a `perturb.cell` a stage lacks, or a train or test curve without
     a capacity record is refused before training."""
-    _require_stages(config)
+    if not config.stages:
+        raise PipelineError("stages is empty: a study needs at least one stage")
     targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}
     capacities = {s: [_capacities(dataset, s, cells) for cells in stage_partition(dataset, s)]
                   for s in config.stages}
@@ -576,28 +568,27 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     return results
 
 
-def run_all(config: PipelineConfig) -> dict:
-    """Execute the full study; writes reports and plot data to config.out_dir."""
-    _require_stages(config)
-    write_report(config.out_dir, "resolved_config.json", config)
-
+def run_all(config: PipelineConfig, paths=PATHS) -> dict:
+    """Run the study over `paths`, then write every file of those paths to
+    config.out_dir: the resolved config (and, for synth input, the data
+    CSVs), one eval report per path, the perturbation report, plot data,
+    the summary and the eisgan checkpoints. A config refused for its data
+    writes nothing."""
     dataset = load_dataset(config)
-    check_plot_cycles(dataset, config)
+    if "eisgan" in paths:
+        check_plot_cycles(dataset, config)
+    results = run_study(dataset, config, paths)
+
+    out = config.out_dir
+    write_report(out, "resolved_config.json", config)
     if config.synth is not None:
-        eisdata.save_eis_csv(os.path.join(config.out_dir, "eis.csv"), dataset.curves)
-        eisdata.save_capacity_csv(os.path.join(config.out_dir, "capacity.csv"),
-                                  dataset.capacities)
-
-    results = run_study(dataset, config)
-
-    for name in PATHS:
-        write_report(config.out_dir, f"evalreport_{name}.json", results[f"{name}_report"])
-    write_report(config.out_dir, "perturbreport.json", results["perturb_report"])
-    emit_plot_data(config.out_dir, dataset, config, results["eisgan_report"],
-                   results["baseline_report"], results["perturb_report"],
-                   results["eisgan_artifacts"])
-    write_summary(config.out_dir, results["eisgan_report"], results["baseline_report"])
-    for stage, art in results["eisgan_artifacts"].items():
-        eisgan.save_checkpoint(os.path.join(config.out_dir, f"gan_stage{stage}.npz"),
-                               art.nets, art.stats)
+        eisdata.save_eis_csv(os.path.join(out, "eis.csv"), dataset.curves)
+        eisdata.save_capacity_csv(os.path.join(out, "capacity.csv"), dataset.capacities)
+    for name in paths:
+        write_report(out, f"evalreport_{name}.json", results[f"{name}_report"])
+    write_report(out, "perturbreport.json", results["perturb_report"])
+    emit_plot_data(out, dataset, results, paths)
+    write_summary(out, results, paths)
+    for stage, art in results.get("eisgan_artifacts", {}).items():
+        eisgan.save_checkpoint(os.path.join(out, f"gan_stage{stage}.npz"), art.nets, art.stats)
     return results

@@ -441,6 +441,30 @@ def test_model_json_round_trip():
     assert np.array_equal(v1, v2)
 
 
+def _model_json(**changes):
+    """A valid one-point model file with `changes` applied."""
+    blob = {"format": "gpr-model-v1", "hyperparams": [0.1, 1.0, 1.0], "y_mean": 0.0,
+            "y_scale": 1.0, "inputs": [[0.0]], "targets": [0.0]}
+    return json.dumps({**blob, **changes})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_model_json(format="gpr-model-v0"), "unknown model format 'gpr-model-v0'"),
+    ('{"format": "gpr-model-v1"}', "bad model file: KeyError"),
+    (_model_json(hyperparams=[0.1, 1.0]), "bad model file: TypeError"),
+    (_model_json(y_mean="x"), "bad model file: ValueError"),
+    (_model_json(inputs=[[0.0], [0.0, 1.0]], targets=[0.0, 1.0]),
+     "bad model file: ValueError"),
+    ("not json", "unreadable model file"),
+    ("[1]", "unknown model format None"),
+], ids=["unknown format", "no hyperparams", "two hyperparams", "text y_mean",
+        "ragged inputs", "not json", "not an object"])
+def test_model_json_refuses_malformed_files(text, message):
+    GprModel.from_json(_model_json())
+    with pytest.raises(GprError, match=message):
+        GprModel.from_json(text)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 40), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
        sigma_n=st.floats(0.1, 1.0), sigma_f=st.floats(0.5, 2.0),

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -234,13 +235,23 @@ def tiny_run(tmp_path_factory):
     return cfg, results
 
 
+def study_files(paths, cell):
+    """Every file a study over `paths` writes on tiny_config (stage 5, one test cell)."""
+    files = {"resolved_config.json", "eis.csv", "capacity.csv", "perturbreport.json",
+             "perturb_box.csv", "summary.json"}
+    for name in paths:
+        files |= {f"evalreport_{name}.json", f"scatter_{name}.csv",
+                  f"band_{name}_stage5_{cell}.csv"}
+    if "eisgan" in paths:
+        files |= {"gan_stage5.npz", f"nyquist_stage5_{cell}.csv", "sweep_stage5_c1.csv",
+                  "sweep_stage5_c2.csv", f"latents_stage5_{cell}.csv"}
+    return files
+
+
 def test_run_all_writes_reports(tiny_run):
-    cfg, _ = tiny_run
-    for name in ("resolved_config.json", "eis.csv", "capacity.csv",
-                 "evalreport_eisgan.json", "evalreport_baseline.json",
-                 "perturbreport.json", "summary.json", "gan_stage5.npz",
-                 "perturb_box.csv", "scatter_eisgan.csv", "scatter_baseline.csv"):
-        assert os.path.exists(os.path.join(cfg.out_dir, name)), name
+    cfg, results = tiny_run
+    assert set(os.listdir(cfg.out_dir)) == study_files(pipeline.PATHS,
+                                                       results["dataset"].test_cells[0])
 
 
 def test_run_all_reports_cover_test_cells(tiny_run):
@@ -342,24 +353,32 @@ def no_training(monkeypatch):
     monkeypatch.setattr(eisgan, "train", train)
 
 
+def assert_wrote_nothing(out_dir):
+    assert not os.path.exists(out_dir) or os.listdir(out_dir) == []
+
+
+#: the commands that run `pipeline.run_all`, each over its own paths
+STUDY_COMMANDS = ("run-all", "evaluate", "baseline", "perturb")
+
+
 def test_run_all_rejects_absent_perturb_cell_before_training(tmp_path, no_training):
     cfg = tiny_config(tmp_path / "out", perturb=PerturbSettings(
         sigmas=(0.003,), n_samples=5, cell="SYN09", cycle=3))
     with pytest.raises(PipelineError, match="stage 5: no curves for cell SYN09"):
         pipeline.run_all(cfg)
-    written = os.listdir(cfg.out_dir)
-    assert not [f for f in written if f.startswith("evalreport_")]
-    assert not [f for f in written if f.startswith("gan_stage")]
+    assert_wrote_nothing(cfg.out_dir)
 
 
-def test_cli_perturb_rejects_absent_cell_before_training(tmp_path, capsys, no_training):
+@pytest.mark.parametrize("command", STUDY_COMMANDS)
+def test_cli_perturb_rejects_absent_cell_before_training(tmp_path, capsys, no_training,
+                                                         command):
     cfg, path = cli_config_file(tmp_path, perturb=PerturbSettings(
         sigmas=(0.003,), n_samples=5, cell="SYN09", cycle=3))
-    assert cli.main(["perturb", "--config", path]) == 1
+    assert cli.main([command, "--config", path]) == 1
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob == {"error": "PipelineError",
                     "message": "stage 5: no curves for cell SYN09"}
-    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
+    assert_wrote_nothing(cfg.out_dir)
 
 
 def test_run_all_rejects_too_few_cycles_before_training(tmp_path, no_training):
@@ -367,9 +386,7 @@ def test_run_all_rejects_too_few_cycles_before_training(tmp_path, no_training):
                       synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
     with pytest.raises(PipelineError, match="at least 3"):
         pipeline.run_all(cfg)
-    written = os.listdir(cfg.out_dir)
-    assert not [f for f in written if f.startswith("evalreport_")]
-    assert not [f for f in written if f.startswith("gan_stage")]
+    assert_wrote_nothing(cfg.out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -538,27 +555,42 @@ def test_cli_fit_gpr_on_synth_config_draws_no_curves(fitted_chain, monkeypatch, 
     assert _read_bytes(model_path) == expected
 
 
-def _cli_writes_the_run_all_file(tiny_run, tmp_path, command, name):
-    """`command` on tiny_run's config writes the same `name` as its run-all."""
-    run_cfg, _ = tiny_run
+def _cli_writes_the_run_all_file(tiny_run, tmp_path, capsys, command, paths):
+    """`command` on tiny_run's config writes every file of `paths`, each one
+    as its run-all does, bar the three that hold every path of the study, and
+    prints the metrics and perturbation entries of those paths."""
+    run_cfg, results = tiny_run
     cfg, path = cli_config_file(tmp_path)
     assert dataclasses.replace(cfg, out_dir=run_cfg.out_dir) == run_cfg
     assert cli.main([command, "--config", path]) == 0
-    assert _read_bytes(os.path.join(cfg.out_dir, name)) == \
-        _read_bytes(os.path.join(run_cfg.out_dir, name))
+    files = study_files(paths, results["dataset"].test_cells[0])
+    assert set(os.listdir(cfg.out_dir)) == files
+    same = files - {"resolved_config.json"}
+    if paths != pipeline.PATHS:
+        same -= {"perturbreport.json", "perturb_box.csv", "summary.json"}
+    for name in same:
+        assert _read_bytes(os.path.join(cfg.out_dir, name)) == \
+            _read_bytes(os.path.join(run_cfg.out_dir, name)), name
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(" stage")[0] for ln in lines[:-1]] == \
+        list(paths) + [e.path_name for e in results["perturb_report"].entries
+                       if e.path_name in paths]
+    assert lines[-1] == f"reports written to {cfg.out_dir}"
 
 
-def test_cli_baseline_writes_the_run_all_baseline_report(tiny_run, tmp_path, no_training):
+def test_cli_baseline_writes_the_run_all_baseline_report(tiny_run, tmp_path, capsys,
+                                                         no_training):
     # no_training: the baseline path trains no GAN
-    _cli_writes_the_run_all_file(tiny_run, tmp_path, "baseline", "evalreport_baseline.json")
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, capsys, "baseline", ("baseline",))
 
 
-def test_cli_evaluate_writes_the_run_all_eisgan_report(tiny_run, tmp_path):
-    _cli_writes_the_run_all_file(tiny_run, tmp_path, "evaluate", "evalreport_eisgan.json")
+def test_cli_evaluate_writes_the_run_all_eisgan_report(tiny_run, tmp_path, capsys):
+    # gan_stage5.npz among them, so `sweep` can follow `evaluate`
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, capsys, "evaluate", ("eisgan",))
 
 
-def test_cli_perturb_writes_the_run_all_perturbation_report(tiny_run, tmp_path):
-    _cli_writes_the_run_all_file(tiny_run, tmp_path, "perturb", "perturbreport.json")
+def test_cli_perturb_writes_the_run_all_perturbation_report(tiny_run, tmp_path, capsys):
+    _cli_writes_the_run_all_file(tiny_run, tmp_path, capsys, "perturb", pipeline.PATHS)
 
 
 def test_run_study_keeps_the_config_order_of_stages_paths_and_sigmas(tmp_path):
@@ -626,6 +658,40 @@ def test_cli_fit_gpr_names_a_missing_capacity_record(tmp_path, capsys):
     assert "no capacity record for latent row(s) [('SYN02', 4)]" in blob["message"]
 
 
+def test_cli_train_gan_and_extract_read_no_capacity_csv(tmp_path, capsys):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    latents = []
+    for name in ("with", "without"):
+        os.mkdir(tmp_path / name)
+        cfg, path = csv_config_file(tmp_path / name, ds, ds.curves, ds.capacities)
+        if name == "without":
+            os.remove(cfg.capacity_csv)
+        for command in ("train-gan", "extract"):
+            assert cli.main([command, "--config", path]) == 0, (name, command)
+        latents.append(_read_bytes(os.path.join(cfg.out_dir, "latents_stage5.csv")))
+    capsys.readouterr()
+    assert latents[1] == latents[0]
+
+
+LATENTS = "cell_id,stage,cycle,c1,c2\nA,5,0,0.1,0.2\nA,5,2,0.3,0.4\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LATENTS.replace("cell_id", "cell"), ": header must be cell_id,stage,cycle,c1..ck"),
+    (LATENTS.replace("c1,c2", "c1,c3"), ": header must be cell_id,stage,cycle,c1..ck"),
+    ("", ": header must be cell_id,stage,cycle,c1..ck"),
+    (LATENTS + "A,5,1,0.1\n", " row 4: expected 5 fields, got 4"),
+    (LATENTS.replace("A,5,2", "A,5,x"), " row 3: invalid literal for int()"),
+    (LATENTS.replace("0.4", "0.4a"), " row 3: could not convert string to float"),
+], ids=["wrong header", "wrong code name", "empty", "short row", "non-numeric cycle",
+        "non-numeric code"])
+def test_read_latents_refuses_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "latents.csv"
+    path.write_text(text)
+    with pytest.raises(PipelineError, match=re.escape(f"{path}{message}")):
+        cli._read_latents(str(path))
+
+
 def test_cli_chain_estimates_cells_without_capacity_records(tmp_path, capsys):
     # train-gan and extract read no capacities, and fit-gpr only the training
     # cells', so the chain predicts the same on train-only capacities
@@ -655,9 +721,31 @@ def test_run_all_refuses_a_missing_test_capacity_before_training(tmp_path, no_tr
         [r for r in ds.capacities if r.cell_id != "SYN04"], stages=(5, 3))
     with pytest.raises(eisdata.DataError, match=r"no capacity record for \('SYN04', 0\)"):
         pipeline.run_all(cfg)
-    written = os.listdir(cfg.out_dir)
-    assert not [f for f in written if f.startswith("evalreport_")]
-    assert not [f for f in written if f.startswith("gan_stage")]
+    assert_wrote_nothing(cfg.out_dir)
+
+
+@pytest.mark.parametrize("command", ["run-all", "perturb"])
+def test_cli_study_commands_refuse_too_few_cycles_before_writing(tmp_path, capsys,
+                                                                 no_training, command):
+    cfg, path = cli_config_file(
+        tmp_path, synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
+    assert cli.main([command, "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob["error"] == "PipelineError"
+    assert "at least 3" in blob["message"]
+    assert_wrote_nothing(cfg.out_dir)
+
+
+@pytest.mark.parametrize("command", STUDY_COMMANDS)
+def test_cli_study_commands_refuse_a_missing_test_capacity_before_writing(
+        tmp_path, capsys, no_training, command):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves,
+                                [r for r in ds.capacities if r.cell_id in ds.train_cells])
+    assert cli.main([command, "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "DataError", "message": "no capacity record for ('SYN03', 0)"}
+    assert_wrote_nothing(cfg.out_dir)
 
 
 def test_write_report_creates_the_directory_and_writes_to_json(tmp_path):
@@ -739,7 +827,7 @@ def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, sec
     assert json.loads(lines[0])["error"] == error
     assert key in json.loads(lines[0])["message"]
     assert captured.out == ""
-    assert not os.path.exists(cfg.out_dir) or os.listdir(cfg.out_dir) == []
+    assert_wrote_nothing(cfg.out_dir)
 
 
 @pytest.mark.parametrize("section", ["gan", "gpr", "perturb", "synth"])
@@ -748,13 +836,15 @@ def test_config_section_must_be_an_object(section):
         PipelineConfig.from_dict({"synth": {}, section: [1, 2]})
 
 
-def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys):
-    _, path = cli_config_file(
+def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys, no_training):
+    # run-all and perturb: test_cli_study_commands_refuse_too_few_cycles_before_writing
+    cfg, path = cli_config_file(
         tmp_path, synth=SynthSettings(n_train_cells=2, n_test_cells=1, n_cycles=2))
     assert cli.main(["evaluate", "--config", path]) == 1
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob["error"] == "PipelineError"
     assert "at least 3" in blob["message"]
+    assert_wrote_nothing(cfg.out_dir)
 
 
 def test_cli_seed_override_changes_synth(tmp_path):
