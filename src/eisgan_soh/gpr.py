@@ -8,18 +8,20 @@ zero-mean prior applies; predictions are denormalized on the way out.
 The pairwise squared distances of the training inputs do not depend on the
 hyperparameters, so `fit` computes them once and every restart, every
 line-search trial and the final model work from that one matrix. Trials
-evaluate the likelihood value only; the gradient, which needs a full
-(K + sigma_n^2 I)^-1, is computed at each start point and accepted step.
+evaluate the likelihood value only, one Cholesky factorisation and one solve
+through LAPACK `dpotrf`/`dpotrs`. The gradient, computed at each start point
+and accepted step, takes the triangle of (K + sigma_n^2 I)^-1 that `dpotri`
+forms from the same factor and needs three traces of it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 LOG2PI = float(np.log(2 * np.pi))
 
@@ -38,8 +40,9 @@ class Hyperparams:
     length_scale: float
 
     def __post_init__(self):
-        if min(self.sigma_n, self.sigma_f, self.length_scale) <= 0:
-            raise GprError(f"hyperparameters must be positive: {self}")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.sigma_n, self.sigma_f, self.length_scale)):
+            raise GprError(f"hyperparameters must be finite and positive: {self}")
 
     @staticmethod
     def from_log(theta) -> "Hyperparams":
@@ -57,17 +60,27 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hp: Hyperparams) -> np.ndarray:
 
 
 def _chol_with_jitter(gram: np.ndarray):
-    """Lower Cholesky factor of gram, adding the first jitter that works.
+    """Lower Cholesky factor of gram, in place, adding the first jitter that works.
 
+    `dpotrf` factors the F-ordered transpose of the symmetric C-ordered gram, so
+    it runs with no copy and writes only gram's upper triangle and diagonal; the
+    strict lower triangle keeps the gram for the next rung of the ladder. The
+    factor is that transpose, its lower triangle the one `cho_factor` gives.
     Callers pass a gram built from inputs `_training_arrays` checked finite,
     so LAPACK gets it without another finiteness scan.
     """
+    n = len(gram)
+    diag = gram.diagonal().copy()
     for jitter in JITTERS:
-        try:
-            jittered = gram + jitter * np.eye(len(gram)) if jitter else gram
-            return cho_factor(jittered, lower=True, check_finite=False), jitter
-        except LinAlgError:
-            continue
+        if jitter:
+            upper = np.triu_indices(n, 1)
+            gram[upper] = gram.T[upper]
+            gram.flat[:: n + 1] = diag + jitter
+        chol, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return chol, jitter
+        if info < 0:
+            raise GprError(f"Cholesky factorization failed: LAPACK dpotrf info={info}")
     raise GprError("Cholesky factorization failed even with maximal jitter")
 
 
@@ -86,31 +99,49 @@ def _training_arrays(inputs, targets):
 def _lml(d2, y, hp: Hyperparams):
     """L at hp from the training set's squared distances d2, via Cholesky.
 
-    Returns (L, factor); factor = (k_f, chol, lower, alpha) feeds `_lml_grad`
-    and `GprModel`. No inverse is formed, so a value-only evaluation costs
-    one factorisation and one solve.
+    Returns (L, factor); factor = (k_f, chol, alpha) feeds `_lml_grad` and
+    `GprModel`. No inverse is formed, so a value-only evaluation costs one
+    factorisation and one solve.
     """
+    n = len(y)
     k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
-    gram = k_f + hp.sigma_n ** 2 * np.eye(len(y))
-    (chol, lower), _ = _chol_with_jitter(gram)
-    alpha = cho_solve((chol, lower), y, check_finite=False)
+    gram = k_f.copy()
+    gram.flat[:: n + 1] += hp.sigma_n ** 2
+    chol, _ = _chol_with_jitter(gram)
+    alpha, info = dpotrs(chol, y, lower=1)
+    if info != 0:
+        raise GprError(f"Cholesky solve failed: LAPACK dpotrs info={info}")
     lml = (-float(np.sum(np.log(np.diag(chol))))
            - 0.5 * float(y @ alpha)
-           - 0.5 * len(y) * LOG2PI)
-    return lml, (k_f, chol, lower, alpha)
+           - 0.5 * n * LOG2PI)
+    return lml, (k_f, chol, alpha)
 
 
 def _lml_grad(d2, hp: Hyperparams, factor) -> np.ndarray:
-    """dL/dlog[sigma_n, sigma_f, l] from the factor `_lml` returned for hp."""
-    k_f, chol, lower, alpha = factor
+    """dL/dlog[sigma_n, sigma_f, l] from the factor `_lml` returned for hp.
+
+    GPML eq. 5.9, dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta), with
+    dK/dlog sigma_n = 2 sigma_n^2 I, dK/dlog sigma_f = 2 K_f and
+    dK/dlog l = K_f * d2 / l^2. `dpotri` gives the lower triangle of K^-1, so
+    each <K^-1, M> of a symmetric M is one dot product with that triangle
+    weighted 2 below the diagonal and 1 on it.
+    """
+    k_f, chol, alpha = factor
     n = len(alpha)
-    # dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta), theta in log-space
-    k_inv = cho_solve((chol, lower), np.eye(n), check_finite=False)
-    inner = np.outer(alpha, alpha) - k_inv
-    dk_sn = 2 * hp.sigma_n ** 2 * np.eye(n)
-    dk_sf = 2 * k_f
-    dk_ls = k_f * d2 / hp.length_scale ** 2
-    return np.array([0.5 * float(np.sum(inner * dk)) for dk in (dk_sn, dk_sf, dk_ls)])
+    k_inv, info = dpotri(chol, lower=1)
+    if info != 0:
+        raise GprError(f"Cholesky inverse failed: LAPACK dpotri info={info}")
+    # k_inv is F-ordered; its transpose holds the triangle C-ordered, as k_f is
+    tri = np.triu(k_inv.T, 1)
+    tri *= 2.0
+    tri.flat[:: n + 1] = k_inv.diagonal()
+    k_fd = k_f * d2
+    return np.array([
+        hp.sigma_n ** 2 * (float(alpha @ alpha) - float(np.trace(k_inv))),
+        float(alpha @ (k_f @ alpha)) - float(np.vdot(tri, k_f)),
+        0.5 * (float(alpha @ (k_fd @ alpha)) - float(np.vdot(tri, k_fd)))
+        / hp.length_scale ** 2,
+    ])
 
 
 def log_marginal_likelihood(inputs, targets, hp: Hyperparams):
@@ -143,7 +174,7 @@ class GprModel:
               d2: np.ndarray | None = None) -> "GprModel":
         """Factorise once; `d2` may carry the inputs' squared distances."""
         c, y = _training_arrays(inputs, targets)
-        lml, (_, chol, _, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
+        lml, (_, chol, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
         return GprModel(inputs=c, targets=y, hp=hp, y_mean=y_mean, y_scale=y_scale,
                         _chol=chol, _alpha=alpha, lml=lml)
 
@@ -203,8 +234,12 @@ class GprModel:
             raise GprError(f"unknown model format {fmt!r}")
         try:
             hp = Hyperparams(*obj["hyperparams"])
+            y_mean, y_scale = float(obj["y_mean"]), float(obj["y_scale"])
+            if not (math.isfinite(y_mean) and math.isfinite(y_scale) and y_scale > 0):
+                raise ValueError(f"y_mean {y_mean} must be finite and "
+                                 f"y_scale {y_scale} finite and positive")
             return GprModel.build(np.array(obj["inputs"]), np.array(obj["targets"]),
-                                  hp, float(obj["y_mean"]), float(obj["y_scale"]))
+                                  hp, y_mean, y_scale)
         except (KeyError, TypeError, ValueError) as exc:
             raise GprError(f"bad model file: {exc!r}") from None
 

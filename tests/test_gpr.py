@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from eisgan_soh import gpr
 from eisgan_soh.gpr import GprError, GprModel, Hyperparams
@@ -57,6 +57,15 @@ def test_hyperparams_must_be_positive():
         Hyperparams(-0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", range(3))
+def test_hyperparams_must_be_finite(bad, where):
+    values = [0.1, 1.0, 1.0]
+    values[where] = bad
+    with pytest.raises(GprError, match="must be finite and positive"):
+        Hyperparams(*values)
+
+
 # ---------------------------------------------------------------------------
 # log marginal likelihood
 # ---------------------------------------------------------------------------
@@ -93,8 +102,8 @@ def test_lml_invariant_to_row_order():
 
 def test_lml_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(2, 21))
+
+    def check(n):
         d = int(rng.choice([1, 3, 9]))
         c = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
@@ -110,9 +119,13 @@ def test_lml_gradient_matches_finite_differences():
             fd = (lp - lm) / (2 * h)
             assert abs(fd - grad[j]) < 1e-5 * max(abs(fd), abs(grad[j])) + 1e-8
 
+    for _ in range(25):
+        check(int(rng.integers(2, 21)))
+    check(80)  # the training-set size of the benchmark's study
 
-def _random_problem(rng, d, duplicate=False):
-    n = int(rng.integers(2, 41))
+
+def _random_problem(rng, d, duplicate=False, n=None):
+    n = int(rng.integers(2, 41)) if n is None else n
     c = rng.standard_normal((n, d))
     if duplicate:
         c[n // 2:] = c[:n - n // 2]
@@ -141,6 +154,80 @@ def test_value_only_lml_exact_on_jitter_ladder(d):
     _, jitter = gpr._chol_with_jitter(gram)
     assert jitter > 0  # duplicated rows make K + sigma_n^2 I singular
     assert gpr._lml(gpr._sqdist(c, c), y, hp)[0] == gpr.log_marginal_likelihood(c, y, hp)[0]
+
+
+def cho_factor_lml(d2, y, hp):
+    """The value path through `cho_factor`/`cho_solve`: (L, alpha, factor, jitter)."""
+    n = len(y)
+    k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
+    gram = k_f + hp.sigma_n ** 2 * np.eye(n)
+    for jitter in gpr.JITTERS:
+        try:
+            jittered = gram + jitter * np.eye(n) if jitter else gram
+            chol, lower = cho_factor(jittered, lower=True, check_finite=False)
+            break
+        except LinAlgError:
+            continue
+    else:
+        raise AssertionError("no jitter factorises the gram")
+    alpha = cho_solve((chol, lower), y, check_finite=False)
+    lml = (-float(np.sum(np.log(np.diag(chol))))
+           - 0.5 * float(y @ alpha)
+           - 0.5 * n * gpr.LOG2PI)
+    return lml, alpha, chol, jitter
+
+
+def dense_lml_grad(d2, hp, factor):
+    """GPML eq. 5.9 with a dense K^-1 from `cho_solve(eye)`, and the size of its terms.
+
+    The size is the same sum taken over absolute values: two summation orders
+    of the gradient agree to rounding of that size, not of the gradient's own.
+    """
+    k_f, chol, alpha = factor
+    n = len(alpha)
+    k_inv = cho_solve((chol, True), np.eye(n), check_finite=False)
+    dks = (2 * hp.sigma_n ** 2 * np.eye(n), 2 * k_f, k_f * d2 / hp.length_scale ** 2)
+    inner = np.outer(alpha, alpha) - k_inv
+    size = np.outer(np.abs(alpha), np.abs(alpha)) + np.abs(k_inv)
+    return (np.array([0.5 * np.sum(inner * dk) for dk in dks]),
+            np.array([0.5 * np.sum(size * np.abs(dk)) for dk in dks]))
+
+
+def _plain_and_jittered(rng, d, n):
+    """A random problem on n rows, then one with duplicated rows and a noise
+    level so small that the gram needs the jitter ladder; each with that flag."""
+    yield *_random_problem(rng, d, n=n), False
+    c, y, _ = _random_problem(rng, d, duplicate=True, n=n)
+    yield c, y, Hyperparams(1e-9, 1.0, 2.0), True
+
+
+@pytest.mark.parametrize("n", [2, 40, 480])
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_lml_value_path_equals_cho_factor_form_exactly(d, n):
+    # dpotrf/dpotrs are the routines cho_factor/cho_solve call: the same bits
+    rng = np.random.default_rng(80 + d + n)
+    for c, y, hp, jittered in _plain_and_jittered(rng, d, n):
+        d2 = gpr._sqdist(c, c)
+        lml, (_, chol, alpha) = gpr._lml(d2, y, hp)
+        ref_lml, ref_alpha, ref_chol, jitter = cho_factor_lml(d2, y, hp)
+        assert (jitter > 0) == jittered
+        assert lml == ref_lml
+        assert np.array_equal(alpha, ref_alpha)
+        assert np.array_equal(np.tril(chol), np.tril(ref_chol))
+
+
+@pytest.mark.parametrize("n", [2, 40, 80, 480])
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_lml_gradient_matches_dense_inverse_form(d, n):
+    rng = np.random.default_rng(90 + d + n)
+    for c, y, hp, jittered in _plain_and_jittered(rng, d, n):
+        d2 = gpr._sqdist(c, c)
+        _, factor = gpr._lml(d2, y, hp)
+        grad = gpr._lml_grad(d2, hp, factor)
+        ref, size = dense_lml_grad(d2, hp, factor)
+        assert np.all(np.abs(grad - ref) <= 1e-10 * size)
+        if not jittered:
+            assert np.abs(grad - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +508,8 @@ def test_jitter_free_cholesky_forms_no_identity(monkeypatch):
     eyes = []
     real_eye = np.eye
     monkeypatch.setattr(gpr.np, "eye", lambda *a, **k: eyes.append(a) or real_eye(*a, **k))
-    (chol, lower), jitter = gpr._chol_with_jitter(gram)
-    assert (jitter, eyes, lower) == (0.0, [], True)
+    chol, jitter = gpr._chol_with_jitter(gram)
+    assert (jitter, eyes) == (0.0, [])
     assert np.array_equal(np.tril(chol), np.tril(ref[0]))
 
 
@@ -457,8 +544,18 @@ def _model_json(**changes):
      "bad model file: ValueError"),
     ("not json", "unreadable model file"),
     ("[1]", "unknown model format None"),
+    (_model_json(hyperparams=[0.1, float("nan"), 1.0]), "must be finite and positive"),
+    (_model_json(hyperparams=[0.1, 1.0, float("inf")]), "must be finite and positive"),
+    (_model_json(y_mean=float("nan")), "bad model file: ValueError.*y_mean nan"),
+    (_model_json(y_mean=float("-inf")), "bad model file: ValueError.*y_mean -inf"),
+    (_model_json(y_scale=float("nan")), "bad model file: ValueError.*y_scale nan"),
+    (_model_json(y_scale=float("inf")), "bad model file: ValueError.*y_scale inf"),
+    (_model_json(y_scale=0.0), "bad model file: ValueError.*y_scale 0.0"),
+    (_model_json(y_scale=-1.0), "bad model file: ValueError.*y_scale -1.0"),
 ], ids=["unknown format", "no hyperparams", "two hyperparams", "text y_mean",
-        "ragged inputs", "not json", "not an object"])
+        "ragged inputs", "not json", "not an object", "NaN sigma_f", "inf length scale",
+        "NaN y_mean", "-inf y_mean", "NaN y_scale", "inf y_scale", "zero y_scale",
+        "negative y_scale"])
 def test_model_json_refuses_malformed_files(text, message):
     GprModel.from_json(_model_json())
     with pytest.raises(GprError, match=message):
