@@ -62,6 +62,15 @@ class EisCurve:
         return len(self.freq_hz)
 
 
+def _bare_curve(cell_id, stage, cycle, freq_hz, re_z_ohm, im_z_ohm) -> EisCurve:
+    """An `EisCurve` holding these fields as given, float64 arrays, with none
+    of its checks run: for callers that have made them already."""
+    new = object.__new__(EisCurve)
+    new.__dict__.update(cell_id=cell_id, stage=stage, cycle=cycle, freq_hz=freq_hz,
+                        re_z_ohm=re_z_ohm, im_z_ohm=im_z_ohm)
+    return new
+
+
 #: the measurement stages taken under direct current: 2 start charging, 3 after
 #: 20-min charging, 6 start discharging, 7 after 10-min discharging (of nine, 1..9)
 DC_STAGES = frozenset({2, 3, 6, 7})
@@ -232,8 +241,18 @@ def _group_rows(rows) -> list[EisCurve]:
     # curves before the first faulty group are built first: their own checks come first
     stop = faulty[0] if len(faulty) else len(starts)
     re_z, im_z = rows["re_z_ohm"][order], rows["im_z_ohm"][order]
-    curves = [EisCurve(*key(a), freq[a:b], re_z[a:b], im_z[a:b])
-              for a, b in zip(starts[:stop], ends[:stop])]
+    # `EisCurve`'s own checks per group in one pass; point order and lengths
+    # hold already. A group that fails one is built through `EisCurve`, which
+    # raises its message, and every other group is built unchecked
+    head = starts[:stop]
+    bad_point = (freq <= 0) | ~np.isfinite(freq) | ~np.isfinite(re_z) | ~np.isfinite(im_z)
+    own = ((stage[head] < 1) | (stage[head] > 9) | (cycle[head] < 0)
+           | np.logical_or.reduceat(bad_point, starts)[:stop])
+    curves = [(EisCurve if bad else _bare_curve)(cells[c], st, cy, freq[a:b], re_z[a:b],
+                                                 im_z[a:b])
+              for c, st, cy, a, b, bad in zip(
+                  codes[head].tolist(), stage[head].tolist(), cycle[head].tolist(),
+                  head.tolist(), ends[:stop].tolist(), own.tolist())]
     if len(faulty):
         a, b = starts[stop], ends[stop]
         if gap[stop]:
@@ -363,9 +382,7 @@ def _with_channels(curve: EisCurve, re_z: np.ndarray, im_z: np.ndarray) -> EisCu
     for name, values in (("re_z_ohm", re_z), ("im_z_ohm", im_z)):
         if not np.isfinite(values).all():
             raise DataError(f"curve {curve.key()} has non-finite {name}")
-    new = object.__new__(EisCurve)
-    new.__dict__.update(curve.__dict__, re_z_ohm=re_z, im_z_ohm=im_z)
-    return new
+    return _bare_curve(curve.cell_id, curve.stage, curve.cycle, curve.freq_hz, re_z, im_z)
 
 
 def normalize(curves, stats: NormStats):

@@ -249,7 +249,17 @@ def generate(nets: Networks, code: LatentCode) -> np.ndarray:
             f"code dims {code.c.shape}/{code.z.shape} do not match config "
             f"({cfg.latent_dim}/{cfg.noise_dim})")
     inp = ng.Tensor(np.concatenate([code.c, code.z])[None])
-    return _forward_g(nets, inp).data[0]
+    return _finite_rows(_forward_g(nets, inp).data, "generated curve")[0]
+
+
+def _finite_rows(out: np.ndarray, what: str) -> np.ndarray:
+    """`out`, a batch of curves or codes, if it is all finite; otherwise a
+    GanError naming its first row holding NaN or +-inf. ndgrad's ops record
+    their outputs unchecked, so a pass that overflows is caught here."""
+    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+    if not finite.all():
+        raise GanError(f"{what} {int(np.argmin(finite))} is non-finite")
+    return out
 
 
 def _curve_tensor(batch: np.ndarray, what: str) -> ng.Tensor:
@@ -277,7 +287,8 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
                        f"{cfg.length}) nor (N, {cfg.channels}, {cfg.length})")
     single = arr.ndim == 2
     batch = _curve_tensor(arr[None] if single else arr, "curve")
-    codes = _q_mean(nets, _forward_trunk(nets, batch)).data
+    codes = _finite_rows(_q_mean(nets, _forward_trunk(nets, batch)).data,
+                         "latent code of curve")
     return codes[0] if single else codes
 
 
@@ -292,7 +303,7 @@ def latent_sweep(nets: Networks, dim_index: int, grid=None) -> np.ndarray:
         raise GanError("sweep grid must be a finite 1-D sequence")
     codes = np.zeros((len(grid), cfg.latent_dim + cfg.noise_dim))
     codes[:, dim_index] = grid
-    return _forward_g(nets, ng.Tensor(codes)).data
+    return _finite_rows(_forward_g(nets, ng.Tensor(codes)).data, "sweep curve")
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +490,24 @@ def save_checkpoint(path, nets: Networks, stats: NormStats) -> None:
 
 
 def load_checkpoint(path) -> tuple[Networks, NormStats]:
-    """Inverse of `save_checkpoint`; any malformed content raises GanError."""
-    with np.load(path) as blob:
+    """Inverse of `save_checkpoint`; any malformed content raises GanError.
+
+    A path that cannot be opened keeps its OSError. A file that is no npz
+    archive is refused whatever np.load raises for it (ValueError for text or
+    pickled data, zipfile.BadZipFile for a truncated archive, EOFError for an
+    empty file) or when it loads as a bare array.
+    """
+    try:
+        blob = np.load(path)
+    except OSError:
+        raise
+    except Exception as exc:
+        raise GanError(f"unreadable checkpoint {path}: not an npz archive "
+                       f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise GanError(f"unreadable checkpoint {path}: not an npz archive "
+                       f"(a bare {type(blob).__name__})")
+    with blob:
         try:
             header = json.loads(bytes(blob["header"]).decode())
         except (KeyError, UnicodeDecodeError, json.JSONDecodeError) as exc:

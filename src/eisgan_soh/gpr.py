@@ -50,9 +50,26 @@ class Hyperparams:
         return Hyperparams(float(sn), float(sf), float(ls))
 
 
+#: elements of the (rows, len(b), d) difference block `_sqdist` forms at a time
+SQDIST_BLOCK = 2 ** 15
+
+
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.sum(d * d, axis=2)
+    """Pairwise squared Euclidean distances, (len(a), len(b)).
+
+    Each element is the sum over d of the squared differences, as the full
+    (len(a), len(b), d) broadcast sums it, but the broadcast is formed for a
+    block of rows of `a` at a time, of at most SQDIST_BLOCK elements (one row
+    when a single row exceeds it), so the temporaries stay small.
+    """
+    n, m = len(a), len(b)
+    out = np.empty((n, m))
+    rows = max(1, SQDIST_BLOCK // max(1, m * a.shape[1]))
+    for i in range(0, n, rows):
+        d = a[i:i + rows, None, :] - b[None]
+        d *= d
+        np.sum(d, axis=2, out=out[i:i + rows])
+    return out
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hp: Hyperparams) -> np.ndarray:

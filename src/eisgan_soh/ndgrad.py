@@ -9,6 +9,13 @@ upsample and activation ops act on the last axis of such batches.
 Every op records onto the active Tape; replaying a tape with identical
 inputs is bit-for-bit deterministic.
 
+Finiteness is checked at the boundaries, not per op: `Tensor(...)` refuses
+NaN or +-inf in the arrays it wraps (inputs, codes, parameters), while op
+outputs are recorded unchecked. A non-finite value that arises inside a
+pass is caught where the pass ends: training checks its losses and
+`AdamP.step` its gradients, and `eisgan.extract_latents`, `latent_sweep`
+and `generate` check their outputs.
+
 Each recorded node holds `backward_fn(g, need)`: `g` is dLoss/dOutput and
 `need` is a tuple of booleans, one per parent, that is True where the
 parent leads to a parameter `backward` was asked for. It returns one
@@ -80,10 +87,14 @@ class Tape:
 
 
 def _record(out_data, parents, backward_fn):
-    out = Tensor(out_data)
-    if _ACTIVE_TAPE is not None:
-        out.parents = parents
-        out.backward_fn = backward_fn
+    """The op's output as a Tensor, recorded on the active tape. It skips
+    `Tensor.__init__`'s finiteness scan; see the module docstring."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(out_data, dtype=np.float64)
+    if _ACTIVE_TAPE is None:
+        out.parents, out.backward_fn = (), None
+    else:
+        out.parents, out.backward_fn = parents, backward_fn
         _ACTIVE_TAPE.nodes.append(out)
     return out
 

@@ -321,6 +321,47 @@ def test_eis_csv_errors_match_reference(tmp_path, body, message):
         assert str(exc.value) == message, load.__name__
 
 
+def curve_rows(cell, stage=5, cycle=0, fault=None, order=None):
+    """The three rows of one curve. `fault` breaks one of `EisCurve`'s own
+    checks: ("stage", v) or ("cycle", v) for the curve, or (column, v) on its
+    last point. `order` breaks point order: "gap" skips point_index 2,
+    "rising" swaps the first two frequencies."""
+    freq, idx = [3.0, 2.0, 1.0], [0, 1, 2]
+    re_z, im_z = [0.5, 0.6, 0.7], [-0.1, -0.2, -0.3]
+    columns = {"freq_hz": freq, "re_z_ohm": re_z, "im_z_ohm": im_z}
+    if fault and fault[0] in columns:
+        columns[fault[0]][-1] = fault[1]
+    elif fault:
+        stage, cycle = (fault[1], cycle) if fault[0] == "stage" else (stage, fault[1])
+    if order == "gap":
+        idx[-1] = 3
+    elif order == "rising":
+        freq[:2] = freq[1::-1]
+    return [[cell, stage, cycle, i, repr(f), repr(r), repr(m)]
+            for i, f, r, m in zip(idx, freq, re_z, im_z)]
+
+
+OWN_FAULTS = [("stage", 0), ("stage", 10), ("cycle", -1), ("freq_hz", 0.0),
+              ("freq_hz", np.nan), ("re_z_ohm", np.nan), ("im_z_ohm", np.nan)]
+
+
+@pytest.mark.parametrize("order", ["gap", "rising"])
+@pytest.mark.parametrize("fault", OWN_FAULTS, ids=lambda f: f"{f[0]}={f[1]}")
+def test_own_curve_checks_match_reference_around_an_order_fault(tmp_path, fault, order):
+    # the curve failing `fault` sorts before, with or after the curve with
+    # the order fault, or there is no order fault at all
+    for own_cell, order_cell in (("A", "C"), ("C", "C"), ("E", "C"), ("C", None)):
+        rows = []
+        for cell in "ABCDE":
+            rows += curve_rows(cell, fault=fault if cell == own_cell else None,
+                               order=order if cell == order_cell else None)
+        path = tmp_path / f"{own_cell}{order_cell}.csv"
+        write_eis(path, rows[::-1])
+        got = load_outcome(eisdata.load_eis_csv, path)
+        assert isinstance(got, str), (own_cell, order_cell)
+        assert got == load_outcome(reference_load_eis_csv, path), (own_cell, order_cell)
+
+
 def test_eis_csv_reports_parse_errors_before_duplicates(tmp_path):
     path = tmp_path / "eis.csv"
     path.write_text(",".join(EIS_HEADER) + "\n"

@@ -302,6 +302,65 @@ def test_train_bit_identical_with_reference_ops(monkeypatch):
                           eisgan.extract_latents(ref_nets, data))
 
 
+def checked_record(out_data, parents, backward_fn):
+    """`ng._record` as it was: every op output through `Tensor.__init__`,
+    whose finiteness scan the ops now skip."""
+    out = ng.Tensor(out_data)
+    if ng._ACTIVE_TAPE is not None:
+        out.parents = parents
+        out.backward_fn = backward_fn
+        ng._ACTIVE_TAPE.nodes.append(out)
+    return out
+
+
+def test_train_bit_identical_with_checked_op_outputs(monkeypatch):
+    data = toy_batch(24, seed=5)
+    cfg = tiny_config(epochs=2)
+    nets, rep = eisgan.train(data, cfg)
+    latents = eisgan.extract_latents(nets, data)
+    monkeypatch.setattr(ng, "_record", checked_record)
+    ref_nets, ref_rep = eisgan.train(data, cfg)
+    assert rep == ref_rep
+    for p, ref in zip(nets.all_params(), ref_nets.all_params()):
+        assert np.array_equal(p.data, ref.data)
+    assert np.array_equal(latents, eisgan.extract_latents(ref_nets, data))
+
+
+def _overflowing(banks_of):
+    """Networks with 1e300 in one kernel entry of each bank `banks_of` picks: two
+    such layers in a row overflow a nonzero input to +-inf, while an
+    all-zero input reaches the second only through the first's bias."""
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
+    for bank in banks_of(nets):
+        bank.kernels.data[0, 0, 2] = 1e300
+    return nets
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extract_latents_names_first_curve_whose_code_overflows():
+    nets = _overflowing(lambda n: n.trunk_convs[:2])
+    x = toy_batch(5)
+    x[:2] = 0.0
+    # each curve on its own: the zero curves give finite codes, the others do not
+    for i, curve in enumerate(x):
+        if i < 2:
+            assert np.isfinite(eisgan.extract_latents(nets, curve)).all()
+        else:
+            with pytest.raises(GanError, match="latent code of curve 0 is non-finite"):
+                eisgan.extract_latents(nets, curve)
+    with pytest.raises(GanError, match="latent code of curve 2 is non-finite"):
+        eisgan.extract_latents(nets, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_latent_sweep_and_generate_refuse_overflowing_curves():
+    nets = _overflowing(lambda n: n.g_convs[:2])
+    with pytest.raises(GanError, match="sweep curve 0 is non-finite"):
+        eisgan.latent_sweep(nets, 0)
+    with pytest.raises(GanError, match="generated curve 0 is non-finite"):
+        eisgan.generate(nets, LatentCode(np.ones(9), np.zeros(16)))
+
+
 def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
     # kernel_width 7 pads by 3 and the fourth trunk conv sees length 2, so
     # some col2im taps fall wholly in the padding
@@ -663,3 +722,27 @@ def test_checkpoint_round_trip_bit_exact_over_random_configs(
         assert pa.data.tobytes() == pb.data.tobytes()
     x = np.random.default_rng(seed).standard_normal((2, cfg.channels, length))
     assert np.array_equal(eisgan.extract_latents(nets, x), eisgan.extract_latents(loaded, x))
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"not a checkpoint\n", id="text"),
+    pytest.param(b"", id="empty"),
+    pytest.param("truncated", id="truncated"),
+    pytest.param("npy", id="bare-npy"),
+])
+def test_checkpoint_that_is_no_npz_archive_raises_gan_error(tmp_path, content):
+    path, _ = _saved_checkpoint(tmp_path)
+    if content == "truncated":
+        content = path.read_bytes()[:200]
+    elif content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        content = path.read_bytes()
+    path.write_bytes(content)
+    with pytest.raises(GanError, match="unreadable checkpoint .*: not an npz archive"):
+        eisgan.load_checkpoint(path)
+
+
+def test_missing_checkpoint_keeps_its_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        eisgan.load_checkpoint(tmp_path / "absent.npz")

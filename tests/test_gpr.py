@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,52 @@ def test_kernel_matrix_symmetry():
     c = rng.standard_normal((30, 9))
     k = gpr.kernel_matrix(c, c, Hyperparams(0.1, 1.3, 0.8))
     assert np.abs(k - k.T).max() < 1e-14
+
+
+def broadcast_sqdist(a, b):
+    """`_sqdist` as the full (len(a), len(b), d) broadcast it replaced."""
+    d = a[:, None, :] - b[None, :, :]
+    return np.sum(d * d, axis=2)
+
+
+# (960, 480) at d = 120 is left out: its broadcast reference alone takes 885 MB
+SQDIST_CASES = [(n, m, d) for d in (1, 9, 120)
+                for n, m in ((1, 480), (7, 3), (80, 80), (960, 480), (480, 480))
+                if (n, m, d) != (960, 480, 120)]
+
+
+def _sqdist_block_cases():
+    rows = gpr.SQDIST_BLOCK // (80 * 9)
+    over = gpr.SQDIST_BLOCK // 120 + 1
+    return [(2 * rows + 3, 80, 9),   # the last block is a partial one
+            (3, over, 120),          # one row of `a` against `b` exceeds the budget
+            (2, 1, gpr.SQDIST_BLOCK + 1)]   # so does one row of `b` alone
+
+
+@pytest.mark.parametrize("n, m, d", SQDIST_CASES + _sqdist_block_cases())
+def test_sqdist_bit_identical_to_broadcast_form(n, m, d):
+    rng = np.random.default_rng(n * 1000 + m + d)
+    a, b = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    got = gpr._sqdist(a, b)
+    assert got.shape == (n, m)
+    assert np.array_equal(got, broadcast_sqdist(a, b))
+    if n == m:
+        same = gpr._sqdist(a, a)
+        assert np.array_equal(same, broadcast_sqdist(a, a))
+        assert not same.diagonal().any()
+
+
+def test_sqdist_temporaries_stay_small():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((480, 120)), rng.standard_normal((480, 120))
+    tracemalloc.start()
+    try:
+        gpr._sqdist(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (480, 480) result is 1.8 MB; the broadcast form peaked near 440 MB
+    assert peak < 8e6
 
 
 def test_hyperparams_must_be_positive():

@@ -519,6 +519,20 @@ def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
         _read_bytes(ref_path)
 
 
+def test_cli_extract_on_a_checkpoint_that_is_no_npz_archive(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    os.makedirs(cfg.out_dir)
+    ckpt = os.path.join(cfg.out_dir, "gan_stage5.npz")
+    with open(ckpt, "w", encoding="utf-8") as fh:
+        fh.write("not a checkpoint\n")
+    assert cli.main(["extract", "--config", path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    blob = json.loads(lines[0])
+    assert blob["error"] == "GanError"
+    assert blob["message"].startswith(f"unreadable checkpoint {ckpt}: not an npz archive")
+
+
 @pytest.fixture
 def fitted_chain(tmp_path, capsys):
     """A synth config run through train-gan, extract and fit-gpr."""
