@@ -18,8 +18,7 @@ from eisgan_soh import ecm, eisdata, eisgan
 ds = ecm.synth_dataset(3, 1, 60, [5], seed=0)
 train_curves = ds.curves_for(5, ds.train_cells)
 stats = eisdata.fit_norm_stats(train_curves)
-arrays = np.stack([eisdata.curve_to_array(c)
-                   for c in eisdata.normalize(train_curves, stats)])
+arrays = eisdata.normalized_array(train_curves, stats)  # one (N, 2, T) batch
 
 config = eisgan.GanConfig(epochs=150, seed=1)
 print(f"training on {len(arrays)} curves, {config.epochs} epochs ...")

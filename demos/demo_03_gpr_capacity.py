@@ -9,7 +9,7 @@ Run: python3 demos/demo_03_gpr_capacity.py   (takes a few minutes)
 
 import numpy as np
 
-from eisgan_soh import ecm, eisdata, eisgan, gpr, pipeline
+from eisgan_soh import eisgan, gpr, pipeline
 
 config = pipeline.PipelineConfig(
     synth=pipeline.SynthSettings(n_train_cells=3, n_test_cells=1, n_cycles=60),
@@ -19,21 +19,21 @@ config = pipeline.PipelineConfig(
     seed=0)
 
 ds = pipeline.load_dataset(config)
+# the partition, NormStats and normalized (N, 2, T) arrays the study builds
+inputs = pipeline.stage_inputs(ds, 5)
 print("training stage-5 GAN ...")
-nets, stats, _ = pipeline.train_stage_gan(ds, config, 5)
+nets, _ = eisgan.train(inputs.x_train, pipeline._stage_gan_config(config, 5))
 
-def latents(cells):
-    curves = ds.curves_for(5, cells)
-    x = np.stack([eisdata.curve_to_array(c) for c in eisdata.normalize(curves, stats)])
+def latents(curves, x):
     y = np.array([ds.capacity(c.cell_id, c.cycle) for c in curves])
     return eisgan.extract_latents(nets, x), y  # one (N, 2, T) batch -> (N, 9) codes
 
-c_train, y_train = latents(ds.train_cells)
+c_train, y_train = latents(inputs.train_curves, inputs.x_train)
 model = gpr.fit(c_train, y_train, restarts=3, max_iter=60, seed=0)
 print(f"GPR: sigma_n={model.hp.sigma_n:.3f} sigma_f={model.hp.sigma_f:.3f} "
       f"l={model.hp.length_scale:.3f}  lml={model.lml:.1f}")
 
-c_test, y_test = latents(ds.test_cells)
+c_test, y_test = latents(inputs.test_curves, inputs.x_test)
 mean, var = model.predict(c_test)
 mae, rmse, r2 = pipeline.metrics(y_test, mean)
 print(f"\nheld-out cell {ds.test_cells[0]}: "

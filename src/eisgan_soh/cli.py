@@ -56,9 +56,10 @@ def cmd_train_gan(config: PipelineConfig):
     dataset = pipeline.load_dataset(config, capacities=False)
     os.makedirs(config.out_dir, exist_ok=True)
     for stage in config.stages:
-        nets, stats, report = pipeline.train_stage_gan(dataset, config, stage)
+        inputs = pipeline.stage_inputs(dataset, stage)
+        nets, report = eisgan.train(inputs.x_train, pipeline._stage_gan_config(config, stage))
         path = _checkpoint_path(config, stage)
-        eisgan.save_checkpoint(path, nets, stats)
+        eisgan.save_checkpoint(path, nets, inputs.stats)
         print(f"stage {stage}: trained {config.gan.epochs} epochs, "
               f"final loss_d={report.loss_d[-1]:.4f} -> {path}")
 
@@ -67,9 +68,10 @@ def cmd_extract(config: PipelineConfig):
     dataset = pipeline.load_dataset(config, capacities=False)
     for stage in config.stages:
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        curves, x = pipeline._stage_arrays(dataset, stage, None, stats)
+        curves = dataset.curves_for(stage)
+        latents = eisgan.extract_latents(nets, eisdata.normalized_array(curves, stats))
         rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
-                for c, lat in zip(curves, eisgan.extract_latents(nets, x))]
+                for c, lat in zip(curves, latents)]
         pipeline._write_csv(_latents_csv_path(config, stage),
                             _latents_header(nets.config.latent_dim), rows)
         print(f"stage {stage}: wrote {len(rows)} latent rows")
@@ -79,10 +81,10 @@ def _latents_header(latent_dim):
     return ["cell_id", "stage", "cycle"] + [f"c{i + 1}" for i in range(latent_dim)]
 
 
-def _read_latents(path):
-    """(cell_id, stage, cycle, codes) per row of a latents CSV as `extract`
-    writes it; a wrong header, field count or number raises PipelineError
-    naming the file and the row (the header is row 1)."""
+def _read_latents(path, stage):
+    """(cell_id, stage, cycle, codes) per row of `stage`'s latents CSV as
+    `extract` writes it; a wrong header, field count, number or stage raises
+    PipelineError naming the file and the row (the header is row 1)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -95,7 +97,9 @@ def _read_latents(path):
                 raise pipeline.PipelineError(
                     f"{path} row {row_num}: expected {len(header)} fields, got {len(r)}")
             try:
-                rows.append((r[0], int(r[1]), int(r[2]), np.array([float(v) for v in r[3:]])))
+                if int(r[1]) != stage:
+                    raise ValueError(f"stage {r[1]}, expected {stage}")
+                rows.append((r[0], stage, int(r[2]), np.array([float(v) for v in r[3:]])))
             except ValueError as exc:
                 raise pipeline.PipelineError(f"{path} row {row_num}: {exc}") from None
         return rows
@@ -108,7 +112,7 @@ def cmd_fit_gpr(config: PipelineConfig):
     partition = pipeline.declared_partition(config)
     capacities = pipeline.load_capacities(config)
     for stage in config.stages:
-        rows = _read_latents(_latents_csv_path(config, stage))
+        rows = _read_latents(_latents_csv_path(config, stage), stage)
         train_cells, _ = pipeline.split_partition(*partition, {r[0] for r in rows}, stage)
         train_rows = [r for r in rows if r[0] in train_cells]
         missing = [(r[0], r[2]) for r in train_rows if (r[0], r[2]) not in capacities]
@@ -130,7 +134,7 @@ def cmd_predict(config: PipelineConfig):
         with open(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
                   encoding="utf-8") as fh:
             model = gpr.GprModel.from_json(fh.read())
-        all_rows = _read_latents(_latents_csv_path(config, stage))
+        all_rows = _read_latents(_latents_csv_path(config, stage), stage)
         rows = [r for r in all_rows if r[0] in test_cells]
         if not rows:
             raise pipeline.PipelineError(

@@ -101,6 +101,9 @@ class NormStats:
     def __post_init__(self):
         if self.re_scale <= 0 or self.im_scale <= 0:
             raise DataError("normalization scale must be positive")
+        # (mean, scale) as (2, 1) channel columns, to broadcast over (N, 2, T)
+        object.__setattr__(self, "_columns", (np.array([[self.re_mean], [self.im_mean]]),
+                                              np.array([[self.re_scale], [self.im_scale]])))
 
 
 @dataclass
@@ -372,23 +375,26 @@ def fit_norm_stats(curves) -> NormStats:
     return NormStats(float(re_all.mean()), re_scale, float(im_all.mean()), im_scale)
 
 
-def _with_channels(curve: EisCurve, re_z: np.ndarray, im_z: np.ndarray) -> EisCurve:
-    """`curve` with new float64 Re/Im arrays of its own length.
-
-    Stage, cycle, lengths and frequencies are the checked curve's own, so of
-    `EisCurve`'s checks only finiteness can fail here (an overflow, say); the
-    others are not re-run.
-    """
-    for name, values in (("re_z_ohm", re_z), ("im_z_ohm", im_z)):
-        if not np.isfinite(values).all():
-            raise DataError(f"curve {curve.key()} has non-finite {name}")
-    return _bare_curve(curve.cell_id, curve.stage, curve.cycle, curve.freq_hz, re_z, im_z)
+def normalized_array(curves, stats: NormStats, raw=None) -> np.ndarray:
+    """The z-scored (N, 2, T) channels of `curves`, or of `raw` holding one
+    (2, T) row per curve, in one broadcast. A non-finite result (an overflow,
+    say) raises DataError naming the first such curve and channel."""
+    if raw is None:
+        raw = np.array([(c.re_z_ohm, c.im_z_ohm) for c in curves])
+    mean, scale = stats._columns
+    x = (raw - mean) / scale
+    if not np.isfinite(x).all():
+        row, channel = np.argwhere(~np.isfinite(x).all(axis=-1))[0]
+        raise DataError(f"curve {curves[row].key()} has non-finite "
+                        f"{('re_z_ohm', 'im_z_ohm')[channel]}")
+    return x
 
 
 def normalize(curves, stats: NormStats):
-    return [_with_channels(c, (c.re_z_ohm - stats.re_mean) / stats.re_scale,
-                           (c.im_z_ohm - stats.im_mean) / stats.im_scale)
-            for c in curves]
+    """`normalized_array` as curves: each holds its row of the array."""
+    x = normalized_array(curves, stats)
+    return [_bare_curve(c.cell_id, c.stage, c.cycle, c.freq_hz, x[i, 0], x[i, 1])
+            for i, c in enumerate(curves)]
 
 
 def curve_to_array(curve: EisCurve) -> np.ndarray:
@@ -400,14 +406,3 @@ def array_to_channels(arr: np.ndarray, stats: NormStats):
     """Split a normalized (2, T) array back into denormalized (re, im)."""
     return (arr[0] * stats.re_scale + stats.re_mean,
             arr[1] * stats.im_scale + stats.im_mean)
-
-
-def perturb_curve(curve: EisCurve, sigma: float, rng: np.random.Generator) -> EisCurve:
-    """Add independent N(0, sigma^2) noise to every Re and Im sample."""
-    if sigma < 0:
-        raise DataError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0:
-        return curve
-    n = curve.n_points
-    return _with_channels(curve, curve.re_z_ohm + rng.normal(0.0, sigma, n),
-                          curve.im_z_ohm + rng.normal(0.0, sigma, n))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ecm, eisdata, eisgan, gpr
-from .eisdata import Dataset, curve_to_array, fit_norm_stats, normalize
+from .eisdata import Dataset, curve_to_array, fit_norm_stats, normalized_array
 from .eisgan import GanConfig, check_int_fields, is_int
 
 
@@ -84,6 +84,11 @@ class GprSettings:
             raise PipelineError(f"gpr max_iter must be >= 1, got {self.max_iter}")
 
 
+def _sigma_key(sigma) -> int:
+    """The seed term of a sigma's perturbation noise."""
+    return int(round(sigma * 1e6))
+
+
 @dataclass(frozen=True)
 class PerturbSettings:
     sigmas: tuple[float, ...] = (0.001, 0.003, 0.005)
@@ -97,10 +102,16 @@ class PerturbSettings:
             raise PipelineError(f"perturb n_samples must be >= 1, got {self.n_samples}")
         if self.cycle < 0:
             raise PipelineError(f"perturb cycle must be >= 0, got {self.cycle}")
-        if (not self.sigmas or not all(_finite_nonnegative(s) for s in self.sigmas)
-                or len(set(self.sigmas)) < len(self.sigmas)):
-            raise PipelineError("perturb sigmas must be distinct finite numbers >= 0, "
+        # below 1e302, so that each sigma's noise seed, _sigma_key, exists
+        if not self.sigmas or not all(_finite_nonnegative(s) and s < 1e302
+                                      for s in self.sigmas):
+            raise PipelineError("perturb sigmas must be numbers in [0, 1e302), "
                                 f"at least one, got {self.sigmas}")
+        keys = [_sigma_key(s) for s in self.sigmas]
+        shared = [s for s, k in zip(self.sigmas, keys) if keys.count(k) > 1]
+        if shared:
+            raise PipelineError(f"perturb sigmas {shared} would draw the same noise: "
+                                "sigmas that round alike at 1e-6 share a seed")
 
 
 @dataclass(frozen=True)
@@ -286,12 +297,18 @@ def box_stats(samples):
 
 @dataclass
 class StageArtifacts:
+    """A stage's test cells, the NormStats fit on its training cells, its
+    train and test curves with their normalized (N, 2, T) arrays, and then
+    one path's networks (None on the baseline) and GPR."""
     stage: int
-    stats: eisdata.NormStats
-    nets: eisgan.Networks | None
-    gpr_model: gpr.GprModel
-    train_cells: tuple[str, ...]
     test_cells: tuple[str, ...]
+    stats: eisdata.NormStats
+    train_curves: list
+    test_curves: list
+    x_train: np.ndarray
+    x_test: np.ndarray
+    nets: eisgan.Networks | None = None
+    gpr_model: gpr.GprModel | None = None
 
 
 def split_partition(train_cells, test_cells, present, stage: int):
@@ -310,31 +327,18 @@ def stage_partition(dataset: Dataset, stage: int):
                            dataset.stage_cells(stage), stage)
 
 
+def stage_inputs(dataset: Dataset, stage: int) -> StageArtifacts:
+    """A stage's inputs, built once before any path; the study and `train-gan` start here."""
+    train_cells, test_cells = stage_partition(dataset, stage)
+    train, test = dataset.curves_for(stage, train_cells), dataset.curves_for(stage, test_cells)
+    stats = fit_norm_stats(train)
+    return StageArtifacts(stage, test_cells, stats, train, test,
+                          normalized_array(train, stats), normalized_array(test, stats))
+
+
 def _stage_gan_config(config: PipelineConfig, stage: int) -> GanConfig:
     # one independently seeded GAN per stage
     return replace(config.gan, seed=config.seed * 1000 + stage)
-
-
-def _stage_arrays(dataset, stage, cells, stats):
-    """A stage's curves for `cells` (all cells when None) and their normalized
-    (N, 2, T) array."""
-    curves = dataset.curves_for(stage, cells)
-    return curves, np.stack([curve_to_array(c) for c in normalize(curves, stats)])
-
-
-def _capacities(dataset, stage, cells) -> np.ndarray:
-    """Capacities of a stage's curves for `cells`; a missing record raises DataError."""
-    return np.array([dataset.capacity(c.cell_id, c.cycle)
-                     for c in dataset.curves_for(stage, cells)])
-
-
-def train_stage_gan(dataset: Dataset, config: PipelineConfig, stage: int):
-    """Fit NormStats on training cells, train the stage GAN on them."""
-    train_cells, _ = stage_partition(dataset, stage)
-    stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-    _, x = _stage_arrays(dataset, stage, train_cells, stats)
-    nets, report = eisgan.train(x, _stage_gan_config(config, stage))
-    return nets, stats, report
 
 
 def _evaluate_cells(report, model, stage, curves, inputs, y):
@@ -357,14 +361,6 @@ def _features(x, nets):
     return x.reshape(len(x), -1) if nets is None else eisgan.extract_latents(nets, x)
 
 
-def _predict_means(curves, artifact: StageArtifacts) -> np.ndarray:
-    """Posterior means of raw curves through one stage's latent path, or its
-    raw-spectrum baseline when the artifact has no networks."""
-    x = np.stack([curve_to_array(c) for c in normalize(curves, artifact.stats)])
-    mean, _ = artifact.gpr_model.predict(_features(x, artifact.nets))
-    return mean
-
-
 def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
     """The clean curve a stage's perturbation study perturbs: `perturb.cell`
     (by default the stage's first test cell) at cycle `perturb.cycle`; a cell
@@ -379,18 +375,26 @@ def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
     return next(c for c in stage_curves if c.cycle == cycle)
 
 
+def _noisy_array(curve, sigma, n_samples, rng, stats) -> np.ndarray:
+    """`n_samples` copies of `curve` with N(0, sigma^2) noise on every Re and Im
+    sample, normalized as one (n_samples, 2, T) array; sigma 0 draws none."""
+    raw = np.repeat(curve_to_array(curve)[None], n_samples, axis=0)
+    if sigma:
+        raw += rng.normal(0.0, sigma, raw.shape)
+    return normalized_array([curve] * n_samples, stats, raw)
+
+
 def _perturb_entries(config: PipelineConfig, path_name: str, curve,
                      art: StageArtifacts) -> list[PerturbEntry]:
     """One path's Gaussian-perturbation deviations at one stage, per sigma."""
-    clean_pred = _predict_means([curve], art)[0]
+    clean = normalized_array([curve], art.stats)
+    clean_pred = art.gpr_model.predict(_features(clean, art.nets))[0][0]
     entries = []
     for sigma in config.perturb.sigmas:
         rng = np.random.default_rng(
-            [config.seed, art.stage, int(round(sigma * 1e6)),
-             0 if path_name == "eisgan" else 1])
-        noisy = [eisdata.perturb_curve(curve, sigma, rng)
-                 for _ in range(config.perturb.n_samples)]
-        devs = _predict_means(noisy, art) - clean_pred
+            [config.seed, art.stage, _sigma_key(sigma), 0 if path_name == "eisgan" else 1])
+        noisy = _noisy_array(curve, sigma, config.perturb.n_samples, rng, art.stats)
+        devs = art.gpr_model.predict(_features(noisy, art.nets))[0] - clean_pred
         med, q25, q75, wlo, whi, outliers = box_stats(devs)
         entries.append(PerturbEntry(
             stage=art.stage, cell_id=curve.cell_id, cycle=curve.cycle,
@@ -445,21 +449,19 @@ def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
                 f"plot data needs at least {eisgan.MIN_RANK_CYCLES}")
 
 
-def emit_plot_data(outdir, dataset: Dataset, results: dict, paths) -> list[str]:
+def emit_plot_data(outdir, results: dict, paths) -> None:
     """Write CSV series for Nyquist curves, sweeps and latent traces (when
     "eisgan" is in `paths`), scatter and prediction bands per path, and
-    perturbation box stats. Returns written paths."""
+    perturbation box stats."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
 
     def emit(name, header, rows):
-        path = os.path.join(outdir, name)
-        _write_csv(path, header, rows)
-        written.append(path)
+        _write_csv(os.path.join(outdir, name), header, rows)
 
     for stage, art in results.get("eisgan_artifacts", {}).items():
         cell_id = art.test_cells[0]
-        curves, x = _stage_arrays(dataset, stage, [cell_id], art.stats)
+        idx = [i for i, c in enumerate(art.test_curves) if c.cell_id == cell_id]
+        curves, x = [art.test_curves[i] for i in idx], art.x_test[idx]
 
         # Nyquist traces across a handful of cycles
         n_show = min(5, len(curves))
@@ -503,7 +505,6 @@ def emit_plot_data(outdir, dataset: Dataset, results: dict, paths) -> list[str]:
     emit("perturb_box.csv",
          ["stage", "sigma", "path", "median", "q25", "q75",
           "whisker_lo", "whisker_hi", "n_outliers"], rows)
-    return written
 
 
 def write_summary(outdir, results: dict, paths) -> str:
@@ -532,37 +533,35 @@ PATHS = ("eisgan", "baseline")
 
 
 def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
-    """The study, stage by stage: the partition, the NormStats fit on the
-    training cells and the arrays once; the GAN when "eisgan" is in `paths`;
-    then per path the GPR fit, test metrics and perturbation entries. Writes
-    nothing; returns the reports and artifacts keyed as `run_all` does. Empty
-    `stages`, a `perturb.cell` a stage lacks, or a train or test curve without
-    a capacity record is refused before training."""
+    """The study, stage by stage: the stage's inputs (`stage_inputs`); the
+    GAN when "eisgan" is in `paths`; then per path the GPR fit, test metrics
+    and perturbation entries. Writes nothing; returns the reports and
+    artifacts keyed as `run_all` does. Empty `stages`, a `perturb.cell` a
+    stage lacks, or a train or test curve without a capacity record is
+    refused before training."""
     if not config.stages:
         raise PipelineError("stages is empty: a study needs at least one stage")
     targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}
-    capacities = {s: [_capacities(dataset, s, cells) for cells in stage_partition(dataset, s)]
-                  for s in config.stages}
+    stages = {}
+    for stage in config.stages:
+        inp = stage_inputs(dataset, stage)
+        stages[stage] = inp, *(np.array([dataset.capacity(c.cell_id, c.cycle) for c in curves])
+                               for curves in (inp.train_curves, inp.test_curves))
     results = {"dataset": dataset, "perturb_report": PerturbReport()}
     for name in paths:
         results[f"{name}_report"], results[f"{name}_artifacts"] = EvalReport(name), {}
-    for stage in config.stages:
-        train_cells, test_cells = stage_partition(dataset, stage)
-        stats = fit_norm_stats(dataset.curves_for(stage, train_cells))
-        _, x_train = _stage_arrays(dataset, stage, train_cells, stats)
-        test_curves, x_test = _stage_arrays(dataset, stage, test_cells, stats)
-        y_train, y_test = capacities[stage]
+    for stage, (inp, y_train, y_test) in stages.items():
         nets = {"baseline": None}
         if "eisgan" in paths:
-            nets["eisgan"], _ = eisgan.train(x_train, _stage_gan_config(config, stage))
+            nets["eisgan"], _ = eisgan.train(inp.x_train, _stage_gan_config(config, stage))
         for name in paths:
-            model = gpr.fit(_features(x_train, nets[name]), y_train,
+            model = gpr.fit(_features(inp.x_train, nets[name]), y_train,
                             restarts=config.gpr.restarts,
                             max_iter=config.gpr.max_iter, seed=config.seed)
-            _evaluate_cells(results[f"{name}_report"], model, stage, test_curves,
-                            _features(x_test, nets[name]), y_test)
-            art = StageArtifacts(stage, stats, nets[name], model, train_cells, test_cells)
-            results[f"{name}_artifacts"][stage] = art
+            _evaluate_cells(results[f"{name}_report"], model, stage, inp.test_curves,
+                            _features(inp.x_test, nets[name]), y_test)
+            art = results[f"{name}_artifacts"][stage] = replace(inp, nets=nets[name],
+                                                                gpr_model=model)
             results["perturb_report"].entries.extend(
                 _perturb_entries(config, name, targets[stage], art))
     return results
@@ -587,7 +586,7 @@ def run_all(config: PipelineConfig, paths=PATHS) -> dict:
     for name in paths:
         write_report(out, f"evalreport_{name}.json", results[f"{name}_report"])
     write_report(out, "perturbreport.json", results["perturb_report"])
-    emit_plot_data(out, dataset, results, paths)
+    emit_plot_data(out, results, paths)
     write_summary(out, results, paths)
     for stage, art in results.get("eisgan_artifacts", {}).items():
         eisgan.save_checkpoint(os.path.join(out, f"gan_stage{stage}.npz"), art.nets, art.stats)

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eisgan_soh import eisdata
+from eisgan_soh import eisdata, pipeline
 from eisgan_soh.eisdata import (EIS_HEADER, CapacityRecord, DataError, Dataset,
                                 EisCurve, NormStats)
+
+
+#: stats that leave a channel's values as they are, bit for bit
+IDENTITY = NormStats(0.0, 1.0, 0.0, 1.0)
 
 
 def make_curve(cell="C1", stage=5, cycle=0, n=60, f_max=20000.0, f_min=0.02):
@@ -479,12 +483,17 @@ def test_transforms_equal_dataclasses_replace_bit_for_bit():
         _assert_same_curve(out, _replace_reference(
             c, (c.re_z_ohm - stats.re_mean) / stats.re_scale,
             (c.im_z_ohm - stats.im_mean) / stats.im_scale))
+    x = eisdata.normalized_array(curves, stats)
+    assert x.dtype == np.float64 and x.flags.c_contiguous
+    assert x.tobytes() == np.stack([eisdata.curve_to_array(c) for c in
+                                    eisdata.normalize(curves, stats)]).tobytes()
     for c in curves:
-        out = eisdata.perturb_curve(c, 0.003, np.random.default_rng(c.cycle))
+        out = pipeline._noisy_array(c, 0.003, 2, np.random.default_rng(c.cycle), IDENTITY)
         rng = np.random.default_rng(c.cycle)
-        _assert_same_curve(out, _replace_reference(
-            c, c.re_z_ohm + rng.normal(0.0, 0.003, 60),
-            c.im_z_ohm + rng.normal(0.0, 0.003, 60)))
+        for row in out:
+            ref = [c.re_z_ohm + rng.normal(0.0, 0.003, 60),
+                   c.im_z_ohm + rng.normal(0.0, 0.003, 60)]
+            assert row.tobytes() == np.stack(ref).tobytes()
 
 
 def test_transform_results_stay_frozen_and_independent():
@@ -500,7 +509,8 @@ def test_transform_results_stay_frozen_and_independent():
 @pytest.mark.parametrize("transform, channel", [
     (lambda c: eisdata.normalize([c], NormStats(0.0, 1e-310, 0.0, 1.0)), "re_z_ohm"),
     (lambda c: eisdata.normalize([c], NormStats(0.0, 1.0, 0.0, 1e-310)), "im_z_ohm"),
-    (lambda c: eisdata.perturb_curve(c, 1e308, np.random.default_rng(0)), "re_z_ohm"),
+    (lambda c: pipeline._noisy_array(c, 1e308, 3, np.random.default_rng(0), IDENTITY),
+     "re_z_ohm"),
 ], ids=["normalize-re", "normalize-im", "perturb"])
 def test_transforms_raise_data_error_on_overflow(transform, channel):
     curve = make_curve(cell="CX", stage=3, cycle=7)
@@ -509,37 +519,47 @@ def test_transforms_raise_data_error_on_overflow(transform, channel):
         transform(curve)
 
 
+def test_normalized_array_names_the_first_non_finite_curve():
+    curves = [make_curve(cycle=i) for i in range(3)]
+    curves[2] = replace(curves[2], im_z_ohm=curves[2].im_z_ohm * 1e300)
+    curves[1] = replace(curves[1], im_z_ohm=curves[1].im_z_ohm * 1e300)
+    with np.errstate(over="ignore"), pytest.raises(
+            DataError, match=r"curve \('C1', 5, 1\) has non-finite im_z_ohm"):
+        eisdata.normalized_array(curves, NormStats(0.0, 1.0, 0.0, 1e-10))
+
+
 def test_perturb_sigma_zero_identity():
     curve = make_curve()
-    out = eisdata.perturb_curve(curve, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out.re_z_ohm, curve.re_z_ohm)
+    out = pipeline._noisy_array(curve, 0.0, 3, np.random.default_rng(0), IDENTITY)
+    assert out.shape == (3, 2, 60)
+    for row in out:
+        assert row.tobytes() == eisdata.curve_to_array(curve).tobytes()
 
 
 def test_perturb_reproducible_under_seed():
     curve = make_curve()
-    a = eisdata.perturb_curve(curve, 0.003, np.random.default_rng(42))
-    b = eisdata.perturb_curve(curve, 0.003, np.random.default_rng(42))
-    assert np.array_equal(a.re_z_ohm, b.re_z_ohm)
-    assert np.array_equal(a.im_z_ohm, b.im_z_ohm)
+    a = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42), IDENTITY)
+    b = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42), IDENTITY)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a[0], a[1])
 
 
 def test_perturb_sample_std():
     curve = make_curve(n=60)
-    rng = np.random.default_rng(1)
-    deltas = []
-    for _ in range(1000):  # 1000 curves x 120 samples > 1e5 draws
-        out = eisdata.perturb_curve(curve, 0.003, rng)
-        deltas.append(out.re_z_ohm - curve.re_z_ohm)
-        deltas.append(out.im_z_ohm - curve.im_z_ohm)
-    std = np.concatenate(deltas).std()
+    # 1000 copies x 120 samples > 1e5 draws
+    out = pipeline._noisy_array(curve, 0.003, 1000, np.random.default_rng(1), IDENTITY)
+    std = (out - eisdata.curve_to_array(curve)).std()
     assert abs(std - 0.003) / 0.003 < 0.02
 
 
 def test_perturb_preserves_metadata():
+    # the draw adds to a copy: the clean curve keeps its key, grid and values
     curve = make_curve(cell="CX", stage=3, cycle=7)
-    out = eisdata.perturb_curve(curve, 0.001, np.random.default_rng(0))
-    assert out.key() == ("CX", 3, 7)
-    assert np.array_equal(out.freq_hz, curve.freq_hz)
+    before = eisdata.curve_to_array(curve)
+    pipeline._noisy_array(curve, 0.001, 2, np.random.default_rng(0), IDENTITY)
+    assert curve.key() == ("CX", 3, 7)
+    assert np.array_equal(curve.freq_hz, make_curve().freq_hz)
+    assert eisdata.curve_to_array(curve).tobytes() == before.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -151,6 +151,18 @@ def test_perturb_settings_reject_bad_values(kwargs):
         PerturbSettings(**kwargs)
 
 
+@pytest.mark.parametrize("sigmas, message", [
+    # both pass the finite and distinct rules, yet 1e-10 apart they share a seed
+    ((0.003, 0.0010001, 0.0010002), "perturb sigmas [0.0010001, 0.0010002] would draw "
+                                    "the same noise"),
+    ((0.003, 1e303), "perturb sigmas must be numbers in [0, 1e302), at least one, "
+                     "got (0.003, 1e+303)"),
+], ids=["shared seed", "no seed"])
+def test_perturb_settings_refuse_sigmas_without_their_own_seed(sigmas, message):
+    with pytest.raises(PipelineError, match=re.escape(message)):
+        PerturbSettings(sigmas=sigmas)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"restarts": 0},
     {"restarts": -2},
@@ -285,12 +297,29 @@ def test_run_all_perturb_report(tiny_run):
         assert (e.cell_id, e.cycle) == (results["dataset"].test_cells[0], 3)
 
 
-def _reference_prediction(curve, art):
-    """Per-curve reference for the batched perturbation study."""
-    x = eisdata.curve_to_array(eisdata.normalize([curve], art.stats)[0])
+def _normalized(re_z, im_z, stats):
+    """One spectrum's (2, T) array, each channel normalized on its own."""
+    return np.stack([(re_z - stats.re_mean) / stats.re_scale,
+                     (im_z - stats.im_mean) / stats.im_scale])
+
+
+def _per_sample_noisy(curve, sigma, rng, stats, n_samples):
+    """The study's noisy spectra built one at a time: Re noise, then Im noise."""
+    return [_normalized(curve.re_z_ohm + rng.normal(0.0, sigma, curve.n_points),
+                        curve.im_z_ohm + rng.normal(0.0, sigma, curve.n_points), stats)
+            for _ in range(n_samples)]
+
+
+def _reference_prediction(x, art):
+    """Per-spectrum reference for the batched perturbation study."""
     features = x.ravel() if art.nets is None else eisgan.extract_latents(art.nets, x)
     mean, _ = art.gpr_model.predict(features)
     return mean
+
+
+def _study_rng(cfg, stage, sigma, path_name):
+    return np.random.default_rng([cfg.seed, stage, int(round(sigma * 1e6)),
+                                  0 if path_name == "eisgan" else 1])
 
 
 def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
@@ -299,12 +328,37 @@ def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
         curve = next(c for c in results["dataset"].curves_for(e.stage, [e.cell_id])
                      if c.cycle == e.cycle)
         art = results[f"{e.path_name}_artifacts"][e.stage]
-        rng = np.random.default_rng([cfg.seed, e.stage, int(round(e.sigma * 1e6)),
-                                     0 if e.path_name == "eisgan" else 1])
-        clean = _reference_prediction(curve, art)
-        devs = [_reference_prediction(eisdata.perturb_curve(curve, e.sigma, rng), art)
-                - clean for _ in range(cfg.perturb.n_samples)]
+        stats = art.stats
+        clean = _reference_prediction(_normalized(curve.re_z_ohm, curve.im_z_ohm, stats), art)
+        rng = _study_rng(cfg, e.stage, e.sigma, e.path_name)
+        devs = [_reference_prediction(x, art) - clean for x in
+                _per_sample_noisy(curve, e.sigma, rng, stats, cfg.perturb.n_samples)]
         np.testing.assert_allclose(e.deviations_mah, devs, rtol=1e-9, atol=0)
+
+
+def test_perturbation_noisy_arrays_keep_their_bits(tiny_run, monkeypatch):
+    # the study draws each sigma's noise in one call; the bytes are those of
+    # per-sample draws, so the perturbation report stays the same
+    cfg, results = tiny_run
+    cfg = dataclasses.replace(cfg, perturb=PerturbSettings(
+        sigmas=(0.0, 0.001, 0.003), n_samples=4, cycle=3))
+    art = results["baseline_artifacts"][5]
+    curve = next(c for c in results["dataset"].curves_for(5, [art.test_cells[0]])
+                 if c.cycle == 3)
+    drawn = []
+    noisy_array = pipeline._noisy_array
+
+    def record(*args):
+        drawn.append(noisy_array(*args))
+        return drawn[-1]
+    monkeypatch.setattr(pipeline, "_noisy_array", record)
+    pipeline._perturb_entries(cfg, "baseline", curve, art)
+    assert len(drawn) == len(cfg.perturb.sigmas)
+    for sigma, x in zip(cfg.perturb.sigmas, drawn):
+        ref = _per_sample_noisy(curve, sigma, _study_rng(cfg, 5, sigma, "baseline"),
+                                art.stats, 4)
+        assert x.shape == (4, 2, curve.n_points)
+        assert x.tobytes() == np.stack(ref).tobytes(), sigma
 
 
 def test_run_all_emitted_sweep_and_band_files(tiny_run):
@@ -445,7 +499,7 @@ def test_cli_train_extract_fit_predict_chain(tmp_path, capsys):
     with open(os.path.join(cfg.out_dir, "gpr_stage5.json")) as fh:
         model = gpr.GprModel.from_json(fh.read())
     latents = {(r[0], r[2]): r[3] for r in
-               cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))}
+               cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"), 5)}
     for cell_id, _, cycle, mean, std in rows:
         ref_mean, ref_var = model.predict(latents[(cell_id, int(cycle))])
         assert float(mean) == pytest.approx(ref_mean, rel=1e-9, abs=0)
@@ -470,7 +524,7 @@ def test_cli_chain_on_cell_ids_with_comma_quote_and_carriage_return(tmp_path, ca
         assert cli.main([command, "--config", str(path)]) == 0, command
     capsys.readouterr()
 
-    latents = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))
+    latents = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"), 5)
     assert {r[0] for r in latents} == set(names.values())
     with open(os.path.join(cfg.out_dir, "predictions_stage5.csv"), newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -497,7 +551,7 @@ def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
     # the reference: partition and capacities taken from the ingested curves
     dataset = pipeline.load_dataset(cfg)
     train_cells, test_cells = pipeline.stage_partition(dataset, 5)
-    rows = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"))
+    rows = cli._read_latents(os.path.join(cfg.out_dir, "latents_stage5.csv"), 5)
     train_rows = [r for r in rows if r[0] in train_cells]
     model = gpr.fit(np.stack([r[3] for r in train_rows]),
                     [dataset.capacity(r[0], r[2]) for r in train_rows],
@@ -659,6 +713,31 @@ def test_cli_partition_errors_from_latent_rows(fitted_chain, capsys, command, ke
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["fit-gpr", "predict"])
+def test_cli_refuses_a_latent_row_of_another_stage(fitted_chain, capsys, command):
+    cfg, path = fitted_chain
+    latents = os.path.join(cfg.out_dir, "latents_stage5.csv")
+    with open(latents, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[3] = lines[3].replace(",5,", ",3,", 1)
+    with open(latents, "w", newline="") as fh:
+        fh.writelines(lines)
+    assert cli.main([command, "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "PipelineError",
+                    "message": f"{latents} row 4: stage 3, expected 5"}
+
+
+def test_cli_train_gan_writes_the_run_all_checkpoint(tiny_run, tmp_path, capsys):
+    # both build the stage's inputs with `stage_inputs`, so they train one GAN
+    run_cfg, _ = tiny_run
+    cfg, path = cli_config_file(tmp_path)
+    assert cli.main(["train-gan", "--config", path]) == 0
+    capsys.readouterr()
+    assert _read_bytes(os.path.join(cfg.out_dir, "gan_stage5.npz")) == \
+        _read_bytes(os.path.join(run_cfg.out_dir, "gan_stage5.npz"))
+
+
 def test_cli_fit_gpr_names_a_missing_capacity_record(tmp_path, capsys):
     ds = pipeline.load_dataset(tiny_config(tmp_path))
     cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
@@ -697,13 +776,14 @@ LATENTS = "cell_id,stage,cycle,c1,c2\nA,5,0,0.1,0.2\nA,5,2,0.3,0.4\n"
     (LATENTS + "A,5,1,0.1\n", " row 4: expected 5 fields, got 4"),
     (LATENTS.replace("A,5,2", "A,5,x"), " row 3: invalid literal for int()"),
     (LATENTS.replace("0.4", "0.4a"), " row 3: could not convert string to float"),
+    (LATENTS.replace("A,5,2", "A,4,2"), " row 3: stage 4, expected 5"),
 ], ids=["wrong header", "wrong code name", "empty", "short row", "non-numeric cycle",
-        "non-numeric code"])
+        "non-numeric code", "other stage"])
 def test_read_latents_refuses_a_malformed_file(tmp_path, text, message):
     path = tmp_path / "latents.csv"
     path.write_text(text)
     with pytest.raises(PipelineError, match=re.escape(f"{path}{message}")):
-        cli._read_latents(str(path))
+        cli._read_latents(str(path), 5)
 
 
 def test_cli_chain_estimates_cells_without_capacity_records(tmp_path, capsys):
@@ -825,6 +905,8 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     (None, "stages", [], "PipelineError", "perturb"),
     ("perturb", "sigmas", [], "PipelineError", "run-all"),
     ("perturb", "sigmas", [0.003, 0.003], "PipelineError", "perturb"),
+    ("perturb", "sigmas", [0.0010001, 0.0010002], "PipelineError", "baseline"),
+    ("perturb", "sigmas", [1e303], "PipelineError", "baseline"),
 ])
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error, command):
