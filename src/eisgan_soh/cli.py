@@ -67,8 +67,11 @@ def cmd_train_gan(config: PipelineConfig):
 def cmd_extract(config: PipelineConfig):
     dataset = pipeline.load_dataset(config, capacities=False)
     for stage in config.stages:
-        nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
         curves = dataset.curves_for(stage)
+        if not curves:
+            raise pipeline.PipelineError(
+                f"stage {stage}: the EIS data hold no curve of this stage")
+        nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
         latents = eisgan.extract_latents(nets, eisdata.normalized_array(curves, stats))
         rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
                 for c, lat in zip(curves, latents)]

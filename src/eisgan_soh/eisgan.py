@@ -5,6 +5,10 @@ noise z to a (2, 60) normalized spectrum. Discriminator and auxiliary head
 Q share a convolutional trunk; Q predicts the mean of a fixed-variance
 Gaussian over c, so minimizing its negative log-likelihood maximizes the
 variational lower bound on I(c; G(c, z)) up to the constant H(c).
+
+`train` runs in float32 and returns float64 parameters, which hold float32
+values; inference (`extract_latents`, `generate`, `latent_sweep`) and
+checkpoints are float64.
 """
 
 from __future__ import annotations
@@ -341,9 +345,14 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     non-saturating BCE + lambda * L_I of its own batch. The reported
     `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
     unscaled L_I of the G batch (the constant code entropy is dropped).
+
+    The step runs in the dtype of the networks' parameters (float32 under
+    `train`): the float64 code draws are rounded to it, and `real_batch`
+    should already be in it.
     """
     cfg = nets.config
     batch = real_batch.shape[0]
+    dtype = nets.g_dense_w.data.dtype
 
     def update(opt, losses_fn):
         """Record losses_fn() -> (adversarial, code NLL) on a fresh tape, take
@@ -361,7 +370,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
         return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim], cfg.q_sigma)
 
     # (1) discriminator and Q; the fakes are constants, drawn outside any tape
-    d_codes = _sample_codes(cfg, batch, rng)
+    d_codes = _sample_codes(cfg, batch, rng).astype(dtype, copy=False)
     fake = _forward_g(nets, ng.Tensor(d_codes)).data
 
     def d_losses():
@@ -374,7 +383,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     loss_d, _, norm_d = update(opts.opt_d, d_losses)
 
     # (2) generator, non-saturating
-    g_codes = _sample_codes(cfg, batch, rng)
+    g_codes = _sample_codes(cfg, batch, rng).astype(dtype, copy=False)
 
     def g_losses():
         features = _forward_trunk(nets, _forward_g(nets, ng.Tensor(g_codes)))
@@ -390,16 +399,34 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     return losses
 
 
+def _set_dtype(nets: Networks, dtype) -> None:
+    """Hold every parameter of `nets` in `dtype`."""
+    for p in nets.all_params():
+        p.data = p.data.astype(dtype)
+
+
 def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainReport]:
-    """Full training loop over normalized (N, channels, length) curves."""
+    """Full training loop over normalized (N, channels, length) curves.
+
+    The data and the float64 initial parameters are rounded once to float32,
+    every step runs in float32, and the trained parameters are widened back
+    to float64, which is exact.
+    """
     data = np.asarray(real_curves, dtype=np.float64)
     if data.ndim != 3 or data.shape[1:] != (config.channels, config.length):
         raise GanError(f"training data shape {data.shape} incompatible with config")
     if len(data) == 0:
         raise GanError("training data holds no curves")
     _curve_tensor(data, "training curve")  # names the first non-finite curve
+    with np.errstate(over="ignore"):
+        data = data.astype(np.float32)
+    overflows = ~np.isfinite(data).all(axis=(1, 2))
+    if overflows.any():
+        raise GanError(f"training curve {int(np.argmax(overflows))} overflows "
+                       "float32, the training precision")
     rng = np.random.default_rng(config.seed)
     nets = init_networks(config, rng)
+    _set_dtype(nets, np.float32)
     opts = Optimizers.build(nets)
     report = TrainReport()
     names = [f.name for f in fields(TrainReport)]
@@ -415,6 +442,7 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
             steps += 1
         for name, mean in zip(names, sums / steps):
             getattr(report, name).append(mean)
+    _set_dtype(nets, np.float64)
     return nets, report
 
 

@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float arrays.
 
 Provides exactly the primitives the EIS GAN needs (1D convolution, dense
 layers, leaky ReLU, the two loss heads) plus an Adam optimizer.
@@ -8,6 +8,14 @@ Every op takes `Tensor` operands whose data carry a leading batch axis:
 upsample and activation ops act on the last axis of such batches.
 Every op records onto the active Tape; replaying a tape with identical
 inputs is bit-for-bit deterministic.
+
+Precision follows the data: a `Tensor` keeps a float32 array as float32 and
+holds anything else as float64, and every op, its buffers, its backward and
+`AdamP`'s moments compute in the dtype of their operands. `eisgan.train`
+runs the GAN in float32; everything else runs in float64. Mixing the two
+in one pass promotes to float64 wherever they meet, so keep a pass in one
+dtype. Scalar settings (slopes, factors, learning rates) are taken as Python
+floats, which never widen float32 data as a numpy float64 scalar would.
 
 Finiteness is checked at the boundaries, not per op: `Tensor(...)` refuses
 NaN or +-inf in the arrays it wraps (inputs, codes, parameters), while op
@@ -47,13 +55,19 @@ class NonFiniteError(NdgradError):
 _ACTIVE_TAPE: "Tape | None" = None
 
 
+def _float_array(data) -> np.ndarray:
+    """`data` as a float32 array if it is one, else as a float64 array."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+
+
 class Tensor:
-    """Dense float64 array node in the computation graph."""
+    """Dense float32 or float64 array node in the computation graph."""
 
     __slots__ = ("data", "parents", "backward_fn")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float_array(data)
         if not np.isfinite(self.data).all():
             raise NonFiniteError("non-finite values in tensor")
         self.parents: tuple = ()
@@ -87,10 +101,11 @@ class Tape:
 
 
 def _record(out_data, parents, backward_fn):
-    """The op's output as a Tensor, recorded on the active tape. It skips
+    """The op's output as a Tensor, recorded on the active tape. It keeps the
+    output's dtype, which the op computed from its operands', and skips
     `Tensor.__init__`'s finiteness scan; see the module docstring."""
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(out_data, dtype=np.float64)
+    out.data = np.asarray(out_data)
     if _ACTIVE_TAPE is None:
         out.parents, out.backward_fn = (), None
     else:
@@ -138,15 +153,16 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
     batch, _, length = x.shape
     if length + 2 * padding < k_w:
         raise ShapeError(f"L={length} with padding={padding} shorter than kernel K_w={k_w}")
+    dtype = x.data.dtype
     if padding:
-        xp = np.zeros((batch, r_in, length + 2 * padding))
+        xp = np.zeros((batch, r_in, length + 2 * padding), dtype)
         xp[:, :, padding:padding + length] = x.data
     else:
         xp = x.data
     l_out = length + 2 * padding - k_w + 1
     # im2col: a single GEMM per conv beats windowed einsum at these sizes;
     # col[c, k, b, t] = xp[b, c, t + k], filled with one slice copy per tap
-    col = np.empty((r_in, k_w, batch, l_out))
+    col = np.empty((r_in, k_w, batch, l_out), dtype)
     xt = xp.transpose(1, 0, 2)
     for k in range(k_w):
         col[:, k] = xt[:, :, k:k + l_out]
@@ -167,7 +183,7 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
             # col2im: tap k lands on input t = k - padding + j; taps are added
             # in order and the padded margins, which are discarded, are skipped;
             # a tap that falls wholly in a margin (padding > length) adds nothing
-            gx = np.zeros((batch, r_in, length))
+            gx = np.zeros((batch, r_in, length), dtype)
             for k in range(k_w):
                 shift = k - padding
                 lo, hi = max(shift, 0), min(shift + l_out, length)
@@ -198,8 +214,9 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 def leaky_relu(x: Tensor, alpha: float) -> Tensor:
     if not 0.0 < alpha < 1.0:
         raise NdgradError(f"alpha must lie in (0,1), got {alpha}")
+    alpha = float(alpha)
     out = np.maximum(alpha * x.data, x.data)
-    slopes = np.array([alpha, 1.0])
+    slopes = np.array([alpha, 1.0], x.data.dtype)
 
     def bw(g, need):
         # a table lookup of the slope, then one multiply: no branch per element
@@ -235,14 +252,17 @@ def gaussian_nll(pred_mean: Tensor, code, fixed_sigma: float) -> Tensor:
     """
     if fixed_sigma <= 0:
         raise NdgradError(f"fixed_sigma must be positive, got {fixed_sigma}")
-    c = np.asarray(code, dtype=np.float64)
+    dtype = pred_mean.data.dtype
+    c = np.asarray(code, dtype=dtype)
     if c.ndim != 2 or c.shape != pred_mean.shape:
         raise ShapeError(f"gaussian_nll code shape {c.shape} and pred_mean shape "
                          f"{pred_mean.shape} are not the same (B, k)")
     batch, k = c.shape
-    var = fixed_sigma ** 2
+    var = float(fixed_sigma) ** 2
     resid = pred_mean.data - c
-    out = (0.5 * np.sum(resid ** 2) / var + 0.5 * k * batch * np.log(2 * np.pi * var)) / batch
+    # np.log returns a float64 scalar, which would widen a float32 loss
+    log_norm = dtype.type(np.log(2 * np.pi * var))
+    out = (0.5 * np.sum(resid ** 2) / var + 0.5 * k * batch * log_norm) / batch
 
     def bw(g, need):
         return (g * resid / (var * batch),)
@@ -302,6 +322,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
+    factor = float(factor)
     return _record(x.data * factor, (x,), lambda g, need: (g * factor,))
 
 
@@ -344,7 +365,7 @@ def clip_global_norm(grads, max_norm: float):
     """Scale the gradient list so its global L2 norm is at most max_norm."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
     if total > max_norm > 0:
-        factor = max_norm / total
+        factor = float(max_norm) / total
         grads = [g * factor for g in grads]
     return grads, total
 
@@ -362,7 +383,7 @@ class AdamP:
 
     def __init__(self, params, lr):
         self.params = list(params)
-        self.lr = lr
+        self.lr = float(lr)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -6,10 +6,19 @@ import pytest
 from eisgan_soh import ndgrad as ng
 
 
-def make_bank(rng, k_out, r_in, k_w):
+#: the dtypes the ops compute in: float64, and float32 for GAN training
+DTYPES = (np.float64, np.float32)
+
+
+def make_bank(rng, k_out, r_in, k_w, dtype=np.float64):
     return ng.ConvKernelBank(
-        ng.Tensor(rng.standard_normal((k_out, r_in, k_w))),
-        ng.Tensor(rng.standard_normal(k_out)))
+        ng.Tensor(rng.standard_normal((k_out, r_in, k_w)).astype(dtype)),
+        ng.Tensor(rng.standard_normal(k_out).astype(dtype)))
+
+
+def cast_bank(bank, dtype):
+    return ng.ConvKernelBank(ng.Tensor(bank.kernels.data.astype(dtype)),
+                             ng.Tensor(bank.biases.data.astype(dtype)))
 
 
 def sum_loss(x):
@@ -148,23 +157,28 @@ def test_conv1d_bit_identical_to_pad_window_reference(batch):
             for r_in in (1, 3):
                 k_out = int(rng.integers(1, 9))
                 length = int(rng.integers(max(k_w - 2 * pad, 1), 40))
-                x = rng.standard_normal((batch, r_in, length))
-                bank = make_bank(rng, k_out, r_in, k_w)
-                with ng.Tape():
-                    out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
-                    ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
-                g = rng.standard_normal(out.shape)
-                need = (True, True, True)
-                pairs = [(out.data, ref.data)] + list(zip(out.backward_fn(g, need),
-                                                          ref.backward_fn(g, need)))
-                for got, want in pairs:
-                    assert got.shape == want.shape
-                    if r_in == 1 and batch == 1:
-                        # the reference's reshape returns an overlapping strided
-                        # view here, not a copy, so its GEMM rounds differently
-                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-                    else:
-                        assert np.array_equal(got, want)
+                x64 = rng.standard_normal((batch, r_in, length))
+                bank64 = make_bank(rng, k_out, r_in, k_w)
+                g64 = None
+                for dtype, tol in zip(DTYPES, (1e-12, 1e-5)):
+                    x, bank = x64.astype(dtype), cast_bank(bank64, dtype)
+                    with ng.Tape():
+                        out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                        ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
+                    if g64 is None:
+                        g64 = rng.standard_normal(out.shape)
+                    g = g64.astype(dtype)
+                    need = (True, True, True)
+                    pairs = [(out.data, ref.data)] + list(zip(out.backward_fn(g, need),
+                                                              ref.backward_fn(g, need)))
+                    for got, want in pairs:
+                        assert got.shape == want.shape and got.dtype == dtype
+                        if r_in == 1 and batch == 1:
+                            # the reference's reshape returns an overlapping strided
+                            # view here, not a copy, so its GEMM rounds differently
+                            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+                        else:
+                            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -177,21 +191,28 @@ def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
             for length in range(1, 5):
                 if length + 2 * pad < k_w:
                     continue
-                x = rng.standard_normal((batch, 3, length))
-                bank = make_bank(rng, 4, 3, k_w)
-                with ng.Tape():
-                    out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
-                    ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
-                g = rng.standard_normal(out.shape)
-                need = (True, True, True)
-                (gx, gw, gb), (rx, rw, rb) = out.backward_fn(g, need), ref.backward_fn(g, need)
-                assert gx.shape == rx.shape and np.array_equal(gx, rx)
-                assert np.array_equal(gb, rb)
-                # with one output position the reference's reshape of the window
-                # view can stay a strided view, so its GEMMs round differently
-                for got, want in ((out.data, ref.data), (gw, rw)):
-                    assert got.shape == want.shape
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+                x64 = rng.standard_normal((batch, 3, length))
+                bank64 = make_bank(rng, 4, 3, k_w)
+                g64 = None
+                for dtype, tol in zip(DTYPES, (1e-12, 1e-5)):
+                    x, bank = x64.astype(dtype), cast_bank(bank64, dtype)
+                    with ng.Tape():
+                        out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                        ref = reference_conv1d(ng.Tensor(x), bank, padding=pad)
+                    if g64 is None:
+                        g64 = rng.standard_normal(out.shape)
+                    g = g64.astype(dtype)
+                    need = (True, True, True)
+                    (gx, gw, gb), (rx, rw, rb) = (out.backward_fn(g, need),
+                                                  ref.backward_fn(g, need))
+                    assert gx.shape == rx.shape and np.array_equal(gx, rx)
+                    assert np.array_equal(gb, rb)
+                    assert gx.dtype == gw.dtype == gb.dtype == out.data.dtype == dtype
+                    # with one output position the reference's reshape of the window
+                    # view can stay a strided view, so its GEMMs round differently
+                    for got, want in ((out.data, ref.data), (gw, rw)):
+                        assert got.shape == want.shape
+                        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +295,24 @@ def test_gaussian_nll_quadratic_scaling():
 def test_gaussian_nll_empty_code():
     out = ng.gaussian_nll(ng.Tensor(np.zeros((1, 0))), np.zeros((1, 0)), 1.0)
     assert float(out.data) == 0.0
+
+
+def test_tensor_keeps_float32_and_holds_the_rest_as_float64():
+    assert ng.Tensor(np.zeros(2, np.float32)).data.dtype == np.float32
+    for data in ([1, 2], 1.0, np.arange(2), np.zeros(2, np.float16)):
+        assert ng.Tensor(data).data.dtype == np.float64
+
+
+def test_losses_of_float32_operands_are_float32():
+    # np.log's float64 scalar in the NLL constant must not widen the loss
+    pred = ng.Tensor(np.full((2, 3), 0.5, np.float32))
+    with ng.Tape() as tape:
+        loss = ng.add(ng.bce_logit_loss(pred, True),
+                      ng.scale(ng.gaussian_nll(pred, np.zeros((2, 3)), np.float64(2.0)),
+                               np.float64(3.0)))
+        (grad,) = ng.backward(tape, loss, [pred])
+    assert {node.data.dtype for node in tape.nodes} == {np.dtype(np.float32)}
+    assert grad.dtype == np.float32
 
 
 @pytest.mark.parametrize("shape", [(3,), ()], ids=["1d", "0d"])
@@ -436,15 +475,21 @@ REFERENCE_OPS = (("conv1d", reference_conv1d), ("dense", reference_dense),
 
 
 def _op_and_reference(op, ref, x, arg, g_rng):
-    with ng.Tape():
-        out = op(ng.Tensor(x), arg)
-        want = ref(ng.Tensor(x), arg)
-    assert out.shape == want.shape
-    assert np.array_equal(out.data, want.data)
-    g = g_rng.standard_normal(out.shape)
-    (got_g,), (want_g,) = out.backward_fn(g, (True,)), want.backward_fn(g, (True,))
-    assert got_g.shape == want_g.shape == x.shape
-    assert np.array_equal(got_g, want_g)
+    """The op and its reference agree bit for bit, forward and backward, on
+    `x` in each of DTYPES, and keep that dtype."""
+    g = None
+    for dtype in DTYPES:
+        with ng.Tape():
+            out = op(ng.Tensor(x.astype(dtype)), arg)
+            want = ref(ng.Tensor(x.astype(dtype)), arg)
+        assert out.shape == want.shape
+        assert out.data.dtype == dtype and np.array_equal(out.data, want.data)
+        if g is None:
+            g = g_rng.standard_normal(out.shape)
+        g_in = g.astype(dtype)
+        (got_g,), (want_g,) = out.backward_fn(g_in, (True,)), want.backward_fn(g_in, (True,))
+        assert got_g.shape == want_g.shape == x.shape
+        assert got_g.dtype == dtype and np.array_equal(got_g, want_g)
 
 
 ELEMENTWISE_SHAPES = ((1, 1, 15), (1, 3, 15), (4, 2, 31), (2, 16, 60), (5, 8))
@@ -480,14 +525,14 @@ def test_leaky_relu_bit_identical_to_reference(alpha):
         _op_and_reference(ng.leaky_relu, reference_leaky_relu, x, alpha, rng)
 
 
-def _small_net_tape(rng, batched):
+def _small_net_tape(rng, batched, dtype=np.float64):
     """A conv -> lrelu -> pool -> upsample -> pool -> dense chain on one tape,
     over five samples, or over one sample as a batch of one."""
     batch = 5 if batched else 1
-    bank = make_bank(rng, 3, 2, 3)
-    w = ng.Tensor(rng.standard_normal((4, 3 * 8)))
-    b = ng.Tensor(rng.standard_normal(4))
-    x = ng.Tensor(rng.standard_normal((batch, 2, 17)))
+    bank = make_bank(rng, 3, 2, 3, dtype)
+    w = ng.Tensor(rng.standard_normal((4, 3 * 8)).astype(dtype))
+    b = ng.Tensor(rng.standard_normal(4).astype(dtype))
+    x = ng.Tensor(rng.standard_normal((batch, 2, 17)).astype(dtype))
     tape = ng.Tape()
     with tape:
         h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(x, bank, padding=1), 0.01), 2)
@@ -500,14 +545,16 @@ def _small_net_tape(rng, batched):
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_backward_subset_equals_full_run_restricted(batched):
-    tape, loss, params = _small_net_tape(np.random.default_rng(60), batched)
-    full = ng.backward(tape, loss, params)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(full, reference_backward(tape, loss, params)))
-    for subset in ([0], [1], [2, 3], [0, 3], [3, 1]):
-        got = ng.backward(tape, loss, [params[i] for i in subset])
-        for i, grad in zip(subset, got):
-            assert np.array_equal(grad, full[i])
+    for dtype in DTYPES:
+        tape, loss, params = _small_net_tape(np.random.default_rng(60), batched, dtype)
+        full = ng.backward(tape, loss, params)
+        assert all(a.dtype == dtype for a in full)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(full, reference_backward(tape, loss, params)))
+        for subset in ([0], [1], [2, 3], [0, 3], [3, 1]):
+            got = ng.backward(tape, loss, [params[i] for i in subset])
+            for i, grad in zip(subset, got):
+                assert np.array_equal(grad, full[i])
 
 
 @pytest.mark.parametrize("op", ["conv1d", "dense"])

@@ -573,6 +573,21 @@ def test_cli_fit_gpr_and_predict_read_no_eis_csv(tmp_path, capsys):
         _read_bytes(ref_path)
 
 
+def test_cli_extract_refuses_a_stage_its_data_lack(tmp_path, monkeypatch, capsys):
+    # eis.csv holds stages 3 and 5; stage 4 is refused before its checkpoint is read
+    ds = pipeline.load_dataset(tiny_config(tmp_path, stages=(3, 5)))
+    _, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities, stages=(3, 5))
+
+    def opened(path):
+        raise AssertionError(f"checkpoint {path} opened")
+
+    monkeypatch.setattr(eisgan, "load_checkpoint", opened)
+    assert cli.main(["extract", "--config", path, "--stage", "4"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PipelineError",
+        "message": "stage 4: the EIS data hold no curve of this stage"}
+
+
 def test_cli_extract_on_a_checkpoint_that_is_no_npz_archive(tmp_path, capsys):
     cfg, path = cli_config_file(tmp_path)
     os.makedirs(cfg.out_dir)
