@@ -55,19 +55,15 @@ class NonFiniteError(NdgradError):
 _ACTIVE_TAPE: "Tape | None" = None
 
 
-def _float_array(data) -> np.ndarray:
-    """`data` as a float32 array if it is one, else as a float64 array."""
-    data = np.asarray(data)
-    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-
-
 class Tensor:
     """Dense float32 or float64 array node in the computation graph."""
 
     __slots__ = ("data", "parents", "backward_fn")
 
     def __init__(self, data):
-        self.data = _float_array(data)
+        # a float32 array stays float32; anything else becomes float64
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         if not np.isfinite(self.data).all():
             raise NonFiniteError("non-finite values in tensor")
         self.parents: tuple = ()
