@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import ecm, eisdata, eisgan, gpr, pipeline
+from . import eisdata, eisgan, gpr, pipeline
 from .pipeline import PipelineConfig
 
 
@@ -153,9 +153,16 @@ def cmd_predict(config: PipelineConfig):
 
 
 def cmd_sweep(config: PipelineConfig):
+    dataset = pipeline.load_dataset(config, capacities=False)
     for stage in config.stages:
+        # the frequencies run-all's sweeps carry: those of the stage's first test curve
+        _, test_cells = pipeline.stage_partition(dataset, stage)
+        freq = dataset.curves_for(stage, test_cells[:1])[0].freq_hz
         nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        freq = eisdata.log_grid(ecm.F_MAX_HZ, ecm.F_MIN_HZ, nets.config.length)
+        if len(freq) != nets.config.length:
+            raise pipeline.PipelineError(
+                f"stage {stage}: the checkpoint's curves have {nets.config.length} "
+                f"points, the data's {len(freq)}")
         for dim in range(nets.config.latent_dim):
             path = os.path.join(config.out_dir, f"sweep_stage{stage}_dim{dim}.csv")
             pipeline._write_csv(path, pipeline.SWEEP_HEADER,

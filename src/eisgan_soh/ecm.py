@@ -103,9 +103,8 @@ def build_trajectory(base: EcmParams, n_cycles: int,
 
 
 def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
-                 rng: np.random.Generator,
-                 dc_noise_amp: float = 0.02,
-                 meas_noise_ohm: float = 0.0002) -> list[EisCurve]:
+                 rng: np.random.Generator, dc_noise_amp: float,
+                 meas_noise_ohm: float) -> list[EisCurve]:
     """Evaluate a trajectory on the 60-point grid with stage-dependent noise.
 
     Stages in DC_STAGES get multiplicative 1/f-weighted fluctuations below 1 Hz,

@@ -21,7 +21,13 @@ import numpy as np
 from . import ndgrad as ng
 from .eisdata import DataError, NormStats
 
-CHECKPOINT_FORMAT = "eisgan-checkpoint-v1"
+CHECKPOINT_FORMAT = "eisgan-checkpoint-v2"
+
+#: curve channels, Re and Im: every curve array is (N, CHANNELS, length)
+CHANNELS = 2
+
+#: code values `latent_sweep` moves one dimension over: [-2, 2] in steps of 0.5
+SWEEP_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
 class GanError(Exception):
@@ -46,11 +52,9 @@ def check_int_fields(obj, error) -> None:
 class GanConfig:
     latent_dim: int = 9
     noise_dim: int = 16
-    channels: int = 2
     length: int = 60
     trunk_widths: tuple[int, ...] = (16, 32, 64, 64)
     gen_widths: tuple[int, ...] = (64, 32, 16)
-    gen_base_len: int = 15
     feature_dim: int = 64
     kernel_width: int = 5
     lr_d: float = 4e-4
@@ -61,20 +65,16 @@ class GanConfig:
     epochs: int = 250
     seed: int = 0
     alpha: float = 0.01
-    q_sigma: float = 1.0
     #: global gradient-norm bound per sub-update; 0 disables clipping
     grad_clip: float = 10.0
 
     def __post_init__(self):
-        def positive(value):
-            return np.isfinite(value) and value > 0
-
         check_int_fields(self, GanError)
         if self.latent_dim < 1 or self.noise_dim < 0:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
         if not (np.isfinite(self.lambda_mi) and self.lambda_mi >= 0):
             raise GanError(f"lambda_mi must be finite and nonnegative, got {self.lambda_mi}")
-        if not all(positive(lr) for lr in (self.lr_d, self.lr_g)):
+        if not all(np.isfinite(lr) and lr > 0 for lr in (self.lr_d, self.lr_g)):
             raise GanError("learning rates must be finite and positive")
         if self.batch_size < 1 or self.epochs < 1 or self.feature_dim < 1:
             raise GanError("batch_size, epochs and feature_dim must be >= 1")
@@ -82,8 +82,6 @@ class GanConfig:
             raise GanError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
         if not 0 < self.alpha < 1:
             raise GanError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not positive(self.q_sigma):
-            raise GanError(f"q_sigma must be finite and positive, got {self.q_sigma}")
         if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
             raise GanError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         for name in ("trunk_widths", "gen_widths"):
@@ -93,11 +91,16 @@ class GanConfig:
         if self.length >> len(self.trunk_widths) < 1:
             raise GanError(f"length {self.length} does not survive "
                            f"{len(self.trunk_widths)} trunk halvings")
-        up = 2 ** (len(self.gen_widths) - 1)
-        if self.gen_base_len * up != self.length:
-            raise GanError(
-                f"generator shape algebra broken: base_len {self.gen_base_len} "
-                f"x 2^{len(self.gen_widths) - 1} != length {self.length}")
+        doublings = len(self.gen_widths) - 1
+        if self.length % 2 ** doublings:
+            raise GanError(f"length {self.length} must be a multiple of 2^{doublings}: "
+                           f"gen_widths {self.gen_widths} double the generator's length "
+                           f"{doublings} times")
+
+    @property
+    def gen_base_len(self) -> int:
+        """Length of the generator's dense output, before its doublings."""
+        return self.length // 2 ** (len(self.gen_widths) - 1)
 
 
 @dataclass
@@ -181,12 +184,12 @@ def init_networks(config: GanConfig, rng: np.random.Generator) -> Networks:
     g_dense_w = _uniform_init(rng, (g_w0 * config.gen_base_len, in_dim), in_dim)
     g_dense_b = _uniform_init(rng, (g_w0 * config.gen_base_len,), in_dim)
     g_convs = []
-    widths = list(config.gen_widths) + [config.channels]
+    widths = list(config.gen_widths) + [CHANNELS]
     for c_in, c_out in zip(widths[:-1], widths[1:]):
         g_convs.append(_conv_bank(rng, c_out, c_in, k_w))
 
     trunk_convs = []
-    t_widths = [config.channels] + list(config.trunk_widths)
+    t_widths = [CHANNELS] + list(config.trunk_widths)
     length = config.length
     for c_in, c_out in zip(t_widths[:-1], t_widths[1:]):
         trunk_convs.append(_conv_bank(rng, c_out, c_in, k_w))
@@ -286,9 +289,9 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     """
     cfg = nets.config
     arr = np.asarray(curve_array, dtype=np.float64)
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != (cfg.channels, cfg.length):
-        raise GanError(f"curve shape {arr.shape} is neither ({cfg.channels}, "
-                       f"{cfg.length}) nor (N, {cfg.channels}, {cfg.length})")
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (CHANNELS, cfg.length):
+        raise GanError(f"curve shape {arr.shape} is neither ({CHANNELS}, "
+                       f"{cfg.length}) nor (N, {CHANNELS}, {cfg.length})")
     single = arr.ndim == 2
     batch = _curve_tensor(arr[None] if single else arr, "curve")
     codes = _finite_rows(_q_mean(nets, _forward_trunk(nets, batch)).data,
@@ -296,13 +299,13 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     return codes[0] if single else codes
 
 
-def latent_sweep(nets: Networks, dim_index: int, grid=None) -> np.ndarray:
+def latent_sweep(nets: Networks, dim_index: int, grid=SWEEP_GRID) -> np.ndarray:
     """Generated curves, shape (len(grid), channels, length), as one code
     dimension moves over grid with the other dims at 0 and z=0."""
     cfg = nets.config
     if not 0 <= dim_index < cfg.latent_dim:
         raise GanError(f"dim_index {dim_index} out of range")
-    grid = np.linspace(-2.0, 2.0, 9) if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or not np.all(np.isfinite(grid)):
         raise GanError("sweep grid must be a finite 1-D sequence")
     codes = np.zeros((len(grid), cfg.latent_dim + cfg.noise_dim))
@@ -345,6 +348,8 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     non-saturating BCE + lambda * L_I of its own batch. The reported
     `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
     unscaled L_I of the G batch (the constant code entropy is dropped).
+    Q's Gaussian has unit variance: L_I = sum (mu - c)^2 / (2 sigma^2) + const,
+    so another sigma would only rescale lambda_mi, the one weight on L_I.
 
     The step runs in the dtype of the networks' parameters (float32 under
     `train`): the float64 code draws are rounded to it, and `real_batch`
@@ -367,7 +372,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
         return float(adv.data), float(nll.data), norm
 
     def code_nll(features, codes):
-        return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim], cfg.q_sigma)
+        return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim], 1.0)
 
     # (1) discriminator and Q; the fakes are constants, drawn outside any tape
     d_codes = _sample_codes(cfg, batch, rng).astype(dtype, copy=False)
@@ -413,7 +418,7 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
     to float64, which is exact.
     """
     data = np.asarray(real_curves, dtype=np.float64)
-    if data.ndim != 3 or data.shape[1:] != (config.channels, config.length):
+    if data.ndim != 3 or data.shape[1:] != (CHANNELS, config.length):
         raise GanError(f"training data shape {data.shape} incompatible with config")
     if len(data) == 0:
         raise GanError("training data holds no curves")

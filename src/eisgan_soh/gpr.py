@@ -6,12 +6,13 @@ line search, random restarts). Targets are z-scored internally so the
 zero-mean prior applies; predictions are denormalized on the way out.
 
 The pairwise squared distances of the training inputs do not depend on the
-hyperparameters, so `fit` computes them once and every restart, every
-line-search trial and the final model work from that one matrix. Trials
-evaluate the likelihood value only, one Cholesky factorisation and one solve
-through LAPACK `dpotrf`/`dpotrs`. The gradient, computed at each start point
-and accepted step, takes the triangle of (K + sigma_n^2 I)^-1 that `dpotri`
-forms from the same factor and needs three traces of it.
+hyperparameters, so `fit` computes them once and every restart and every
+line-search trial work from that one matrix. Trials evaluate the likelihood
+value only, one Cholesky factorisation and one solve through LAPACK
+`dpotrf`/`dpotrs`. The gradient, computed at each start point and accepted
+step, takes the triangle of (K + sigma_n^2 I)^-1 that `dpotri` forms from the
+same factor and needs three traces of it. The fitted model keeps the factor
+of the best point, so it is not factorised again.
 """
 
 from __future__ import annotations
@@ -76,31 +77,6 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hp: Hyperparams) -> np.ndarray:
     return hp.sigma_f ** 2 * np.exp(-_sqdist(a, b) / (2 * hp.length_scale ** 2))
 
 
-def _chol_with_jitter(gram: np.ndarray):
-    """Lower Cholesky factor of gram, in place, adding the first jitter that works.
-
-    `dpotrf` factors the F-ordered transpose of the symmetric C-ordered gram, so
-    it runs with no copy and writes only gram's upper triangle and diagonal; the
-    strict lower triangle keeps the gram for the next rung of the ladder. The
-    factor is that transpose, its lower triangle the one `cho_factor` gives.
-    Callers pass a gram built from inputs `_training_arrays` checked finite,
-    so LAPACK gets it without another finiteness scan.
-    """
-    n = len(gram)
-    diag = gram.diagonal().copy()
-    for jitter in JITTERS:
-        if jitter:
-            upper = np.triu_indices(n, 1)
-            gram[upper] = gram.T[upper]
-            gram.flat[:: n + 1] = diag + jitter
-        chol, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return chol, jitter
-        if info < 0:
-            raise GprError(f"Cholesky factorization failed: LAPACK dpotrf info={info}")
-    raise GprError("Cholesky factorization failed even with maximal jitter")
-
-
 def _training_arrays(inputs, targets):
     c = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.asarray(targets, dtype=float).ravel()
@@ -118,13 +94,26 @@ def _lml(d2, y, hp: Hyperparams):
 
     Returns (L, factor); factor = (k_f, chol, alpha) feeds `_lml_grad` and
     `GprModel`. No inverse is formed, so a value-only evaluation costs one
-    factorisation and one solve.
+    factorisation and one solve. A gram that is not positive definite is
+    factored again with the first of JITTERS that works on its diagonal.
+    `d2` comes from inputs `_training_arrays` checked finite, so LAPACK gets
+    the gram without another finiteness scan.
     """
     n = len(y)
     k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
-    gram = k_f.copy()
-    gram.flat[:: n + 1] += hp.sigma_n ** 2
-    chol, _ = _chol_with_jitter(gram)
+    for jitter in JITTERS:
+        gram = k_f.copy()
+        gram.flat[:: n + 1] += hp.sigma_n ** 2
+        gram.flat[:: n + 1] += jitter
+        # k_f is exactly symmetric, so gram.T, F-ordered, is the same matrix:
+        # dpotrf factors it in place with no copy, its lower triangle the factor
+        chol, info = dpotrf(gram.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            break
+        if info < 0:
+            raise GprError(f"Cholesky factorization failed: LAPACK dpotrf info={info}")
+    else:
+        raise GprError("Cholesky factorization failed even with maximal jitter")
     alpha, info = dpotrs(chol, y, lower=1)
     if info != 0:
         raise GprError(f"Cholesky solve failed: LAPACK dpotrs info={info}")
@@ -187,11 +176,10 @@ class GprModel:
     lml: float = None
 
     @staticmethod
-    def build(inputs, targets, hp: Hyperparams, y_mean: float, y_scale: float,
-              d2: np.ndarray | None = None) -> "GprModel":
-        """Factorise once; `d2` may carry the inputs' squared distances."""
+    def build(inputs, targets, hp: Hyperparams, y_mean: float, y_scale: float) -> "GprModel":
+        """Check the training set and factorise it once at hp."""
         c, y = _training_arrays(inputs, targets)
-        lml, (_, chol, alpha) = _lml(_sqdist(c, c) if d2 is None else d2, y, hp)
+        lml, (_, chol, alpha) = _lml(_sqdist(c, c), y, hp)
         return GprModel(inputs=c, targets=y, hp=hp, y_mean=y_mean, y_scale=y_scale,
                         _chol=chol, _alpha=alpha, lml=lml)
 
@@ -261,12 +249,13 @@ class GprModel:
             raise GprError(f"bad model file: {exc!r}") from None
 
 
-def _ascend(d2, y, theta0, max_iter=200):
+def _ascend(d2, y, theta0, max_iter):
     """Gradient ascent on L over log-hyperparameters with backtracking.
 
     `d2` holds the training set's squared distances, computed once per fit.
     Line-search trials evaluate L only; the gradient is computed at the start
-    point and at each accepted step, never for a rejected trial.
+    point and at each accepted step, never for a rejected trial. Returns the
+    point the ascent stops at, its L and the factor `_lml` gave for it.
     """
     theta = np.asarray(theta0, dtype=float)
     hp = Hyperparams.from_log(theta)
@@ -283,24 +272,25 @@ def _ascend(d2, y, theta0, max_iter=200):
             cand = np.clip(theta + trial_step * grad / max(gnorm, 1.0), -12.0, 12.0)
             try:
                 cand_hp = Hyperparams.from_log(cand)
-                cand_lml, factor = _lml(d2, y, cand_hp)
+                cand_lml, cand_factor = _lml(d2, y, cand_hp)
             except GprError:
                 trial_step *= 0.5
                 continue
             if cand_lml > lml:
-                theta, lml, grad = cand, cand_lml, _lml_grad(d2, cand_hp, factor)
+                theta, lml, factor = cand, cand_lml, cand_factor
+                grad = _lml_grad(d2, cand_hp, factor)
                 step = min(trial_step * 2.0, 1.0)
                 improved = True
                 break
             trial_step *= 0.5
         if not improved or trial_step * gnorm < 1e-9:
             break
-    return theta, lml
+    return theta, lml, factor
 
 
-def fit(inputs, targets, restarts: int = 10, max_iter: int = 200,
-        seed: int = 0) -> GprModel:
-    """Maximize the log marginal likelihood from several random starts."""
+def fit(inputs, targets, restarts: int, max_iter: int, seed: int = 0) -> GprModel:
+    """Maximize the log marginal likelihood from several random starts; the
+    model keeps the factor the best ascent stopped at."""
     if restarts < 1 or max_iter < 1:
         raise GprError(f"restarts and max_iter must be >= 1, got {restarts}, {max_iter}")
     c, y_raw = _training_arrays(inputs, targets)
@@ -318,16 +308,18 @@ def fit(inputs, targets, restarts: int = 10, max_iter: int = 200,
     while len(starts) < restarts:
         starts.append(rng.uniform(np.log(0.01), np.log(10.0), size=3))
 
-    best_theta, best_lml = None, -np.inf
+    best, best_lml = None, -np.inf
     failures = []
     for theta0 in starts:
         try:
-            theta, lml = _ascend(d2, y, theta0, max_iter=max_iter)
+            theta, lml, (_, chol, alpha) = _ascend(d2, y, theta0, max_iter)
         except GprError as exc:
             failures.append(str(exc))
             continue
         if lml > best_lml:
-            best_theta, best_lml = theta, lml
-    if best_theta is None:
+            best, best_lml = (theta, chol, alpha), lml
+    if best is None:
         raise GprError(f"all restarts failed: {failures}")
-    return GprModel.build(c, y, Hyperparams.from_log(best_theta), y_mean, y_scale, d2=d2)
+    theta, chol, alpha = best
+    return GprModel(inputs=c, targets=y, hp=Hyperparams.from_log(theta), y_mean=y_mean,
+                    y_scale=y_scale, _chol=chol, _alpha=alpha, lml=best_lml)

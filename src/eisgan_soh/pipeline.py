@@ -140,6 +140,11 @@ class PipelineConfig:
             raise PipelineError("train and test cells overlap")
         if self.synth is None and (self.eis_csv is None or self.capacity_csv is None):
             raise PipelineError("either synth settings or CSV paths are required")
+        csv_keys = [k for k in ("eis_csv", "capacity_csv", "train_cells", "test_cells")
+                    if getattr(self, k)]
+        if self.synth is not None and csv_keys:
+            raise PipelineError(f"synth input names its own cells and reads no CSV, "
+                                f"but the config also sets {csv_keys}")
 
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
@@ -427,11 +432,10 @@ SWEEP_HEADER = ["code_value", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"]
 
 
 def sweep_rows(nets: eisgan.Networks, stats: eisdata.NormStats, dim: int, freq):
-    """Denormalized CSV rows of one code dimension's sweep over [-2, 2] in 9
-    steps, one row per (code value, frequency point)."""
-    grid = np.linspace(-2.0, 2.0, 9)
+    """Denormalized CSV rows of one code dimension's sweep over
+    `eisgan.SWEEP_GRID`, one row per (code value, frequency point)."""
     rows = []
-    for value, arr in zip(grid, eisgan.latent_sweep(nets, dim, grid)):
+    for value, arr in zip(eisgan.SWEEP_GRID, eisgan.latent_sweep(nets, dim)):
         re_z, im_z = eisdata.array_to_channels(arr, stats)
         rows.extend((value, i, freq[i], re_z[i], im_z[i]) for i in range(len(freq)))
     return rows

@@ -81,8 +81,10 @@ def test_dc_noise_confined_below_1hz():
     rng = np.random.default_rng(9)
     base = ecm.default_params(rng)
     traj = ecm.build_trajectory(base, 5, rng)
-    quiet = ecm.stage_curves("X", traj, 5, np.random.default_rng(1), meas_noise_ohm=0.0)
-    noisy = ecm.stage_curves("X", traj, 6, np.random.default_rng(1), meas_noise_ohm=0.0)
+    quiet = ecm.stage_curves("X", traj, 5, np.random.default_rng(1),
+                             dc_noise_amp=0.02, meas_noise_ohm=0.0)
+    noisy = ecm.stage_curves("X", traj, 6, np.random.default_rng(1),
+                             dc_noise_amp=0.02, meas_noise_ohm=0.0)
     for a, b in zip(quiet, noisy):
         high = a.freq_hz >= 1.0
         assert np.allclose(a.re_z_ohm[high], b.re_z_ohm[high], atol=1e-12)
@@ -93,7 +95,7 @@ def test_nyquist_trace_continuity():
     rng = np.random.default_rng(11)
     base = ecm.default_params(rng)
     traj = ecm.build_trajectory(base, 3, rng)
-    (curve, *_) = ecm.stage_curves("X", traj, 5, rng, meas_noise_ohm=0.0)
+    (curve, *_) = ecm.stage_curves("X", traj, 5, rng, dc_noise_amp=0.02, meas_noise_ohm=0.0)
     pts = curve.re_z_ohm + 1j * curve.im_z_ohm
     spacing = np.abs(np.diff(pts))
     assert spacing.max() <= 10 * np.median(spacing)

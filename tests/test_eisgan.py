@@ -26,8 +26,10 @@ def toy_batch(n=16, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_config_rejects_broken_shape_algebra():
-    with pytest.raises(GanError):
-        GanConfig(gen_base_len=14)
+    # three generator widths double the length twice: 58 is no multiple of 4
+    with pytest.raises(GanError, match=r"length 58 .*gen_widths \(64, 32, 16\)"):
+        GanConfig(length=58, gen_widths=(64, 32, 16))
+    assert GanConfig(length=56, gen_widths=(64, 32, 16)).gen_base_len == 14
 
 
 def test_config_rejects_negative_lambda():
@@ -40,8 +42,8 @@ def test_config_rejects_negative_lambda():
     {"epochs": 0}, {"epochs": -1},
     {"kernel_width": 4}, {"kernel_width": 0}, {"kernel_width": -1},
     {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
-    {"q_sigma": 0.0}, {"q_sigma": -1.0}, {"q_sigma": float("nan")},
-    {"q_sigma": float("inf")},
+    {"latent_dim": 0}, {"noise_dim": -1}, {"length": 8},
+    {"length": 60, "gen_widths": (64, 32, 16, 8)},
     {"grad_clip": -1.0}, {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
     {"trunk_widths": ()}, {"trunk_widths": (16, 0)}, {"trunk_widths": (8,) * 6},
     {"gen_widths": (64, -1, 16)},
@@ -54,9 +56,8 @@ def test_config_rejects_bad_values(kwargs):
         GanConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["latent_dim", "noise_dim", "channels", "length",
-                                  "gen_base_len", "feature_dim", "kernel_width",
-                                  "batch_size", "epochs", "seed"])
+@pytest.mark.parametrize("name", ["latent_dim", "noise_dim", "length", "feature_dim",
+                                  "kernel_width", "batch_size", "epochs", "seed"])
 @pytest.mark.parametrize("value", [2.5, 5.0, True, "5", None])
 def test_config_rejects_non_integer_fields(name, value):
     with pytest.raises(GanError, match=f"{name} must be an integer"):
@@ -364,8 +365,7 @@ def test_latent_sweep_and_generate_refuse_overflowing_curves():
 def test_train_wide_kernel_reaching_short_trunk_input(monkeypatch):
     # kernel_width 7 pads by 3 and the fourth trunk conv sees length 2, so
     # some col2im taps fall wholly in the padding
-    cfg = GanConfig(length=16, gen_base_len=4, kernel_width=7, epochs=2,
-                    batch_size=4, seed=0)
+    cfg = GanConfig(length=16, kernel_width=7, epochs=2, batch_size=4, seed=0)
     data = np.random.default_rng(5).standard_normal((8, 2, 16))
     nets, rep = eisgan.train(data, cfg)
     assert len(rep.loss_d) == 2
@@ -425,7 +425,7 @@ def reference_train_step(nets, real_batch, opts, rng):
         features = reference_forward_trunk(nets, ng.Tensor(fake))
         loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
                         ng.bce_logit_loss(eisgan._d_logit(nets, features), False))
-        nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], cfg.q_sigma)
+        nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], 1.0)
         total = ng.add(loss_d, ng.scale(nll_d, cfg.lambda_mi))
         grads = ng.backward(tape, total, nets.d_params() + nets.q_params())
     grads, norm_d = ng.clip_global_norm(grads, cfg.grad_clip)
@@ -436,7 +436,7 @@ def reference_train_step(nets, real_batch, opts, rng):
     with ng.Tape() as tape:
         features = reference_forward_trunk(nets, reference_forward_g(nets, ng.Tensor(g_codes)))
         loss_g = ng.bce_logit_loss(eisgan._d_logit(nets, features), True)
-        loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k], cfg.q_sigma)
+        loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k], 1.0)
         total = ng.add(loss_g, ng.scale(loss_mi, cfg.lambda_mi))
         grads = ng.backward(tape, total, nets.g_params())
     grads, norm_g = ng.clip_global_norm(grads, cfg.grad_clip)
@@ -601,7 +601,7 @@ def test_mi_objective_descends_under_joint_updates():
         with ng.Tape() as tape:
             x_g = eisgan._forward_g(nets, ng.Tensor(codes))
             q_mean = eisgan._q_mean(nets, eisgan._forward_trunk(nets, x_g))
-            loss = ng.gaussian_nll(q_mean, codes[:, :9], cfg.q_sigma)
+            loss = ng.gaussian_nll(q_mean, codes[:, :9], 1.0)
             grads = ng.backward(tape, loss, opt.params)
         opt.step(grads)
         losses.append(float(loss.data))
@@ -736,6 +736,19 @@ def test_checkpoint_with_lr_q_is_refused(tmp_path):
         eisgan.load_checkpoint(path)
 
 
+def test_checkpoint_v1_is_refused(tmp_path):
+    # v1 headers also carried channels, gen_base_len and q_sigma; such files are retrained
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["config"].update(channels=2, gen_base_len=15, q_sigma=1.0)
+    _rewrite(path, arrays, dict(header, format="eisgan-checkpoint-v1"))
+    with pytest.raises(GanError, match="unknown checkpoint format 'eisgan-checkpoint-v1'"):
+        eisgan.load_checkpoint(path)
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match=r"unknown \['channels', 'gen_base_len', 'q_sigma'\]"):
+        eisgan.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_missing_config_key(tmp_path):
     path, arrays = _saved_checkpoint(tmp_path)
     header = _header(arrays)
@@ -793,7 +806,7 @@ def test_checkpoint_round_trip_bit_exact_over_random_configs(
     trunk_widths = trunk_widths[:max(length.bit_length() - 1, 1)]
     cfg = GanConfig(latent_dim=latent_dim, noise_dim=noise_dim, length=length,
                     trunk_widths=tuple(trunk_widths), gen_widths=tuple(gen_widths),
-                    gen_base_len=base_len, feature_dim=feature_dim,
+                    feature_dim=feature_dim,
                     kernel_width=kernel_width, seed=seed, epochs=1, batch_size=1)
     nets = eisgan.init_networks(cfg, np.random.default_rng(seed))
     stats = eisdata.NormStats(0.25, 0.5, -0.125, 2.0)
@@ -803,7 +816,7 @@ def test_checkpoint_round_trip_bit_exact_over_random_configs(
     assert loaded.config == cfg and loaded_stats == stats
     for pa, pb in zip(nets.all_params(), loaded.all_params()):
         assert pa.data.tobytes() == pb.data.tobytes()
-    x = np.random.default_rng(seed).standard_normal((2, cfg.channels, length))
+    x = np.random.default_rng(seed).standard_normal((2, eisgan.CHANNELS, length))
     assert np.array_equal(eisgan.extract_latents(nets, x), eisgan.extract_latents(loaded, x))
 
 

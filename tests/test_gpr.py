@@ -192,15 +192,33 @@ def test_value_only_lml_equals_public_lml_exactly(d):
         assert np.array_equal(gpr._lml_grad(d2, hp, factor), ref_grad)
 
 
+def _counting_dpotrf(monkeypatch):
+    """Patch `gpr.dpotrf` to record the LAPACK info of each factorisation."""
+    infos = []
+    dpotrf = gpr.dpotrf
+
+    def counting(*args, **kwargs):
+        chol, info = dpotrf(*args, **kwargs)
+        infos.append(info)
+        return chol, info
+    monkeypatch.setattr(gpr, "dpotrf", counting)
+    return infos
+
+
 @pytest.mark.parametrize("d", [1, 9, 120])
-def test_value_only_lml_exact_on_jitter_ladder(d):
+def test_value_only_lml_exact_on_jitter_ladder(monkeypatch, d):
     rng = np.random.default_rng(40 + d)
     c, y, _ = _random_problem(rng, d, duplicate=True)
     hp = Hyperparams(1e-9, 1.0, 2.0)
-    gram = gpr.kernel_matrix(c, c, hp) + hp.sigma_n ** 2 * np.eye(len(y))
-    _, jitter = gpr._chol_with_jitter(gram)
-    assert jitter > 0  # duplicated rows make K + sigma_n^2 I singular
-    assert gpr._lml(gpr._sqdist(c, c), y, hp)[0] == gpr.log_marginal_likelihood(c, y, hp)[0]
+    d2 = gpr._sqdist(c, c)
+    ref_lml, _, ref_chol, jitter = cho_factor_lml(d2, y, hp)
+    infos = _counting_dpotrf(monkeypatch)
+    lml, (_, chol, _) = gpr._lml(d2, y, hp)
+    # duplicated rows make K + sigma_n^2 I singular: the jitter-free rung fails
+    assert jitter > 0 and infos[0] > 0 and infos[-1] == 0
+    assert len(infos) == 1 + gpr.JITTERS.index(jitter)
+    assert lml == ref_lml
+    assert np.array_equal(np.tril(chol), np.tril(ref_chol))
 
 
 def cho_factor_lml(d2, y, hp):
@@ -408,7 +426,7 @@ def test_fit_recovers_gp_hyperparams():
     c = rng.uniform(-3, 3, size=(200, 1))
     k = gpr.kernel_matrix(c, c, truth) + truth.sigma_n ** 2 * np.eye(200)
     y = np.linalg.cholesky(k + 1e-12 * np.eye(200)) @ rng.standard_normal(200)
-    model = gpr.fit(c, y, restarts=4, seed=0)
+    model = gpr.fit(c, y, restarts=4, max_iter=200, seed=0)
     lml_true, _ = gpr.log_marginal_likelihood(c, (y - model.y_mean) / model.y_scale,
                                               truth)
     assert model.lml >= lml_true - 0.5
@@ -418,14 +436,14 @@ def test_fit_more_restarts_never_worse():
     rng = np.random.default_rng(9)
     c = rng.standard_normal((30, 2))
     y = c[:, 0] ** 2 + 0.05 * rng.standard_normal(30)
-    single = gpr.fit(c, y, restarts=1, seed=1)
-    multi = gpr.fit(c, y, restarts=5, seed=1)
+    single = gpr.fit(c, y, restarts=1, max_iter=200, seed=1)
+    multi = gpr.fit(c, y, restarts=5, max_iter=200, seed=1)
     assert multi.lml >= single.lml - 1e-12
 
 
 def test_fit_needs_two_points():
     with pytest.raises(GprError):
-        gpr.fit([[0.0]], [1.0])
+        gpr.fit([[0.0]], [1.0], restarts=10, max_iter=200)
 
 
 @pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-4),
@@ -434,14 +452,14 @@ def test_fit_rejects_fewer_than_one_restart_or_iteration(kwargs):
     rng = np.random.default_rng(12)
     c = rng.standard_normal((10, 2))
     with pytest.raises(GprError, match="must be >= 1"):
-        gpr.fit(c, c[:, 0], **kwargs)
+        gpr.fit(c, c[:, 0], **{"restarts": 10, "max_iter": 200, **kwargs})
 
 
 def test_fit_denormalizes_predictions():
     rng = np.random.default_rng(10)
     c = rng.uniform(-2, 2, size=(60, 1))
     y = 40.0 + 3.0 * np.sin(c[:, 0])
-    model = gpr.fit(c, y, restarts=3, seed=0)
+    model = gpr.fit(c, y, restarts=3, max_iter=200, seed=0)
     mean, _ = model.predict(c)
     assert np.abs(mean - y).mean() < 0.5
 
@@ -481,11 +499,15 @@ def test_ascent_follows_reference_path_exactly(d):
     rng = np.random.default_rng(60 + d)
     c = rng.standard_normal((25, d))
     y = np.sin(c[:, 0]) + 0.1 * rng.standard_normal(25)
+    d2 = gpr._sqdist(c, c)
     for theta0 in (np.log([0.1, 1.0, 1.0]), rng.uniform(np.log(0.01), np.log(10.0), 3)):
-        theta, lml = gpr._ascend(gpr._sqdist(c, c), y, theta0, max_iter=40)
+        theta, lml, (_, chol, alpha) = gpr._ascend(d2, y, theta0, 40)
         ref_theta, ref_lml = _reference_ascent(c, y, theta0, max_iter=40)
         assert np.array_equal(theta, ref_theta)
         assert lml == ref_lml
+        # the factor is that of the point the ascent stops at, not of its last trial
+        _, (_, ref_chol, ref_alpha) = gpr._lml(d2, y, Hyperparams.from_log(theta))
+        assert np.array_equal(chol, ref_chol) and np.array_equal(alpha, ref_alpha)
 
 
 @pytest.mark.parametrize("restarts", [1, 3, 8])
@@ -508,9 +530,36 @@ def test_fit_lml_equals_public_lml_at_fitted_hyperparams():
     rng = np.random.default_rng(14)
     c = rng.standard_normal((35, 3))
     y = 2.0 + np.cos(c[:, 1]) + 0.05 * rng.standard_normal(35)
-    model = gpr.fit(c, y, restarts=3, seed=2)
+    model = gpr.fit(c, y, restarts=3, max_iter=200, seed=2)
     z = (y - model.y_mean) / model.y_scale
     assert model.lml == gpr.log_marginal_likelihood(c, z, model.hp)[0]
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_fit_keeps_the_factor_build_gives_at_its_hyperparams(monkeypatch, d):
+    # the model is built from the factor the best ascent stopped at, with no
+    # second factorisation, and equals a model built afresh at its hyperparameters
+    rng = np.random.default_rng(18 + d)
+    c = rng.standard_normal((40, d))
+    y = 3.0 + np.sin(c[:, 0]) + 0.05 * rng.standard_normal(40)
+    calls = []
+    lml, ascend = gpr._lml, gpr._ascend
+
+    def ascended(*args):
+        out = ascend(*args)
+        calls.append("ascended")
+        return out
+    monkeypatch.setattr(gpr, "_lml", lambda *a: calls.append("lml") or lml(*a))
+    monkeypatch.setattr(gpr, "_ascend", ascended)
+    model = gpr.fit(c, y, restarts=4, max_iter=30, seed=d)
+    assert calls.count("ascended") == 4 and calls[-1] == "ascended"
+    ref = GprModel.build(c, (y - model.y_mean) / model.y_scale, model.hp,
+                         model.y_mean, model.y_scale)
+    assert model.lml == ref.lml
+    assert np.array_equal(model._chol, ref._chol)
+    assert np.array_equal(model._alpha, ref._alpha)
+    assert np.array_equal(model.inputs, ref.inputs)
+    assert np.array_equal(model.targets, ref.targets)
 
 
 def test_build_rejects_misaligned_training_set():
@@ -550,21 +599,22 @@ def test_jitter_free_cholesky_forms_no_identity(monkeypatch):
     rng = np.random.default_rng(16)
     c = rng.standard_normal((20, 3))
     hp = Hyperparams(0.1, 1.0, 1.0)
-    gram = gpr.kernel_matrix(c, c, hp) + hp.sigma_n ** 2 * np.eye(20)
-    ref = cho_factor(gram, lower=True)
+    d2 = gpr._sqdist(c, c)
+    _, _, ref_chol, jitter = cho_factor_lml(d2, c[:, 0], hp)
     eyes = []
     real_eye = np.eye
     monkeypatch.setattr(gpr.np, "eye", lambda *a, **k: eyes.append(a) or real_eye(*a, **k))
-    chol, jitter = gpr._chol_with_jitter(gram)
-    assert (jitter, eyes) == (0.0, [])
-    assert np.array_equal(np.tril(chol), np.tril(ref[0]))
+    infos = _counting_dpotrf(monkeypatch)
+    _, (_, chol, _) = gpr._lml(d2, c[:, 0], hp)
+    assert (jitter, infos, eyes) == (0.0, [0], [])
+    assert np.array_equal(np.tril(chol), np.tril(ref_chol))
 
 
 def test_model_json_round_trip():
     rng = np.random.default_rng(11)
     c = rng.standard_normal((10, 2))
     y = rng.standard_normal(10)
-    model = gpr.fit(c, y, restarts=2, seed=0)
+    model = gpr.fit(c, y, restarts=2, max_iter=200, seed=0)
     clone = GprModel.from_json(model.to_json())
     assert clone.hp == model.hp
     assert np.array_equal(clone.inputs, model.inputs)

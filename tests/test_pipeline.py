@@ -105,6 +105,30 @@ def test_config_refuses_removed_lr_q():
         PipelineConfig.from_dict({"gan": {"lr_q": 1e-4}})
 
 
+@pytest.mark.parametrize("key", ["channels", "gen_base_len", "q_sigma"])
+def test_config_refuses_gan_keys_the_code_works_out(key):
+    # channels is the (N, 2, T) layout's, gen_base_len follows from length and
+    # gen_widths, and a q_sigma would only rescale lambda_mi
+    with pytest.raises(PipelineError, match=rf"unknown key\(s\) \['{key}'\] in config section gan"):
+        PipelineConfig.from_dict({"synth": {}, "gan": {key: 2}})
+
+
+@pytest.mark.parametrize("extra", [
+    {"eis_csv": "data/eis.csv", "train_cells": ["A"]},
+    {"capacity_csv": "data/capacity.csv"},
+    {"train_cells": ["A"]},
+    {"test_cells": ["B"]},
+])
+def test_config_refuses_synth_with_csv_keys(extra):
+    # synth input would run on its own SYN cells and ignore every one of these keys
+    with pytest.raises(PipelineError, match="synth input") as err:
+        PipelineConfig.from_dict({"synth": {}, **extra})
+    assert all(repr(key) in str(err.value) for key in extra)
+    # unset, as a synth config's resolved_config.json writes them
+    unset = {key: None if key.endswith("csv") else [] for key in extra}
+    assert PipelineConfig.from_dict({"synth": {}, **unset}).synth == SynthSettings()
+
+
 def test_config_requires_data_source():
     with pytest.raises(PipelineError):
         PipelineConfig(synth=None)
@@ -873,6 +897,39 @@ def test_cli_sweep_from_checkpoint(tmp_path, capsys):
         assert os.path.exists(os.path.join(cfg.out_dir, f"sweep_stage5_dim{dim}.csv"))
 
 
+def _freq_column(path):
+    """The freq_hz column of a sweep CSV, one value per point of its first code value."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    first = [r for r in rows if r["code_value"] == rows[0]["code_value"]]
+    return np.array([float(r["freq_hz"]) for r in first])
+
+
+def test_cli_sweep_takes_the_frequencies_of_the_data(tmp_path, capsys):
+    # a CSV cohort measured on 60 points over 10 kHz-0.1 Hz, not the synthetic grid
+    ds = ecm.synth_dataset(2, 1, 8, [5], 0, 0.02, 0.0002)
+    grid = eisdata.log_grid(1e4, 0.1, eisdata.T_POINTS)
+    curves = [dataclasses.replace(c, freq_hz=grid) for c in ds.curves]
+    cfg, path = csv_config_file(tmp_path, ds, curves, ds.capacities)
+    for command in ("run-all", "sweep"):
+        assert cli.main([command, "--config", path]) == 0, command
+    capsys.readouterr()
+    for name in ["sweep_stage5_c1.csv"] + [f"sweep_stage5_dim{d}.csv" for d in range(9)]:
+        assert np.array_equal(_freq_column(os.path.join(cfg.out_dir, name)), grid), name
+
+
+def test_cli_sweep_refuses_a_checkpoint_of_another_length(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    nets = eisgan.init_networks(eisgan.GanConfig(length=64), np.random.default_rng(0))
+    os.makedirs(cfg.out_dir)
+    eisgan.save_checkpoint(os.path.join(cfg.out_dir, "gan_stage5.npz"), nets,
+                           eisdata.NormStats(0.0, 1.0, 0.0, 1.0))
+    assert cli.main(["sweep", "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "PipelineError" and "64 points, the data's 60" in blob["message"]
+    assert os.listdir(cfg.out_dir) == ["gan_stage5.npz"]
+
+
 def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     # extract before train-gan: missing checkpoint
     _, path = cli_config_file(tmp_path)
@@ -922,6 +979,7 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     ("perturb", "sigmas", [0.003, 0.003], "PipelineError", "perturb"),
     ("perturb", "sigmas", [0.0010001, 0.0010002], "PipelineError", "baseline"),
     ("perturb", "sigmas", [1e303], "PipelineError", "baseline"),
+    (None, "eis_csv", "data/eis.csv", "PipelineError", "run-all"),
 ])
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error, command):
