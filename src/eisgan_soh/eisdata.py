@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass, field, replace
 
@@ -169,30 +170,72 @@ _EIS_DTYPE = np.dtype([("cell_id", object), ("stage", np.int64), ("cycle", np.in
 _BLANK_LINE = re.compile(r"\n\r?\n")
 _ASTRAL = re.compile("[\U00010000-\U0010ffff]")
 
+#: characters of eis.csv `load_eis_csv` decodes at a time
+_PIECE_CHARS = 2 ** 16
 
-def _loadtxt_rows(body):
-    """All data rows in one C-level pass, or None where that pass could differ
-    from the row-by-row reader: loadtxt skips blank lines, strips \\x1c-\\x1f
-    around numbers as whitespace and refuses fields or line endings that the
-    row-by-row reader may parse or must name by row. Text with characters beyond
-    U+FFFF is left to the row-by-row reader too: numpy 2.4's loadtxt can crash
-    on them in numeric fields.
+
+def _past_header(fh):
+    """Rewind `fh` and read the header row; `fh` is left at the first data row."""
+    fh.seek(0)
+    return next(csv.reader(fh), None)
+
+
+def _body_pieces(fh):
+    """The rest of `fh` in pieces of about _PIECE_CHARS characters, each but
+    the last ending at a \\n, so no piece holds the whole text."""
+    tail = ""
+    while block := fh.read(_PIECE_CHARS):
+        text = tail + block
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        tail = text[cut:]
+    if tail:
+        yield tail
+
+
+def _loadtxt_rows(fh):
+    """All data rows of `fh` in one C-level pass, or None where that pass
+    could differ from the row-by-row reader: loadtxt skips blank lines, strips
+    \\x1c-\\x1f around numbers as whitespace and refuses fields or line endings
+    that the row-by-row reader may parse or must name by row. Text with
+    characters beyond U+FFFF is left to the row-by-row reader too: numpy 2.4's
+    loadtxt can crash on them in numeric fields.
+
+    loadtxt converts the text a line at a time, and each piece is checked
+    before its lines reach it (a piece after the first that starts with a
+    line end follows one that ends with \\n). On a refusal the rest is still
+    decoded, so a file that is not UTF-8 raises UnicodeDecodeError whatever
+    else it holds.
     """
-    if (body.startswith(("\n", "\r")) or _BLANK_LINE.search(body)
-            or any(c in body for c in "\x1c\x1d\x1e\x1f")
-            or not body.isascii() and _ASTRAL.search(body)):
-        return None
+    def checked(pieces):
+        for i, piece in enumerate(pieces):
+            if (piece.startswith(("\n", "\r") if i == 0 else ("\n", "\r\n"))
+                    or _BLANK_LINE.search(piece)
+                    or any(c in piece for c in "\x1c\x1d\x1e\x1f")
+                    or not piece.isascii() and _ASTRAL.search(piece)):
+                raise ValueError("text left to the row-by-row reader")
+            yield piece
+
+    _past_header(fh)
+    lines = itertools.chain.from_iterable(map(io.StringIO, checked(_body_pieces(fh))))
     try:
-        return np.loadtxt(io.StringIO(body), dtype=_EIS_DTYPE, delimiter=",",
+        return np.loadtxt(lines, dtype=_EIS_DTYPE, delimiter=",",
                           quotechar='"', comments=None, ndmin=1)
+    except UnicodeDecodeError:
+        raise
     except ValueError:
+        while fh.read(_PIECE_CHARS):   # decodes the rest
+            pass
         return None
 
 
-def _csv_rows(body):
-    """The data rows read one at a time; raises the first `row N: ...` error."""
+def _csv_rows(fh):
+    """The data rows of `fh` read one at a time; raises the first
+    `row N: ...` error."""
+    _past_header(fh)
     cols = [[] for _ in EIS_HEADER]
-    for row_num, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    for row_num, row in enumerate(csv.reader(fh), start=2):
         if len(row) != len(EIS_HEADER):
             raise DataError(f"row {row_num}: expected {len(EIS_HEADER)} fields, got {len(row)}")
         cols[0].append(row[0])
@@ -270,17 +313,19 @@ def load_eis_csv(path) -> list[EisCurve]:
     The rows are read in one `np.loadtxt` pass and grouped with one lexsort;
     a file that pass refuses is re-read row by row, which names the bad row.
     Field counts and parse errors are reported before duplicate points, gaps
-    and frequency order.
+    and frequency order. Both readers take the text from the file a piece or
+    a line at a time, never as one string.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        header = _past_header(fh)
         if header != EIS_HEADER:
             raise DataError(f"{path}: header {header} != expected {EIS_HEADER}")
-        body = fh.read()
-    if not body:
-        return []
-    rows = _loadtxt_rows(body)
-    curves = _group_rows(_csv_rows(body) if rows is None else rows)
+        if not fh.read(1):
+            return []
+        rows = _loadtxt_rows(fh)
+        if rows is None:
+            rows = _csv_rows(fh)
+    curves = _group_rows(rows)
     # all groups in a file must share one grid length
     if curves:
         counts = {c.n_points for c in curves}
@@ -294,18 +339,20 @@ def load_eis_csv(path) -> list[EisCurve]:
 
 
 def save_eis_csv(path, curves) -> None:
-    rows = []
-    for c in curves:
-        for i in range(c.n_points):
-            rows.append((c.cell_id, c.stage, c.cycle, i,
-                         repr(float(c.freq_hz[i])),
-                         repr(float(c.re_z_ohm[i])),
-                         repr(float(c.im_z_ohm[i]))))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    """Write `curves` to eis.csv in (cell_id, stage, cycle) order, one curve
+    at a time. Two curves with the same key raise DataError before the file
+    is opened, as `load_eis_csv` would refuse the file."""
+    curves = sorted(curves, key=EisCurve.key)
+    for a, b in zip(curves, curves[1:]):
+        if a.key() == b.key():
+            raise DataError(f"duplicate curve {a.key()}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(EIS_HEADER)
-        writer.writerows(rows)
+        for c in curves:
+            points = zip(c.freq_hz.tolist(), c.re_z_ohm.tolist(), c.im_z_ohm.tolist())
+            writer.writerows((c.cell_id, c.stage, c.cycle, i, repr(f), repr(re_z), repr(im_z))
+                             for i, (f, re_z, im_z) in enumerate(points))
 
 
 def load_capacity_csv(path) -> list[CapacityRecord]:

@@ -26,6 +26,9 @@ CHECKPOINT_FORMAT = "eisgan-checkpoint-v2"
 #: curve channels, Re and Im: every curve array is (N, CHANNELS, length)
 CHANNELS = 2
 
+#: curves `extract_latents` runs through the trunk's conv stack at a time
+EXTRACT_BLOCK = 256
+
 #: code values `latent_sweep` moves one dimension over: [-2, 2] in steps of 0.5
 SWEEP_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -228,16 +231,26 @@ def _forward_g(nets: Networks, code: ng.Tensor) -> ng.Tensor:
     return h
 
 
-def _forward_trunk(nets: Networks, x: ng.Tensor) -> ng.Tensor:
-    """Shared D/Q trunk over a (B, channels, length) batch."""
+def _trunk_convs(nets: Networks, x: ng.Tensor) -> ng.Tensor:
+    """The trunk's conv stack over a (B, channels, length) batch, flattened to
+    (B, features)."""
     cfg = nets.config
     pad = (cfg.kernel_width - 1) // 2
     h = x
     for bank in nets.trunk_convs:
         h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=pad), cfg.alpha), 2)
-    shape = (h.data.shape[0], int(np.prod(h.data.shape[1:])))
-    h = ng.dense(ng.reshape(h, shape), nets.trunk_dense_w, nets.trunk_dense_b)
-    return ng.leaky_relu(h, cfg.alpha)
+    return ng.reshape(h, (h.data.shape[0], int(np.prod(h.data.shape[1:]))))
+
+
+def _trunk_head(nets: Networks, flat: ng.Tensor) -> ng.Tensor:
+    """The trunk's dense layer over the flattened conv features."""
+    return ng.leaky_relu(ng.dense(flat, nets.trunk_dense_w, nets.trunk_dense_b),
+                         nets.config.alpha)
+
+
+def _forward_trunk(nets: Networks, x: ng.Tensor) -> ng.Tensor:
+    """Shared D/Q trunk over a (B, channels, length) batch."""
+    return _trunk_head(nets, _trunk_convs(nets, x))
 
 
 def _d_logit(nets: Networks, features: ng.Tensor) -> ng.Tensor:
@@ -284,8 +297,13 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     """c* = Q(D_trunk(x*)) for normalized curves.
 
     A (channels, length) curve gives a (latent_dim,) code, run as a batch of
-    one; a batch of shape (N, channels, length) gives (N, latent_dim) codes
-    in one trunk pass.
+    one; a batch of shape (N, channels, length) gives (N, latent_dim) codes.
+    The conv stack runs on blocks of EXTRACT_BLOCK curves, so its im2col
+    buffers do not grow with N, and the dense layers run once over all N
+    rows of features. Every code keeps the bits of one whole-batch pass:
+    BLAS gave a conv GEMM's rows the same bits in blocks of EXTRACT_BLOCK
+    rows or more but not in a block of a few rows, so a shorter remainder
+    joins the last block; a dense GEMM over fewer rows rounded differently.
     """
     cfg = nets.config
     arr = np.asarray(curve_array, dtype=np.float64)
@@ -293,9 +311,16 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
         raise GanError(f"curve shape {arr.shape} is neither ({CHANNELS}, "
                        f"{cfg.length}) nor (N, {CHANNELS}, {cfg.length})")
     single = arr.ndim == 2
-    batch = _curve_tensor(arr[None] if single else arr, "curve")
-    codes = _finite_rows(_q_mean(nets, _forward_trunk(nets, batch)).data,
-                         "latent code of curve")
+    batch = _curve_tensor(arr[None] if single else arr, "curve").data
+    n = len(batch)
+    features = np.empty((n, nets.trunk_dense_w.data.shape[1]))
+    starts = range(0, max(n - EXTRACT_BLOCK, 0) + 1, EXTRACT_BLOCK)
+    # the batch was checked whole: its blocks are wrapped unchecked, as op outputs are
+    for start, stop in zip(starts, [*starts[1:], n]):
+        block = ng._record(batch[start:stop], (), None)
+        features[start:stop] = _trunk_convs(nets, block).data
+    head = _trunk_head(nets, ng._record(features, (), None))
+    codes = _finite_rows(_q_mean(nets, head).data, "latent code of curve")
     return codes[0] if single else codes
 
 

@@ -1,6 +1,7 @@
 import csv
 import os
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eisgan_soh import eisdata, pipeline
+from eisgan_soh import ecm, eisdata, pipeline
 from eisgan_soh.eisdata import (EIS_HEADER, CapacityRecord, DataError, Dataset,
                                 EisCurve, NormStats)
 
@@ -90,6 +91,90 @@ def test_eis_csv_round_trip(tmp_path):
     path2 = tmp_path / "eis2.csv"
     eisdata.save_eis_csv(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["\n", "C1,5,0,9,1.0,0.5\n", "\x1c"])
+def test_load_eis_csv_refuses_non_utf8_before_any_other_fault(tmp_path, monkeypatch, fault):
+    # a blank line, a short row or a separator early, a byte that is no UTF-8
+    # in a later piece: the decode error comes first, as when the whole file
+    # was decoded before parsing
+    monkeypatch.setattr(eisdata, "_PIECE_CHARS", 8)
+    # past the file object's own read-ahead, so that the bad byte is read late
+    rows = [r for i in range(1000) for r in curve_rows(f"C{i}")]
+    text = "".join(",".join(map(str, r)) + "\n" for r in rows)
+    path = tmp_path / "eis.csv"
+    path.write_bytes((",".join(EIS_HEADER) + "\n" + fault).encode() + text.encode()
+                     + b"X,5,0,0,\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        eisdata.load_eis_csv(path)
+
+
+def reference_save_eis_csv(path, curves):
+    """The writer `save_eis_csv` replaced: every row built, then all sorted."""
+    rows = []
+    for c in curves:
+        for i in range(c.n_points):
+            rows.append((c.cell_id, c.stage, c.cycle, i, repr(float(c.freq_hz[i])),
+                         repr(float(c.re_z_ohm[i])), repr(float(c.im_z_ohm[i]))))
+    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EIS_HEADER)
+        writer.writerows(rows)
+
+
+def test_save_eis_csv_writes_the_bytes_of_the_sort_all_rows_writer(tmp_path):
+    # ids kept verbatim: "SYN10" sorts before "SYN2", spaces, comma, quote,
+    # line breaks and non-ASCII; curves of several stages and cycles, shuffled
+    ids = ["SYN2", "SYN10", " a b ", "c,d", 'q"x', "x\ny", "x\r\ny", "é€"]
+    rng = np.random.default_rng(0)
+    curves = [make_curve(cell=cell, stage=stage, cycle=cycle, n=4 + cycle)
+              for cell in ids for stage in (3, 5) for cycle in (0, 1, 10)]
+    curves = [replace(c, re_z_ohm=rng.standard_normal(c.n_points) / 3)
+              for c in (curves[i] for i in rng.permutation(len(curves)))]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    eisdata.save_eis_csv(got, curves)
+    reference_save_eis_csv(want, curves)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_save_eis_csv_refuses_a_repeated_curve_before_opening_the_file(tmp_path):
+    path = tmp_path / "eis.csv"
+    curves = [make_curve(cell="SYN01", cycle=0), make_curve(cell="SYN01", cycle=1),
+              make_curve(cell="SYN01", cycle=0)]
+    with pytest.raises(DataError, match=r"duplicate curve \('SYN01', 5, 0\)"):
+        eisdata.save_eis_csv(path, curves)
+    assert not path.exists()
+
+
+def test_load_eis_csv_peak_memory_stays_near_the_file_size(tmp_path):
+    # the whole text in an io.StringIO, 4 bytes a character, peaked at 6.6x
+    path = tmp_path / "eis.csv"
+    eisdata.save_eis_csv(path, ecm.synth_dataset(2, 2, 60, [5], 0).curves)
+    tracemalloc.start()
+    try:
+        eisdata.load_eis_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * os.path.getsize(path)
+
+
+def test_load_eis_csv_checks_blank_lines_across_pieces(tmp_path, monkeypatch):
+    # pieces of 5 characters: a blank line or a separator may straddle two
+    monkeypatch.setattr(eisdata, "_PIECE_CHARS", 5)
+    rows = curve_rows("C1")
+    for body, message in [("\n", "row 3: expected 7 fields, got 0"),
+                          ("\r\n", "row 3: expected 7 fields, got 0"),
+                          ("", None)]:
+        path = tmp_path / "eis.csv"
+        text = "".join(",".join(map(str, r)) + "\n" for r in rows)
+        first = len(",".join(map(str, rows[0]))) + 1
+        path.write_bytes((",".join(EIS_HEADER) + "\n" + text[:first] + body
+                          + text[first:]).encode())
+        outcome = load_outcome(eisdata.load_eis_csv, path)
+        assert outcome == load_outcome(reference_load_eis_csv, path)
+        assert outcome == message if message else isinstance(outcome, list)
 
 
 def test_eis_csv_60_point_group(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,58 @@ def test_extract_latents_names_first_curve_whose_code_overflows():
                 eisgan.extract_latents(nets, curve)
     with pytest.raises(GanError, match="latent code of curve 2 is non-finite"):
         eisgan.extract_latents(nets, x)
+
+
+BLOCK = eisgan.EXTRACT_BLOCK
+
+
+def reference_extract_latents(nets, x):
+    """Q over the trunk in one pass over the whole batch, as before blocking."""
+    return eisgan._q_mean(nets, reference_forward_trunk(nets, ng.Tensor(x))).data
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                               2 * BLOCK, 3 * BLOCK + 17])
+def test_blocked_extract_latents_equals_whole_batch_pass(n):
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(5))
+    x = toy_batch(n, seed=n)
+    got = eisgan.extract_latents(nets, x)
+    assert got.shape == (n, 9)
+    assert np.array_equal(got, reference_extract_latents(nets, x))
+
+
+def test_blocked_extract_latents_names_nonfinite_curve_by_global_row():
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
+    x = toy_batch(3 * BLOCK)
+    x[2 * BLOCK + 7, 1, 3] = np.nan
+    x[2 * BLOCK + 9, 0, 0] = np.inf
+    with pytest.raises(GanError, match=f"curve {2 * BLOCK + 7} holds non-finite"):
+        eisgan.extract_latents(nets, x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blocked_extract_latents_names_overflowing_code_by_global_row():
+    nets = _overflowing(lambda n: n.trunk_convs[:2])
+    x = np.zeros((3 * BLOCK, 2, 60))
+    x[[BLOCK + 5, 2 * BLOCK + 1]] = toy_batch(2)
+    with pytest.raises(GanError, match=f"latent code of curve {BLOCK + 5} is non-finite"):
+        eisgan.extract_latents(nets, x)
+
+
+def test_extract_latents_peak_memory_bounded_by_block():
+    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
+
+    def peak(n):
+        x = toy_batch(n)
+        tracemalloc.start()
+        try:
+            eisgan.extract_latents(nets, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a whole-batch pass holds every curve's im2col columns at once: about 8x
+    assert peak(8 * BLOCK) <= 2 * peak(BLOCK)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
