@@ -19,21 +19,21 @@ config = pipeline.PipelineConfig(
     seed=0)
 
 ds = pipeline.load_dataset(config)
-# the partition, NormStats and normalized (N, 2, T) arrays the study builds
+# the stage's partition and curves, with the baseline's feature map (its NormStats)
 inputs = pipeline.stage_inputs(ds, 5)
 print("training stage-5 GAN ...")
-nets, _ = eisgan.train(inputs.x_train, pipeline._stage_gan_config(config, 5))
+features, _ = pipeline.train_stage_gan(config, inputs)
 
-def latents(curves, x):
+def latents(curves):
     y = np.array([ds.capacity(c.cell_id, c.cycle) for c in curves])
-    return eisgan.extract_latents(nets, x), y  # one (N, 2, T) batch -> (N, 9) codes
+    return features(curves), y  # z-score, then Q(trunk(x)): N curves -> (N, 9) codes
 
-c_train, y_train = latents(inputs.train_curves, inputs.x_train)
+c_train, y_train = latents(inputs.train_curves)
 model = gpr.fit(c_train, y_train, restarts=3, max_iter=60, seed=0)
 print(f"GPR: sigma_n={model.hp.sigma_n:.3f} sigma_f={model.hp.sigma_f:.3f} "
       f"l={model.hp.length_scale:.3f}  lml={model.lml:.1f}")
 
-c_test, y_test = latents(inputs.test_curves, inputs.x_test)
+c_test, y_test = latents(inputs.test_curves)
 mean, var = model.predict(c_test)
 mae, rmse, r2 = pipeline.metrics(y_test, mean)
 print(f"\nheld-out cell {ds.test_cells[0]}: "

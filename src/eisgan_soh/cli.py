@@ -34,10 +34,6 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _checkpoint_path(config, stage):
-    return os.path.join(config.out_dir, f"gan_stage{stage}.npz")
-
-
 def _latents_csv_path(config, stage):
     return os.path.join(config.out_dir, f"latents_stage{stage}.csv")
 
@@ -56,10 +52,9 @@ def cmd_train_gan(config: PipelineConfig):
     dataset = pipeline.load_dataset(config, capacities=False)
     os.makedirs(config.out_dir, exist_ok=True)
     for stage in config.stages:
-        inputs = pipeline.stage_inputs(dataset, stage)
-        nets, report = eisgan.train(inputs.x_train, pipeline._stage_gan_config(config, stage))
-        path = _checkpoint_path(config, stage)
-        eisgan.save_checkpoint(path, nets, inputs.stats)
+        features, report = pipeline.train_stage_gan(config, pipeline.stage_inputs(dataset, stage))
+        path = pipeline.checkpoint_path(config.out_dir, stage)
+        eisgan.save_checkpoint(path, features.nets, features.stats)
         print(f"stage {stage}: trained {config.gan.epochs} epochs, "
               f"final loss_d={report.loss_d[-1]:.4f} -> {path}")
 
@@ -71,12 +66,12 @@ def cmd_extract(config: PipelineConfig):
         if not curves:
             raise pipeline.PipelineError(
                 f"stage {stage}: the EIS data hold no curve of this stage")
-        nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        latents = eisgan.extract_latents(nets, eisdata.normalized_array(curves, stats))
+        features = pipeline.FeatureMap(*eisgan.load_checkpoint(
+            pipeline.checkpoint_path(config.out_dir, stage)))
         rows = [[c.cell_id, c.stage, c.cycle] + [float(v) for v in lat]
-                for c, lat in zip(curves, latents)]
+                for c, lat in zip(curves, features(curves))]
         pipeline._write_csv(_latents_csv_path(config, stage),
-                            _latents_header(nets.config.latent_dim), rows)
+                            _latents_header(features.nets.config.latent_dim), rows)
         print(f"stage {stage}: wrote {len(rows)} latent rows")
 
 
@@ -88,7 +83,7 @@ def _read_latents(path, stage):
     """(cell_id, stage, cycle, codes) per row of `stage`'s latents CSV as
     `extract` writes it; a wrong header, field count, number or stage raises
     PipelineError naming the file and the row (the header is row 1)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with eisdata.open_text(path, pipeline.PipelineError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if len(header) < 4 or header != _latents_header(len(header) - 3):
@@ -134,8 +129,8 @@ def cmd_fit_gpr(config: PipelineConfig):
 def cmd_predict(config: PipelineConfig):
     train_cells, test_cells = pipeline.declared_partition(config)
     for stage in config.stages:
-        with open(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
-                  encoding="utf-8") as fh:
+        with eisdata.open_text(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
+                               gpr.GprError) as fh:
             model = gpr.GprModel.from_json(fh.read())
         all_rows = _read_latents(_latents_csv_path(config, stage), stage)
         rows = [r for r in all_rows if r[0] in test_cells]
@@ -158,16 +153,17 @@ def cmd_sweep(config: PipelineConfig):
         # the frequencies run-all's sweeps carry: those of the stage's first test curve
         _, test_cells = pipeline.stage_partition(dataset, stage)
         freq = dataset.curves_for(stage, test_cells[:1])[0].freq_hz
-        nets, stats = eisgan.load_checkpoint(_checkpoint_path(config, stage))
-        if len(freq) != nets.config.length:
-            raise pipeline.PipelineError(
-                f"stage {stage}: the checkpoint's curves have {nets.config.length} "
-                f"points, the data's {len(freq)}")
-        for dim in range(nets.config.latent_dim):
+        features = pipeline.FeatureMap(*eisgan.load_checkpoint(
+            pipeline.checkpoint_path(config.out_dir, stage)))
+        cfg = features.nets.config
+        if len(freq) != cfg.length:
+            raise pipeline.PipelineError(f"stage {stage}: the checkpoint's curves have "
+                                         f"{cfg.length} points, the data's {len(freq)}")
+        for dim in range(cfg.latent_dim):
             path = os.path.join(config.out_dir, f"sweep_stage{stage}_dim{dim}.csv")
             pipeline._write_csv(path, pipeline.SWEEP_HEADER,
-                                pipeline.sweep_rows(nets, stats, dim, freq))
-        print(f"stage {stage}: wrote sweeps for {nets.config.latent_dim} dims")
+                                pipeline.sweep_rows(features, dim, freq))
+        print(f"stage {stage}: wrote sweeps for {cfg.latent_dim} dims")
 
 
 def _study(paths):

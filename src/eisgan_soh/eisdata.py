@@ -9,6 +9,7 @@ Floats are rendered with repr(), so ingest -> serialize -> ingest is lossless.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -50,7 +51,8 @@ class EisCurve:
         if len(self.re_z_ohm) != n or len(self.im_z_ohm) != n:
             raise DataError(f"curve {self.key()} has ragged arrays")
         if n and (np.any(self.freq_hz <= 0) or np.any(np.diff(self.freq_hz) >= 0)):
-            raise DataError(f"curve {self.key()} frequencies must be positive and strictly descending")
+            raise DataError(
+                f"curve {self.key()} frequencies must be positive and strictly descending")
         for name in ("freq_hz", "re_z_ohm", "im_z_ohm"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"curve {self.key()} has non-finite {name}")
@@ -146,6 +148,25 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def open_text(path, error, newline=None):
+    """`path` opened as UTF-8 text. A byte that is not UTF-8 raises `error`
+    naming the path and the line of the first such byte. The decoder counts
+    from the chunk it was given, so the line comes from re-reading the bytes
+    a line at a time; no UTF-8 sequence holds a \\n byte."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for line, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise error(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
+
 
 def _parse_float(value, row_num, column):
     try:
@@ -313,10 +334,11 @@ def load_eis_csv(path) -> list[EisCurve]:
     The rows are read in one `np.loadtxt` pass and grouped with one lexsort;
     a file that pass refuses is re-read row by row, which names the bad row.
     Field counts and parse errors are reported before duplicate points, gaps
-    and frequency order. Both readers take the text from the file a piece or
-    a line at a time, never as one string.
+    and frequency order; a byte that is not UTF-8 is reported before all of
+    them. Both readers take the text from the file a piece or a line at a
+    time, never as one string.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, DataError, newline="") as fh:
         header = _past_header(fh)
         if header != EIS_HEADER:
             raise DataError(f"{path}: header {header} != expected {EIS_HEADER}")
@@ -358,7 +380,7 @@ def save_eis_csv(path, curves) -> None:
 def load_capacity_csv(path) -> list[CapacityRecord]:
     records = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, DataError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CAPACITY_HEADER:

@@ -148,39 +148,38 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(obj: dict) -> "PipelineConfig":
-        kwargs = _section(PipelineConfig, obj, "config",
-                          ("stages", "train_cells", "test_cells"))
-        if kwargs.get("synth") is not None:
-            kwargs["synth"] = SynthSettings(**_section(SynthSettings, kwargs["synth"], "synth"))
-        if "gan" in kwargs:
-            kwargs["gan"] = GanConfig(**_section(GanConfig, kwargs["gan"], "gan",
-                                                 ("trunk_widths", "gen_widths")))
-        if "gpr" in kwargs:
-            kwargs["gpr"] = GprSettings(**_section(GprSettings, kwargs["gpr"], "gpr"))
-        if "perturb" in kwargs:
-            kwargs["perturb"] = PerturbSettings(**_section(PerturbSettings, kwargs["perturb"],
-                                                           "perturb", ("sigmas",)))
+        kwargs = _section(PipelineConfig, obj, "config")
+        for name, cls in (("synth", SynthSettings), ("gan", GanConfig),
+                          ("gpr", GprSettings), ("perturb", PerturbSettings)):
+            # "synth": null means CSV input; no other section may be null
+            if name in kwargs and not (name == "synth" and kwargs[name] is None):
+                kwargs[name] = cls(**_section(cls, kwargs[name], name))
         return PipelineConfig(**kwargs)
 
     @staticmethod
     def from_json_file(path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return PipelineConfig.from_dict(json.load(fh))
+        with eisdata.open_text(path, PipelineError) as fh:
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PipelineError(f"{path} line {exc.lineno} column {exc.colno}: "
+                                    f"not valid JSON ({exc.msg})") from None
+        return PipelineConfig.from_dict(obj)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-def _section(cls, obj, name, lists=()) -> dict:
+def _section(cls, obj, name) -> dict:
     """One JSON config object as `cls` keyword arguments. A key `cls` lacks is
-    refused, and each key in `lists` must hold a list, passed on as a tuple."""
+    refused, and a key of a tuple field must hold a list, passed on as a tuple."""
     if not isinstance(obj, dict):
         raise PipelineError(f"config section {name} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise PipelineError(f"unknown key(s) {unknown} in config section {name}")
     kwargs = dict(obj)
-    for key in lists:
+    for key in (f.name for f in dataclasses.fields(cls) if f.type.startswith("tuple")):
         if key in kwargs:
             if not isinstance(kwargs[key], (list, tuple)):
                 raise PipelineError(f"{key} must be a list, got {kwargs[key]!r}")
@@ -300,19 +299,29 @@ def box_stats(samples):
 # per-stage artifacts
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class FeatureMap:
+    """A stage's one step from spectra (`curves`, or `raw` holding one (2, T)
+    row per curve) to GPR inputs: z-score with its training cells' NormStats,
+    then the latent codes Q(trunk(x)), or the flattened 2*T spectrum when `nets`
+    is None (the raw-EIS baseline). Map a whole batch in one call: a dense GEMM
+    over another row count rounds differently."""
+    nets: eisgan.Networks | None
+    stats: eisdata.NormStats
+
+    def __call__(self, curves, raw=None) -> np.ndarray:
+        x = normalized_array(curves, self.stats, raw)
+        return x.reshape(len(x), -1) if self.nets is None else eisgan.extract_latents(self.nets, x)
+
+
 @dataclass
 class StageArtifacts:
-    """A stage's test cells, the NormStats fit on its training cells, its
-    train and test curves with their normalized (N, 2, T) arrays, and then
-    one path's networks (None on the baseline) and GPR."""
+    """A stage's test cells and curves, then one path's feature map and GPR."""
     stage: int
     test_cells: tuple[str, ...]
-    stats: eisdata.NormStats
     train_curves: list
     test_curves: list
-    x_train: np.ndarray
-    x_test: np.ndarray
-    nets: eisgan.Networks | None = None
+    features: FeatureMap
     gpr_model: gpr.GprModel | None = None
 
 
@@ -333,37 +342,37 @@ def stage_partition(dataset: Dataset, stage: int):
 
 
 def stage_inputs(dataset: Dataset, stage: int) -> StageArtifacts:
-    """A stage's inputs, built once before any path; the study and `train-gan` start here."""
+    """A stage's inputs and baseline feature map; the study and `train-gan` start here."""
     train_cells, test_cells = stage_partition(dataset, stage)
     train, test = dataset.curves_for(stage, train_cells), dataset.curves_for(stage, test_cells)
-    stats = fit_norm_stats(train)
-    return StageArtifacts(stage, test_cells, stats, train, test,
-                          normalized_array(train, stats), normalized_array(test, stats))
+    return StageArtifacts(stage, test_cells, train, test, FeatureMap(None, fit_norm_stats(train)))
 
 
-def _stage_gan_config(config: PipelineConfig, stage: int) -> GanConfig:
-    # one independently seeded GAN per stage
-    return replace(config.gan, seed=config.seed * 1000 + stage)
+def train_stage_gan(config: PipelineConfig, inp: StageArtifacts):
+    """(FeatureMap, TrainReport) of the stage's GAN, seeded on its own."""
+    stats = inp.features.stats
+    nets, report = eisgan.train(normalized_array(inp.train_curves, stats),
+                                replace(config.gan, seed=config.seed * 1000 + inp.stage))
+    return FeatureMap(nets, stats), report
 
 
-def _evaluate_cells(report, model, stage, curves, inputs, y):
-    cells = sorted({c.cell_id for c in curves})
-    for cell_id in cells:
+def checkpoint_path(out_dir, stage: int) -> str:
+    """Where `run-all` and `train-gan` save a stage's networks and NormStats."""
+    return os.path.join(out_dir, f"gan_stage{stage}.npz")
+
+
+def _evaluate_cells(report, art: StageArtifacts, y):
+    curves, inputs = art.test_curves, art.features(art.test_curves)
+    for cell_id in sorted({c.cell_id for c in curves}):
         idx = [i for i, c in enumerate(curves) if c.cell_id == cell_id]
-        mean, var = model.predict(inputs[idx])
+        mean, var = art.gpr_model.predict(inputs[idx])
         mae, rmse, r2 = metrics(y[idx], mean)
         report.cells.append(CellEval(
-            stage=stage, cell_id=cell_id, mae_mah=mae, rmse_mah=rmse, r2=r2,
+            stage=art.stage, cell_id=cell_id, mae_mah=mae, rmse_mah=rmse, r2=r2,
             cycles=[curves[i].cycle for i in idx],
             measured_mah=[float(v) for v in y[idx]],
             pred_mean_mah=[float(v) for v in mean],
             pred_std_mah=[float(v) for v in np.sqrt(var)]))
-
-
-def _features(x, nets):
-    """GPR inputs of a normalized (N, 2, T) batch: the latent codes, or the
-    flattened 2*T spectrum when `nets` is None (the raw-EIS baseline)."""
-    return x.reshape(len(x), -1) if nets is None else eisgan.extract_latents(nets, x)
 
 
 def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
@@ -380,26 +389,25 @@ def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
     return next(c for c in stage_curves if c.cycle == cycle)
 
 
-def _noisy_array(curve, sigma, n_samples, rng, stats) -> np.ndarray:
+def _noisy_array(curve, sigma, n_samples, rng) -> np.ndarray:
     """`n_samples` copies of `curve` with N(0, sigma^2) noise on every Re and Im
-    sample, normalized as one (n_samples, 2, T) array; sigma 0 draws none."""
+    sample, as one raw (n_samples, 2, T) array; sigma 0 draws none."""
     raw = np.repeat(curve_to_array(curve)[None], n_samples, axis=0)
     if sigma:
         raw += rng.normal(0.0, sigma, raw.shape)
-    return normalized_array([curve] * n_samples, stats, raw)
+    return raw
 
 
 def _perturb_entries(config: PipelineConfig, path_name: str, curve,
                      art: StageArtifacts) -> list[PerturbEntry]:
     """One path's Gaussian-perturbation deviations at one stage, per sigma."""
-    clean = normalized_array([curve], art.stats)
-    clean_pred = art.gpr_model.predict(_features(clean, art.nets))[0][0]
+    clean_pred = art.gpr_model.predict(art.features([curve]))[0][0]
     entries = []
     for sigma in config.perturb.sigmas:
         rng = np.random.default_rng(
             [config.seed, art.stage, _sigma_key(sigma), 0 if path_name == "eisgan" else 1])
-        noisy = _noisy_array(curve, sigma, config.perturb.n_samples, rng, art.stats)
-        devs = art.gpr_model.predict(_features(noisy, art.nets))[0] - clean_pred
+        noisy = _noisy_array(curve, sigma, config.perturb.n_samples, rng)
+        devs = art.gpr_model.predict(art.features([curve] * len(noisy), noisy))[0] - clean_pred
         med, q25, q75, wlo, whi, outliers = box_stats(devs)
         entries.append(PerturbEntry(
             stage=art.stage, cell_id=curve.cell_id, cycle=curve.cycle,
@@ -431,12 +439,12 @@ def _write_csv(path, header, rows):
 SWEEP_HEADER = ["code_value", "point_index", "freq_hz", "re_z_ohm", "im_z_ohm"]
 
 
-def sweep_rows(nets: eisgan.Networks, stats: eisdata.NormStats, dim: int, freq):
+def sweep_rows(features: FeatureMap, dim: int, freq):
     """Denormalized CSV rows of one code dimension's sweep over
     `eisgan.SWEEP_GRID`, one row per (code value, frequency point)."""
     rows = []
-    for value, arr in zip(eisgan.SWEEP_GRID, eisgan.latent_sweep(nets, dim)):
-        re_z, im_z = eisdata.array_to_channels(arr, stats)
+    for value, arr in zip(eisgan.SWEEP_GRID, eisgan.latent_sweep(features.nets, dim)):
+        re_z, im_z = eisdata.array_to_channels(arr, features.stats)
         rows.extend((value, i, freq[i], re_z[i], im_z[i]) for i in range(len(freq)))
     return rows
 
@@ -464,8 +472,7 @@ def emit_plot_data(outdir, results: dict, paths) -> None:
 
     for stage, art in results.get("eisgan_artifacts", {}).items():
         cell_id = art.test_cells[0]
-        idx = [i for i, c in enumerate(art.test_curves) if c.cell_id == cell_id]
-        curves, x = [art.test_curves[i] for i in idx], art.x_test[idx]
+        curves = [c for c in art.test_curves if c.cell_id == cell_id]
 
         # Nyquist traces across a handful of cycles
         n_show = min(5, len(curves))
@@ -477,10 +484,10 @@ def emit_plot_data(outdir, results: dict, paths) -> None:
 
         # latent sweeps for the top two selected dimensions
         measured = results["eisgan_report"].cell(stage, cell_id).measured_mah
-        sel = eisgan.align_and_select(eisgan.extract_latents(art.nets, x), measured)
+        sel = eisgan.align_and_select(art.features(curves), measured)
         for rank, dim in enumerate(sel.top2, start=1):
             emit(f"sweep_stage{stage}_c{rank}.csv", SWEEP_HEADER,
-                 sweep_rows(art.nets, art.stats, dim, curves[0].freq_hz))
+                 sweep_rows(art.features, dim, curves[0].freq_hz))
 
         # aligned latent traces over cycles
         cycles = [c.cycle for c in curves]
@@ -555,17 +562,16 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     for name in paths:
         results[f"{name}_report"], results[f"{name}_artifacts"] = EvalReport(name), {}
     for stage, (inp, y_train, y_test) in stages.items():
-        nets = {"baseline": None}
+        maps = {"baseline": inp.features}
         if "eisgan" in paths:
-            nets["eisgan"], _ = eisgan.train(inp.x_train, _stage_gan_config(config, stage))
+            maps["eisgan"], _ = train_stage_gan(config, inp)
         for name in paths:
-            model = gpr.fit(_features(inp.x_train, nets[name]), y_train,
+            model = gpr.fit(maps[name](inp.train_curves), y_train,
                             restarts=config.gpr.restarts,
                             max_iter=config.gpr.max_iter, seed=config.seed)
-            _evaluate_cells(results[f"{name}_report"], model, stage, inp.test_curves,
-                            _features(inp.x_test, nets[name]), y_test)
-            art = results[f"{name}_artifacts"][stage] = replace(inp, nets=nets[name],
+            art = results[f"{name}_artifacts"][stage] = replace(inp, features=maps[name],
                                                                 gpr_model=model)
+            _evaluate_cells(results[f"{name}_report"], art, y_test)
             results["perturb_report"].entries.extend(
                 _perturb_entries(config, name, targets[stage], art))
     return results
@@ -593,5 +599,5 @@ def run_all(config: PipelineConfig, paths=PATHS) -> dict:
     emit_plot_data(out, results, paths)
     write_summary(out, results, paths)
     for stage, art in results.get("eisgan_artifacts", {}).items():
-        eisgan.save_checkpoint(os.path.join(out, f"gan_stage{stage}.npz"), art.nets, art.stats)
+        eisgan.save_checkpoint(checkpoint_path(out, stage), art.features.nets, art.features.stats)
     return results

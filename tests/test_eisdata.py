@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -105,8 +106,20 @@ def test_load_eis_csv_refuses_non_utf8_before_any_other_fault(tmp_path, monkeypa
     path = tmp_path / "eis.csv"
     path.write_bytes((",".join(EIS_HEADER) + "\n" + fault).encode() + text.encode()
                      + b"X,5,0,0,\xff\n")
-    with pytest.raises(UnicodeDecodeError):
+    # the bad byte is on the last line, counted in the whole file
+    line = path.read_bytes().count(b"\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} line {line}: not UTF-8 text")):
         eisdata.load_eis_csv(path)
+
+
+def test_load_capacity_csv_refuses_non_utf8_naming_the_line(tmp_path):
+    # far past the decoder's first chunk, whose offsets the error would count from
+    rows = "".join(f"C1,{i},45.0\n" for i in range(20000))
+    path = tmp_path / "capacity.csv"
+    path.write_bytes(("cell_id,cycle,capacity_mah\n" + rows).encode()
+                     + b"C\xe92,0,45.0\n" + b"C3,0,45.0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} line 20002: not UTF-8 text")):
+        eisdata.load_capacity_csv(path)
 
 
 def reference_save_eis_csv(path, curves):
@@ -573,7 +586,7 @@ def test_transforms_equal_dataclasses_replace_bit_for_bit():
     assert x.tobytes() == np.stack([eisdata.curve_to_array(c) for c in
                                     eisdata.normalize(curves, stats)]).tobytes()
     for c in curves:
-        out = pipeline._noisy_array(c, 0.003, 2, np.random.default_rng(c.cycle), IDENTITY)
+        out = pipeline._noisy_array(c, 0.003, 2, np.random.default_rng(c.cycle))
         rng = np.random.default_rng(c.cycle)
         for row in out:
             ref = [c.re_z_ohm + rng.normal(0.0, 0.003, 60),
@@ -594,8 +607,8 @@ def test_transform_results_stay_frozen_and_independent():
 @pytest.mark.parametrize("transform, channel", [
     (lambda c: eisdata.normalize([c], NormStats(0.0, 1e-310, 0.0, 1.0)), "re_z_ohm"),
     (lambda c: eisdata.normalize([c], NormStats(0.0, 1.0, 0.0, 1e-310)), "im_z_ohm"),
-    (lambda c: pipeline._noisy_array(c, 1e308, 3, np.random.default_rng(0), IDENTITY),
-     "re_z_ohm"),
+    (lambda c: pipeline.FeatureMap(None, IDENTITY)(
+        [c] * 3, pipeline._noisy_array(c, 1e308, 3, np.random.default_rng(0))), "re_z_ohm"),
 ], ids=["normalize-re", "normalize-im", "perturb"])
 def test_transforms_raise_data_error_on_overflow(transform, channel):
     curve = make_curve(cell="CX", stage=3, cycle=7)
@@ -615,7 +628,7 @@ def test_normalized_array_names_the_first_non_finite_curve():
 
 def test_perturb_sigma_zero_identity():
     curve = make_curve()
-    out = pipeline._noisy_array(curve, 0.0, 3, np.random.default_rng(0), IDENTITY)
+    out = pipeline._noisy_array(curve, 0.0, 3, np.random.default_rng(0))
     assert out.shape == (3, 2, 60)
     for row in out:
         assert row.tobytes() == eisdata.curve_to_array(curve).tobytes()
@@ -623,8 +636,8 @@ def test_perturb_sigma_zero_identity():
 
 def test_perturb_reproducible_under_seed():
     curve = make_curve()
-    a = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42), IDENTITY)
-    b = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42), IDENTITY)
+    a = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42))
+    b = pipeline._noisy_array(curve, 0.003, 4, np.random.default_rng(42))
     assert np.array_equal(a, b)
     assert not np.array_equal(a[0], a[1])
 
@@ -632,7 +645,7 @@ def test_perturb_reproducible_under_seed():
 def test_perturb_sample_std():
     curve = make_curve(n=60)
     # 1000 copies x 120 samples > 1e5 draws
-    out = pipeline._noisy_array(curve, 0.003, 1000, np.random.default_rng(1), IDENTITY)
+    out = pipeline._noisy_array(curve, 0.003, 1000, np.random.default_rng(1))
     std = (out - eisdata.curve_to_array(curve)).std()
     assert abs(std - 0.003) / 0.003 < 0.02
 
@@ -641,7 +654,7 @@ def test_perturb_preserves_metadata():
     # the draw adds to a copy: the clean curve keeps its key, grid and values
     curve = make_curve(cell="CX", stage=3, cycle=7)
     before = eisdata.curve_to_array(curve)
-    pipeline._noisy_array(curve, 0.001, 2, np.random.default_rng(0), IDENTITY)
+    pipeline._noisy_array(curve, 0.001, 2, np.random.default_rng(0))
     assert curve.key() == ("CX", 3, 7)
     assert np.array_equal(curve.freq_hz, make_curve().freq_hz)
     assert eisdata.curve_to_array(curve).tobytes() == before.tobytes()

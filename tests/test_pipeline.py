@@ -336,7 +336,8 @@ def _per_sample_noisy(curve, sigma, rng, stats, n_samples):
 
 def _reference_prediction(x, art):
     """Per-spectrum reference for the batched perturbation study."""
-    features = x.ravel() if art.nets is None else eisgan.extract_latents(art.nets, x)
+    nets = art.features.nets
+    features = x.ravel() if nets is None else eisgan.extract_latents(nets, x)
     mean, _ = art.gpr_model.predict(features)
     return mean
 
@@ -352,7 +353,7 @@ def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
         curve = next(c for c in results["dataset"].curves_for(e.stage, [e.cell_id])
                      if c.cycle == e.cycle)
         art = results[f"{e.path_name}_artifacts"][e.stage]
-        stats = art.stats
+        stats = art.features.stats
         clean = _reference_prediction(_normalized(curve.re_z_ohm, curve.im_z_ohm, stats), art)
         rng = _study_rng(cfg, e.stage, e.sigma, e.path_name)
         devs = [_reference_prediction(x, art) - clean for x in
@@ -361,26 +362,30 @@ def test_run_all_perturbation_matches_per_sample_loop(tiny_run):
 
 
 def test_perturbation_noisy_arrays_keep_their_bits(tiny_run, monkeypatch):
-    # the study draws each sigma's noise in one call; the bytes are those of
-    # per-sample draws, so the perturbation report stays the same
+    # the study draws each sigma's noise in one call and normalizes it in the
+    # feature map; the bytes are those of per-sample draws, so the
+    # perturbation report stays the same
     cfg, results = tiny_run
     cfg = dataclasses.replace(cfg, perturb=PerturbSettings(
         sigmas=(0.0, 0.001, 0.003), n_samples=4, cycle=3))
     art = results["baseline_artifacts"][5]
     curve = next(c for c in results["dataset"].curves_for(5, [art.test_cells[0]])
                  if c.cycle == 3)
-    drawn = []
-    noisy_array = pipeline._noisy_array
+    normalized = []
+    normalized_array = pipeline.normalized_array
 
     def record(*args):
-        drawn.append(noisy_array(*args))
-        return drawn[-1]
-    monkeypatch.setattr(pipeline, "_noisy_array", record)
+        normalized.append(normalized_array(*args))
+        return normalized[-1]
+    monkeypatch.setattr(pipeline, "normalized_array", record)
     pipeline._perturb_entries(cfg, "baseline", curve, art)
-    assert len(drawn) == len(cfg.perturb.sigmas)
-    for sigma, x in zip(cfg.perturb.sigmas, drawn):
+    # the clean spectrum first, then one array per sigma
+    assert len(normalized) == 1 + len(cfg.perturb.sigmas)
+    assert normalized[0].tobytes() == _normalized(
+        curve.re_z_ohm, curve.im_z_ohm, art.features.stats).tobytes()
+    for sigma, x in zip(cfg.perturb.sigmas, normalized[1:]):
         ref = _per_sample_noisy(curve, sigma, _study_rng(cfg, 5, sigma, "baseline"),
-                                art.stats, 4)
+                                art.features.stats, 4)
         assert x.shape == (4, 2, curve.n_points)
         assert x.tobytes() == np.stack(ref).tobytes(), sigma
 
@@ -416,11 +421,16 @@ def test_emitted_eis_csv_reparses(tiny_run):
 
 def test_checkpoint_reloads_from_run(tiny_run):
     cfg, results = tiny_run
-    nets, stats = eisgan.load_checkpoint(os.path.join(cfg.out_dir, "gan_stage5.npz"))
+    path = pipeline.checkpoint_path(cfg.out_dir, 5)
+    assert path == os.path.join(cfg.out_dir, "gan_stage5.npz")
+    nets, stats = eisgan.load_checkpoint(path)
     art = results["eisgan_artifacts"][5]
-    assert stats == art.stats
-    for pa, pb in zip(nets.all_params(), art.nets.all_params()):
+    assert stats == art.features.stats
+    for pa, pb in zip(nets.all_params(), art.features.nets.all_params()):
         assert np.array_equal(pa.data, pb.data)
+    # the reloaded map gives the stage's test curves the study's latent bytes
+    loaded = pipeline.FeatureMap(*eisgan.load_checkpoint(path))
+    assert loaded(art.test_curves).tobytes() == art.features(art.test_curves).tobytes()
 
 
 @pytest.fixture
@@ -767,6 +777,34 @@ def test_cli_refuses_a_latent_row_of_another_stage(fitted_chain, capsys, command
                     "message": f"{latents} row 4: stage 3, expected 5"}
 
 
+@pytest.mark.parametrize("command", ["fit-gpr", "predict"])
+def test_cli_names_the_line_of_a_latents_csv_that_is_not_utf8(fitted_chain, capsys, command):
+    cfg, path = fitted_chain
+    latents = os.path.join(cfg.out_dir, "latents_stage5.csv")
+    with open(latents, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"SYN", b"SY\xff", 1)
+    with open(latents, "wb") as fh:
+        fh.writelines(lines)
+    assert cli.main([command, "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "PipelineError", "message":
+                    f"{latents} line 4: not UTF-8 text (invalid start byte)"}
+
+
+def test_cli_names_the_line_of_a_gpr_model_file_that_is_not_utf8(fitted_chain, capsys):
+    cfg, path = fitted_chain
+    model = os.path.join(cfg.out_dir, "gpr_stage5.json")
+    with open(model, "rb") as fh:
+        text = fh.read()
+    with open(model, "wb") as fh:
+        fh.write(b"\n" + text[:20] + b"\xc3(" + text[20:])
+    assert cli.main(["predict", "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "GprError", "message":
+                    f"{model} line 2: not UTF-8 text (invalid continuation byte)"}
+
+
 def test_cli_train_gan_writes_the_run_all_checkpoint(tiny_run, tmp_path, capsys):
     # both build the stage's inputs with `stage_inputs`, so they train one GAN
     run_cfg, _ = tiny_run
@@ -997,6 +1035,24 @@ def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, sec
     assert key in json.loads(lines[0])["message"]
     assert captured.out == ""
     assert_wrote_nothing(cfg.out_dir)
+
+
+def test_cli_names_the_line_of_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"synth": {},\n "stages": [5],\n "out_dir": "caf\xe9"}\n')
+    assert cli.main(["run-all", "--config", str(path)]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "PipelineError", "message":
+                    f"{path} line 3: not UTF-8 text (invalid continuation byte)"}
+
+
+def test_cli_names_line_and_column_of_a_config_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"synth": {},\n "stages": [5,]}\n')
+    assert cli.main(["run-all", "--config", str(path)]) == 1
+    blob = json.loads(capsys.readouterr().err.strip())
+    assert blob == {"error": "PipelineError", "message":
+                    f"{path} line 2 column 15: not valid JSON (Expecting value)"}
 
 
 @pytest.mark.parametrize("section", ["gan", "gpr", "perturb", "synth"])
