@@ -154,17 +154,21 @@ def open_text(path, error, newline=None):
     """`path` opened as UTF-8 text. A byte that is not UTF-8 raises `error`
     naming the path and the line of the first such byte. The decoder counts
     from the chunk it was given, so the line comes from re-reading the bytes
-    a line at a time; no UTF-8 sequence holds a \\n byte."""
+    up to each \\n; no UTF-8 sequence holds a \\r or \\n byte. Lines end at
+    \\n, \\r\\n or \\r, as the csv readers split them."""
     try:
         with open(path, newline=newline, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
+        line = 1
         with open(path, "rb") as fh:
-            for line, raw in enumerate(fh, 1):
+            for raw in fh:
                 try:
                     raw.decode("utf-8")
-                except UnicodeDecodeError:
+                except UnicodeDecodeError as bad:
+                    line += raw[:bad.start].count(b"\r")
                     break
+                line += len(raw.splitlines())
         raise error(f"{path} line {line}: not UTF-8 text ({exc.reason})") from None
 
 

@@ -112,12 +112,13 @@ def test_load_eis_csv_refuses_non_utf8_before_any_other_fault(tmp_path, monkeypa
         eisdata.load_eis_csv(path)
 
 
-def test_load_capacity_csv_refuses_non_utf8_naming_the_line(tmp_path):
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_capacity_csv_refuses_non_utf8_naming_the_line(tmp_path, end):
     # far past the decoder's first chunk, whose offsets the error would count from
-    rows = "".join(f"C1,{i},45.0\n" for i in range(20000))
+    rows = "".join(f"C1,{i},45.0{end}" for i in range(20000))
     path = tmp_path / "capacity.csv"
-    path.write_bytes(("cell_id,cycle,capacity_mah\n" + rows).encode()
-                     + b"C\xe92,0,45.0\n" + b"C3,0,45.0\n")
+    path.write_bytes(("cell_id,cycle,capacity_mah" + end + rows).encode()
+                     + b"C\xe92,0,45.0" + end.encode() + b"C3,0,45.0" + end.encode())
     with pytest.raises(DataError, match=re.escape(f"{path} line 20002: not UTF-8 text")):
         eisdata.load_capacity_csv(path)
 
