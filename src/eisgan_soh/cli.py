@@ -155,15 +155,12 @@ def cmd_sweep(config: PipelineConfig):
         freq = dataset.curves_for(stage, test_cells[:1])[0].freq_hz
         features = pipeline.FeatureMap(*eisgan.load_checkpoint(
             pipeline.checkpoint_path(config.out_dir, stage)))
-        cfg = features.nets.config
-        if len(freq) != cfg.length:
-            raise pipeline.PipelineError(f"stage {stage}: the checkpoint's curves have "
-                                         f"{cfg.length} points, the data's {len(freq)}")
-        for dim in range(cfg.latent_dim):
+        latent_dim = features.nets.config.latent_dim
+        for dim in range(latent_dim):
             path = os.path.join(config.out_dir, f"sweep_stage{stage}_dim{dim}.csv")
             pipeline._write_csv(path, pipeline.SWEEP_HEADER,
                                 pipeline.sweep_rows(features, dim, freq))
-        print(f"stage {stage}: wrote sweeps for {cfg.latent_dim} dims")
+        print(f"stage {stage}: wrote sweeps for {latent_dim} dims")
 
 
 def _study(paths):

@@ -19,12 +19,34 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import ndgrad as ng
-from .eisdata import DataError, NormStats
+from .eisdata import DataError, NormStats, T_POINTS
 
-CHECKPOINT_FORMAT = "eisgan-checkpoint-v2"
+CHECKPOINT_FORMAT = "eisgan-checkpoint-v3"
 
-#: curve channels, Re and Im: every curve array is (N, CHANNELS, length)
+#: curve channels, Re and Im: every curve array is (N, CHANNELS, T_POINTS)
 CHANNELS = 2
+
+# The paper's networks and optimiser, fixed: no run sets them.
+#: conv widths of the shared D/Q trunk; each conv is followed by a halving pool
+TRUNK_WIDTHS = (16, 32, 64, 64)
+#: conv widths of the generator; each conv but the last follows a doubling
+GEN_WIDTHS = (64, 32, 16)
+#: width of the trunk's dense features, which the D and Q heads read
+FEATURE_DIM = 64
+#: odd conv kernel width; each conv pads by _PAD on both sides to keep the length
+KERNEL_WIDTH = 5
+_PAD = (KERNEL_WIDTH - 1) // 2
+#: leaky ReLU slope
+ALPHA = 0.01
+#: length of the generator's dense output, before its doublings
+GEN_BASE_LEN = T_POINTS // 2 ** (len(GEN_WIDTHS) - 1)
+#: Adam learning rates of the D/trunk/Q step and of the G step
+LR_D = 4e-4
+LR_G = 1e-4
+#: weight of the code NLL in both the D/Q and the G loss
+LAMBDA_MI = 3.0
+#: global gradient-norm bound per sub-update
+GRAD_CLIP = 10.0
 
 #: curves `extract_latents` runs through the trunk's conv stack at a time
 EXTRACT_BLOCK = 256
@@ -55,55 +77,16 @@ def check_int_fields(obj, error) -> None:
 class GanConfig:
     latent_dim: int = 9
     noise_dim: int = 16
-    length: int = 60
-    trunk_widths: tuple[int, ...] = (16, 32, 64, 64)
-    gen_widths: tuple[int, ...] = (64, 32, 16)
-    feature_dim: int = 64
-    kernel_width: int = 5
-    lr_d: float = 4e-4
-    lr_g: float = 1e-4
-    #: weight of the code NLL in both the D/Q and the G loss
-    lambda_mi: float = 3.0
     batch_size: int = 32
     epochs: int = 250
     seed: int = 0
-    alpha: float = 0.01
-    #: global gradient-norm bound per sub-update; 0 disables clipping
-    grad_clip: float = 10.0
 
     def __post_init__(self):
         check_int_fields(self, GanError)
         if self.latent_dim < 1 or self.noise_dim < 0:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
-        if not (np.isfinite(self.lambda_mi) and self.lambda_mi >= 0):
-            raise GanError(f"lambda_mi must be finite and nonnegative, got {self.lambda_mi}")
-        if not all(np.isfinite(lr) and lr > 0 for lr in (self.lr_d, self.lr_g)):
-            raise GanError("learning rates must be finite and positive")
-        if self.batch_size < 1 or self.epochs < 1 or self.feature_dim < 1:
-            raise GanError("batch_size, epochs and feature_dim must be >= 1")
-        if self.kernel_width < 1 or self.kernel_width % 2 == 0:
-            raise GanError(f"kernel_width must be odd and >= 1, got {self.kernel_width}")
-        if not 0 < self.alpha < 1:
-            raise GanError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (np.isfinite(self.grad_clip) and self.grad_clip >= 0):
-            raise GanError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
-        for name in ("trunk_widths", "gen_widths"):
-            widths = getattr(self, name)
-            if not widths or not all(is_int(w) and w >= 1 for w in widths):
-                raise GanError(f"{name} must be a non-empty tuple of positive integer widths")
-        if self.length >> len(self.trunk_widths) < 1:
-            raise GanError(f"length {self.length} does not survive "
-                           f"{len(self.trunk_widths)} trunk halvings")
-        doublings = len(self.gen_widths) - 1
-        if self.length % 2 ** doublings:
-            raise GanError(f"length {self.length} must be a multiple of 2^{doublings}: "
-                           f"gen_widths {self.gen_widths} double the generator's length "
-                           f"{doublings} times")
-
-    @property
-    def gen_base_len(self) -> int:
-        """Length of the generator's dense output, before its doublings."""
-        return self.length // 2 ** (len(self.gen_widths) - 1)
+        if self.batch_size < 1 or self.epochs < 1:
+            raise GanError("batch_size and epochs must be >= 1")
 
 
 @dataclass
@@ -171,39 +154,31 @@ def _uniform_init(rng, shape, fan_in):
     return ng.Tensor(rng.uniform(-bound, bound, size=shape))
 
 
-def _conv_bank(rng, c_out, c_in, k_w):
-    fan_in = c_in * k_w
+def _conv_bank(rng, c_out, c_in):
+    fan_in = c_in * KERNEL_WIDTH
     return ng.ConvKernelBank(
-        kernels=_uniform_init(rng, (c_out, c_in, k_w), fan_in),
+        kernels=_uniform_init(rng, (c_out, c_in, KERNEL_WIDTH), fan_in),
         biases=_uniform_init(rng, (c_out,), fan_in))
 
 
 def init_networks(config: GanConfig, rng: np.random.Generator) -> Networks:
     """Scaled uniform fan-in initialization; deterministic under the rng."""
-    k_w = config.kernel_width
     in_dim = config.latent_dim + config.noise_dim
+    g_dense_w = _uniform_init(rng, (GEN_WIDTHS[0] * GEN_BASE_LEN, in_dim), in_dim)
+    g_dense_b = _uniform_init(rng, (GEN_WIDTHS[0] * GEN_BASE_LEN,), in_dim)
+    widths = GEN_WIDTHS + (CHANNELS,)
+    g_convs = [_conv_bank(rng, c_out, c_in) for c_in, c_out in zip(widths[:-1], widths[1:])]
 
-    g_w0 = config.gen_widths[0]
-    g_dense_w = _uniform_init(rng, (g_w0 * config.gen_base_len, in_dim), in_dim)
-    g_dense_b = _uniform_init(rng, (g_w0 * config.gen_base_len,), in_dim)
-    g_convs = []
-    widths = list(config.gen_widths) + [CHANNELS]
-    for c_in, c_out in zip(widths[:-1], widths[1:]):
-        g_convs.append(_conv_bank(rng, c_out, c_in, k_w))
-
-    trunk_convs = []
-    t_widths = [CHANNELS] + list(config.trunk_widths)
-    length = config.length
-    for c_in, c_out in zip(t_widths[:-1], t_widths[1:]):
-        trunk_convs.append(_conv_bank(rng, c_out, c_in, k_w))
-        length //= 2
-    flat = config.trunk_widths[-1] * length
-    trunk_dense_w = _uniform_init(rng, (config.feature_dim, flat), flat)
-    trunk_dense_b = _uniform_init(rng, (config.feature_dim,), flat)
-    d_head_w = _uniform_init(rng, (1, config.feature_dim), config.feature_dim)
-    d_head_b = _uniform_init(rng, (1,), config.feature_dim)
-    q_head_w = _uniform_init(rng, (config.latent_dim, config.feature_dim), config.feature_dim)
-    q_head_b = _uniform_init(rng, (config.latent_dim,), config.feature_dim)
+    widths = (CHANNELS,) + TRUNK_WIDTHS
+    trunk_convs = [_conv_bank(rng, c_out, c_in) for c_in, c_out in zip(widths[:-1], widths[1:])]
+    # each trunk conv's pool halves the length, dropping an odd tail
+    flat = TRUNK_WIDTHS[-1] * (T_POINTS >> len(TRUNK_WIDTHS))
+    trunk_dense_w = _uniform_init(rng, (FEATURE_DIM, flat), flat)
+    trunk_dense_b = _uniform_init(rng, (FEATURE_DIM,), flat)
+    d_head_w = _uniform_init(rng, (1, FEATURE_DIM), FEATURE_DIM)
+    d_head_b = _uniform_init(rng, (1,), FEATURE_DIM)
+    q_head_w = _uniform_init(rng, (config.latent_dim, FEATURE_DIM), FEATURE_DIM)
+    q_head_b = _uniform_init(rng, (config.latent_dim,), FEATURE_DIM)
 
     return Networks(config, g_dense_w, g_dense_b, g_convs, trunk_convs,
                     trunk_dense_w, trunk_dense_b, d_head_w, d_head_b,
@@ -216,36 +191,30 @@ def init_networks(config: GanConfig, rng: np.random.Generator) -> Networks:
 
 def _forward_g(nets: Networks, code: ng.Tensor) -> ng.Tensor:
     """Generator pass over a (B, latent_dim + noise_dim) batch of codes."""
-    cfg = nets.config
-    pad = (cfg.kernel_width - 1) // 2
     h = ng.dense(code, nets.g_dense_w, nets.g_dense_b)
-    shape = (code.data.shape[0], cfg.gen_widths[0], cfg.gen_base_len)
-    h = ng.leaky_relu(ng.reshape(h, shape), cfg.alpha)
+    h = ng.leaky_relu(ng.reshape(h, (code.data.shape[0], GEN_WIDTHS[0], GEN_BASE_LEN)), ALPHA)
     for i, bank in enumerate(nets.g_convs):
         last = i == len(nets.g_convs) - 1
         if not last:
             h = ng.upsample_nearest(h, 2)
-        h = ng.conv1d(h, bank, padding=pad)
+        h = ng.conv1d(h, bank, padding=_PAD)
         if not last:
-            h = ng.leaky_relu(h, cfg.alpha)
+            h = ng.leaky_relu(h, ALPHA)
     return h
 
 
 def _trunk_convs(nets: Networks, x: ng.Tensor) -> ng.Tensor:
     """The trunk's conv stack over a (B, channels, length) batch, flattened to
     (B, features)."""
-    cfg = nets.config
-    pad = (cfg.kernel_width - 1) // 2
     h = x
     for bank in nets.trunk_convs:
-        h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=pad), cfg.alpha), 2)
+        h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=_PAD), ALPHA), 2)
     return ng.reshape(h, (h.data.shape[0], int(np.prod(h.data.shape[1:]))))
 
 
 def _trunk_head(nets: Networks, flat: ng.Tensor) -> ng.Tensor:
     """The trunk's dense layer over the flattened conv features."""
-    return ng.leaky_relu(ng.dense(flat, nets.trunk_dense_w, nets.trunk_dense_b),
-                         nets.config.alpha)
+    return ng.leaky_relu(ng.dense(flat, nets.trunk_dense_w, nets.trunk_dense_b), ALPHA)
 
 
 def _forward_trunk(nets: Networks, x: ng.Tensor) -> ng.Tensor:
@@ -305,11 +274,10 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     rows or more but not in a block of a few rows, so a shorter remainder
     joins the last block; a dense GEMM over fewer rows rounded differently.
     """
-    cfg = nets.config
     arr = np.asarray(curve_array, dtype=np.float64)
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != (CHANNELS, cfg.length):
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != (CHANNELS, T_POINTS):
         raise GanError(f"curve shape {arr.shape} is neither ({CHANNELS}, "
-                       f"{cfg.length}) nor (N, {CHANNELS}, {cfg.length})")
+                       f"{T_POINTS}) nor (N, {CHANNELS}, {T_POINTS})")
     single = arr.ndim == 2
     batch = _curve_tensor(arr[None] if single else arr, "curve").data
     n = len(batch)
@@ -345,17 +313,15 @@ def latent_sweep(nets: Networks, dim_index: int, grid=SWEEP_GRID) -> np.ndarray:
 @dataclass
 class Optimizers:
     """One Adam per sub-update of `train_step`, over disjoint parameters:
-    `opt_d` steps D, the shared trunk and Q (lr_d), `opt_g` steps G (lr_g)."""
+    `opt_d` steps D, the shared trunk and Q (LR_D), `opt_g` steps G (LR_G)."""
 
     opt_d: ng.AdamP
     opt_g: ng.AdamP
 
     @staticmethod
     def build(nets: Networks) -> "Optimizers":
-        cfg = nets.config
-        return Optimizers(
-            opt_d=ng.AdamP(nets.d_params() + nets.q_params(), lr=cfg.lr_d),
-            opt_g=ng.AdamP(nets.g_params(), lr=cfg.lr_g))
+        return Optimizers(opt_d=ng.AdamP(nets.d_params() + nets.q_params(), lr=LR_D),
+                          opt_g=ng.AdamP(nets.g_params(), lr=LR_G))
 
 
 def _sample_codes(cfg: GanConfig, batch: int, rng) -> np.ndarray:
@@ -365,8 +331,7 @@ def _sample_codes(cfg: GanConfig, batch: int, rng) -> np.ndarray:
 def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
                rng: np.random.Generator) -> dict:
     """One InfoGAN step (Chen et al. 2016): two sub-updates, each adding
-    lambda_mi (default 3.0) times the code negative log-likelihood L_I to
-    its loss.
+    LAMBDA_MI times the code negative log-likelihood L_I to its loss.
 
     (1) D, trunk and Q on BCE(real) + BCE(fake) + lambda * L_I, where Q reads
     the trunk features D reads of fakes drawn outside any tape; (2) G on the
@@ -374,7 +339,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
     unscaled L_I of the G batch (the constant code entropy is dropped).
     Q's Gaussian has unit variance: L_I = sum (mu - c)^2 / (2 sigma^2) + const,
-    so another sigma would only rescale lambda_mi, the one weight on L_I.
+    so another sigma would only rescale LAMBDA_MI, the one weight on L_I.
 
     The step runs in the dtype of the networks' parameters (float32 under
     `train`): the float64 code draws are rounded to it, and `real_batch`
@@ -390,9 +355,9 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
         (adversarial, NLL, gradient norm); the tape is freed on return."""
         with ng.Tape() as tape:
             adv, nll = losses_fn()
-            loss = ng.add(adv, ng.scale(nll, cfg.lambda_mi))
+            loss = ng.add(adv, ng.scale(nll, LAMBDA_MI))
             grads = ng.backward(tape, loss, opt.params)
-        grads, norm = ng.clip_global_norm(grads, cfg.grad_clip)
+        grads, norm = ng.clip_global_norm(grads, GRAD_CLIP)
         opt.step(grads)
         return float(adv.data), float(nll.data), norm
 
@@ -443,8 +408,8 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
     to float64, which is exact.
     """
     data = np.asarray(real_curves, dtype=np.float64)
-    if data.ndim != 3 or data.shape[1:] != (CHANNELS, config.length):
-        raise GanError(f"training data shape {data.shape} incompatible with config")
+    if data.ndim != 3 or data.shape[1:] != (CHANNELS, T_POINTS):
+        raise GanError(f"training data shape {data.shape} is not (N, {CHANNELS}, {T_POINTS})")
     if len(data) == 0:
         raise GanError("training data holds no curves")
     _curve_tensor(data, "training curve")  # names the first non-finite curve
@@ -514,6 +479,8 @@ def align_and_select(latents: np.ndarray, capacities: np.ndarray) -> LatentSelec
     if len(cap) < MIN_RANK_CYCLES:
         raise GanError(f"need at least {MIN_RANK_CYCLES} cycles for correlation ranking")
     n_dims = lat.shape[1]
+    if n_dims < 2:
+        raise GanError(f"need at least 2 code dimensions to select the top two, got {n_dims}")
     cycles = np.arange(len(cap), dtype=float)
     corrs = np.array([_pearson(lat[:, j], cap) for j in range(n_dims)])
     rank_key = np.where(np.isnan(corrs), -1.0, np.abs(corrs))
@@ -538,10 +505,7 @@ def align_and_select(latents: np.ndarray, capacities: np.ndarray) -> LatentSelec
 
 def save_checkpoint(path, nets: Networks, stats: NormStats) -> None:
     """Dump config, every parameter array, and NormStats; round-trips bit-exactly."""
-    cfg = asdict(nets.config)
-    cfg["trunk_widths"] = list(cfg["trunk_widths"])
-    cfg["gen_widths"] = list(cfg["gen_widths"])
-    header = json.dumps({"format": CHECKPOINT_FORMAT, "config": cfg,
+    header = json.dumps({"format": CHECKPOINT_FORMAT, "config": asdict(nets.config),
                          "norm_stats": asdict(stats)})
     arrays = {f"p{i:03d}": p.data for i, p in enumerate(nets.all_params())}
     np.savez(path, header=np.frombuffer(header.encode(), dtype=np.uint8), **arrays)
@@ -580,8 +544,6 @@ def load_checkpoint(path) -> tuple[Networks, NormStats]:
             raise GanError(f"checkpoint config keys differ from GanConfig: missing "
                            f"{sorted(expected - got)}, unknown {sorted(got - expected)}")
         try:
-            cfg_dict["trunk_widths"] = tuple(cfg_dict["trunk_widths"])
-            cfg_dict["gen_widths"] = tuple(cfg_dict["gen_widths"])
             config = GanConfig(**cfg_dict)
             stats = NormStats(**header["norm_stats"])
         except (KeyError, TypeError, DataError) as exc:

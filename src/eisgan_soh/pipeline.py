@@ -138,6 +138,10 @@ class PipelineConfig:
                                 f"stage {repeated[0]} is repeated")
         if set(self.train_cells) & set(self.test_cells):
             raise PipelineError("train and test cells overlap")
+        if self.gan.seed != 0:
+            raise PipelineError(f"gan seed {self.gan.seed} would be ignored: each stage's GAN "
+                                "is seeded with seed * 1000 + stage from the top-level seed, "
+                                "so set seed instead")
         if self.synth is None and (self.eis_csv is None or self.capacity_csv is None):
             raise PipelineError("either synth settings or CSV paths are required")
         csv_keys = [k for k in ("eis_csv", "capacity_csv", "train_cells", "test_cells")
@@ -450,8 +454,12 @@ def sweep_rows(features: FeatureMap, dim: int, freq):
 
 
 def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
-    """Fail before any training when a stage's first test cell, which
-    `emit_plot_data` ranks latent codes on, has too few cycles."""
+    """Fail before any training when `emit_plot_data` could not select the top
+    two latent codes: the GAN has fewer than two, or a stage's first test cell,
+    which it ranks them on, has too few cycles."""
+    if config.gan.latent_dim < 2:
+        raise PipelineError(f"gan latent_dim is {config.gan.latent_dim}; plot data "
+                            "selects the top two code dimensions, so it needs at least 2")
     for stage in config.stages:
         _, test_cells = stage_partition(dataset, stage)
         n_cycles = len(dataset.curves_for(stage, [test_cells[0]]))

@@ -10,6 +10,7 @@ import pytest
 from eisgan_soh import cli, ecm, eisdata, eisgan, gpr, pipeline
 from eisgan_soh.pipeline import (PerturbSettings, PipelineConfig, PipelineError,
                                  SynthSettings)
+from test_eisgan import FIXED_SETTINGS
 
 
 def tiny_config(out_dir, **overrides):
@@ -956,18 +957,6 @@ def test_cli_sweep_takes_the_frequencies_of_the_data(tmp_path, capsys):
         assert np.array_equal(_freq_column(os.path.join(cfg.out_dir, name)), grid), name
 
 
-def test_cli_sweep_refuses_a_checkpoint_of_another_length(tmp_path, capsys):
-    cfg, path = cli_config_file(tmp_path)
-    nets = eisgan.init_networks(eisgan.GanConfig(length=64), np.random.default_rng(0))
-    os.makedirs(cfg.out_dir)
-    eisgan.save_checkpoint(os.path.join(cfg.out_dir, "gan_stage5.npz"), nets,
-                           eisdata.NormStats(0.0, 1.0, 0.0, 1.0))
-    assert cli.main(["sweep", "--config", path]) == 1
-    blob = json.loads(capsys.readouterr().err)
-    assert blob["error"] == "PipelineError" and "64 points, the data's 60" in blob["message"]
-    assert os.listdir(cfg.out_dir) == ["gan_stage5.npz"]
-
-
 def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     # extract before train-gan: missing checkpoint
     _, path = cli_config_file(tmp_path)
@@ -975,6 +964,15 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     blob = json.loads(err)
     assert set(blob) == {"error", "message"}
+
+
+def _set_config_key(path, section, key, value):
+    """Set `key` of the config file's `section` (None: the top level) to `value`."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    (blob if section is None else blob[section])[key] = value
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
 
 
 # `command` comes last, so each row's id still starts with its section and key
@@ -986,7 +984,7 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
     ("synth", "n_cells", 3, "PipelineError", "run-all"),
     ("gan", "batch_size", 2.5, "GanError", "run-all"),
     ("gan", "epochs", True, "GanError", "run-all"),
-    ("gan", "trunk_widths", [16, 32.0, 64, 64], "GanError", "run-all"),
+    ("gan", "trunk_widths", [16, 32.0, 64, 64], "PipelineError", "run-all"),
     ("gpr", "restarts", 2.5, "PipelineError", "run-all"),
     ("gpr", "max_iter", True, "PipelineError", "run-all"),
     ("perturb", "n_samples", 2.5, "PipelineError", "run-all"),
@@ -1022,11 +1020,7 @@ def test_cli_failure_prints_json_error_line(tmp_path, capsys):
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error, command):
     cfg, path = cli_config_file(tmp_path)
-    with open(path) as fh:
-        blob = json.load(fh)
-    (blob if section is None else blob[section])[key] = value
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    _set_config_key(path, section, key, value)
     assert cli.main([command, "--config", path]) == 1
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
@@ -1034,6 +1028,29 @@ def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, sec
     assert json.loads(lines[0])["error"] == error
     assert key in json.loads(lines[0])["message"]
     assert captured.out == ""
+    assert_wrote_nothing(cfg.out_dir)
+
+
+@pytest.mark.parametrize("key, value", FIXED_SETTINGS.items())
+def test_cli_refuses_gan_settings_the_paper_fixes(tmp_path, capsys, key, value):
+    # the architecture and optimiser are eisgan module constants, so even the
+    # value a config of an earlier version held is refused
+    cfg, path = cli_config_file(tmp_path)
+    _set_config_key(path, "gan", key, value)
+    assert cli.main(["run-all", "--config", path]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PipelineError",
+        "message": f"unknown key(s) ['{key}'] in config section gan"}
+    assert_wrote_nothing(cfg.out_dir)
+
+
+def test_cli_refuses_a_gan_seed_the_study_would_ignore(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    _set_config_key(path, "gan", "seed", 7)
+    assert cli.main(["run-all", "--config", path]) == 1
+    blob = json.loads(capsys.readouterr().err)
+    assert blob["error"] == "PipelineError"
+    assert "seed * 1000 + stage from the top-level seed" in blob["message"]
     assert_wrote_nothing(cfg.out_dir)
 
 
@@ -1069,6 +1086,22 @@ def test_cli_evaluate_rejects_too_few_cycles(tmp_path, capsys, no_training):
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob["error"] == "PipelineError"
     assert "at least 3" in blob["message"]
+    assert_wrote_nothing(cfg.out_dir)
+
+
+def test_cli_evaluate_rejects_one_code_dimension_before_writing(tmp_path, capsys,
+                                                               no_training):
+    # the plot data sweeps the top two code dimensions of the stage's first test cell
+    cfg, path = cli_config_file(tmp_path, gan=eisgan.GanConfig(latent_dim=1, epochs=2))
+    with pytest.raises(PipelineError, match="latent_dim is 1"):
+        pipeline.run_all(cfg)
+    assert_wrote_nothing(cfg.out_dir)
+    assert cli.main(["evaluate", "--config", path]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "error": "PipelineError",
+        "message": "gan latent_dim is 1; plot data selects the top two code dimensions, "
+                   "so it needs at least 2"}
     assert_wrote_nothing(cfg.out_dir)
 
 
