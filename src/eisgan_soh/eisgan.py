@@ -87,6 +87,8 @@ class GanConfig:
             raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise GanError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise GanError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -31,6 +31,8 @@ def toy_batch(n=16, seed=0):
     {"batch_size": 0}, {"batch_size": -3},
     {"epochs": 0}, {"epochs": -1},
     {"latent_dim": 0}, {"noise_dim": -1},
+    {"seed": -1}, {"latent_dim": -9}, {"noise_dim": -16},
+    {"latent_dim": np.int64(0)}, {"batch_size": np.int32(-1)}, {"epochs": np.int64(0)},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(GanError):
@@ -47,6 +49,13 @@ def test_config_rejects_non_integer_fields(name, value):
 def test_config_accepts_numpy_integers():
     cfg = GanConfig(batch_size=np.int64(16), epochs=np.int32(3), seed=np.uint8(7))
     assert (cfg.batch_size, cfg.epochs, cfg.seed) == (16, 3, 7)
+
+
+def test_config_zero_grad_clip_means_no_clipping():
+    # the bound is the constant eisgan.GRAD_CLIP; a bound of 0 would clip nothing
+    assert 0.0 < eisgan.GRAD_CLIP < np.inf
+    grads, norm = ng.clip_global_norm([np.array([3.0, 4.0])], 0.0)
+    assert norm == 5.0 and np.array_equal(grads[0], [3.0, 4.0])
 
 
 def test_init_shapes():
