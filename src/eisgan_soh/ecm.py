@@ -23,6 +23,11 @@ BASE_CAPACITY_MAH = 45.0
 F_MAX_HZ = 20_000.0
 F_MIN_HZ = 0.02
 
+#: amplitude of the DC stages' multiplicative 1/f-weighted noise below 1 Hz
+DC_NOISE_AMP = 0.02
+#: standard deviation of the additive measurement noise on Re and Im, ohm
+MEAS_NOISE_OHM = 0.0002
+
 
 class EcmError(Exception):
     """Invalid circuit parameters or trajectory settings."""
@@ -103,8 +108,7 @@ def build_trajectory(base: EcmParams, n_cycles: int,
 
 
 def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
-                 rng: np.random.Generator, dc_noise_amp: float,
-                 meas_noise_ohm: float) -> list[EisCurve]:
+                 rng: np.random.Generator) -> list[EisCurve]:
     """Evaluate a trajectory on the 60-point grid with stage-dependent noise.
 
     Stages in DC_STAGES get multiplicative 1/f-weighted fluctuations below 1 Hz,
@@ -112,14 +116,14 @@ def stage_curves(cell_id: str, traj: DegradationTrajectory, stage: int,
     """
     freq = log_grid(F_MAX_HZ, F_MIN_HZ, T_POINTS)
     z = ecm_impedance(traj.circuit, freq)
-    dc = stage in DC_STAGES and dc_noise_amp > 0
+    dc = stage in DC_STAGES
     # per cycle: the DC factor (DC stages only), then the Re and Im noise
     draw = rng.standard_normal((len(z), 3 if dc else 2, len(freq)))
     if dc:
         weight = np.where(freq < 1.0, 1.0 / np.sqrt(freq), 0.0)
-        z = z * (1 + dc_noise_amp * weight * draw[:, 0])
-    re_z = z.real + meas_noise_ohm * draw[:, -2]
-    im_z = z.imag + meas_noise_ohm * draw[:, -1]
+        z = z * (1 + DC_NOISE_AMP * weight * draw[:, 0])
+    re_z = z.real + MEAS_NOISE_OHM * draw[:, -2]
+    im_z = z.imag + MEAS_NOISE_OHM * draw[:, -1]
     return [EisCurve(cell_id, stage, cycle, freq, re_z[cycle], im_z[cycle])
             for cycle in range(len(z))]
 
@@ -154,9 +158,7 @@ def synth_cell_ids(n_train_cells: int, n_test_cells: int):
 
 
 def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
-                  stages, seed: int,
-                  dc_noise_amp: float = 0.02,
-                  meas_noise_ohm: float = 0.0002) -> Dataset:
+                  stages, seed: int) -> Dataset:
     """Assemble a synthetic dataset with a disjoint train/test cell partition.
 
     One aging trajectory per cell, shared across all requested stages; only
@@ -171,8 +173,7 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
         traj = build_trajectory(default_params(rng), n_cycles, rng)
         for stage in stages:
             curves.extend(stage_curves(cell_id, traj, stage,
-                                       np.random.default_rng([seed, cell_idx, stage]),
-                                       dc_noise_amp, meas_noise_ohm))
+                                       np.random.default_rng([seed, cell_idx, stage])))
         records.extend(CapacityRecord(cell_id, cycle, float(traj.capacity_mah[cycle]))
                        for cycle in range(n_cycles))
     return Dataset(curves=curves, capacities=records,

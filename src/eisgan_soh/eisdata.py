@@ -13,8 +13,9 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,6 +93,16 @@ class CapacityRecord:
                 f"for ({self.cell_id}, {self.cycle})")
 
 
+def is_finite_real(value) -> bool:
+    """True for an int or float, numpy's included but not a bool, that is
+    finite as a float."""
+    try:
+        return (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class NormStats:
     """Per-channel z-score statistics fit on a training split."""
@@ -102,6 +113,10 @@ class NormStats:
     im_scale: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not is_finite_real(value):
+                raise DataError(f"normalization {f.name} must be a finite number, got {value!r}")
         if self.re_scale <= 0 or self.im_scale <= 0:
             raise DataError("normalization scale must be positive")
         # (mean, scale) as (2, 1) channel columns, to broadcast over (N, 2, T)

@@ -21,7 +21,7 @@ import numpy as np
 from . import ndgrad as ng
 from .eisdata import DataError, NormStats, T_POINTS
 
-CHECKPOINT_FORMAT = "eisgan-checkpoint-v3"
+CHECKPOINT_FORMAT = "eisgan-checkpoint-v4"
 
 #: curve channels, Re and Im: every curve array is (N, CHANNELS, T_POINTS)
 CHANNELS = 2
@@ -75,16 +75,16 @@ def check_int_fields(obj, error) -> None:
 
 @dataclass(frozen=True)
 class GanConfig:
-    latent_dim: int = 9
-    noise_dim: int = 16
+    #: the paper's sizes of the code c and the noise z: class attributes, not
+    #: fields, so no run sets them and no checkpoint header holds them
+    latent_dim = 9
+    noise_dim = 16
     batch_size: int = 32
     epochs: int = 250
     seed: int = 0
 
     def __post_init__(self):
         check_int_fields(self, GanError)
-        if self.latent_dim < 1 or self.noise_dim < 0:
-            raise GanError("latent_dim must be >= 1 and noise_dim >= 0")
         if self.batch_size < 1 or self.epochs < 1:
             raise GanError("batch_size and epochs must be >= 1")
         if self.seed < 0:

@@ -360,7 +360,7 @@ def backward(tape: Tape, loss: Tensor, params) -> list[np.ndarray]:
 def clip_global_norm(grads, max_norm: float):
     """Scale the gradient list so its global L2 norm is at most max_norm."""
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if total > max_norm > 0:
+    if total > max_norm:
         factor = float(max_norm) / total
         grads = [g * factor for g in grads]
     return grads, total

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ecm, eisdata, eisgan, gpr
-from .eisdata import Dataset, curve_to_array, fit_norm_stats, normalized_array
+from .eisdata import (Dataset, curve_to_array, fit_norm_stats, is_finite_real,
+                      normalized_array)
 from .eisgan import GanConfig, check_int_fields, is_int
 
 
@@ -49,26 +50,14 @@ def metrics(y, y_hat):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _finite_nonnegative(value) -> bool:
-    """True for a real number (not a bool) that is finite and >= 0."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and np.isfinite(value) and value >= 0)
-
-
 @dataclass(frozen=True)
 class SynthSettings:
     n_train_cells: int = 4
     n_test_cells: int = 4
     n_cycles: int = 120
-    dc_noise_amp: float = 0.02
-    meas_noise_ohm: float = 0.0002
 
     def __post_init__(self):
         check_int_fields(self, PipelineError)
-        for name in ("dc_noise_amp", "meas_noise_ohm"):
-            if not _finite_nonnegative(getattr(self, name)):
-                raise PipelineError(
-                    f"synth {name} must be a finite number >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,6 @@ def _sigma_key(sigma) -> int:
 class PerturbSettings:
     sigmas: tuple[float, ...] = (0.001, 0.003, 0.005)
     n_samples: int = 100
-    cell: str | None = None
     cycle: int = 100
 
     def __post_init__(self):
@@ -103,7 +91,7 @@ class PerturbSettings:
         if self.cycle < 0:
             raise PipelineError(f"perturb cycle must be >= 0, got {self.cycle}")
         # below 1e302, so that each sigma's noise seed, _sigma_key, exists
-        if not self.sigmas or not all(_finite_nonnegative(s) and s < 1e302
+        if not self.sigmas or not all(is_finite_real(s) and 0 <= s < 1e302
                                       for s in self.sigmas):
             raise PipelineError("perturb sigmas must be numbers in [0, 1e302), "
                                 f"at least one, got {self.sigmas}")
@@ -207,9 +195,7 @@ def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
     if config.synth is not None:
         s = config.synth
         return ecm.synth_dataset(s.n_train_cells, s.n_test_cells, s.n_cycles,
-                                 config.stages, config.seed,
-                                 dc_noise_amp=s.dc_noise_amp,
-                                 meas_noise_ohm=s.meas_noise_ohm)
+                                 config.stages, config.seed)
     train_cells, test_cells = declared_partition(config)
     curves = eisdata.load_eis_csv(config.eis_csv)
     caps = eisdata.load_capacity_csv(config.capacity_csv) if capacities else []
@@ -380,14 +366,11 @@ def _evaluate_cells(report, art: StageArtifacts, y):
 
 
 def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
-    """The clean curve a stage's perturbation study perturbs: `perturb.cell`
-    (by default the stage's first test cell) at cycle `perturb.cycle`; a cell
-    that lacks that cycle gives its `perturb.cycle`-th curve, or its last."""
+    """The clean curve a stage's perturbation study perturbs: the stage's first
+    test cell at cycle `perturb.cycle`; a cell that lacks that cycle gives its
+    `perturb.cycle`-th curve, or its last."""
     pert = config.perturb
-    cell_id = pert.cell if pert.cell is not None else stage_partition(dataset, stage)[1][0]
-    stage_curves = dataset.curves_for(stage, [cell_id])
-    if not stage_curves:
-        raise PipelineError(f"stage {stage}: no curves for cell {cell_id}")
+    stage_curves = dataset.curves_for(stage, stage_partition(dataset, stage)[1][:1])
     cycles = [c.cycle for c in stage_curves]
     cycle = pert.cycle if pert.cycle in cycles else cycles[min(len(cycles) - 1, pert.cycle)]
     return next(c for c in stage_curves if c.cycle == cycle)
@@ -455,11 +438,8 @@ def sweep_rows(features: FeatureMap, dim: int, freq):
 
 def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
     """Fail before any training when `emit_plot_data` could not select the top
-    two latent codes: the GAN has fewer than two, or a stage's first test cell,
-    which it ranks them on, has too few cycles."""
-    if config.gan.latent_dim < 2:
-        raise PipelineError(f"gan latent_dim is {config.gan.latent_dim}; plot data "
-                            "selects the top two code dimensions, so it needs at least 2")
+    two latent codes: a stage's first test cell, which it ranks them on, has
+    too few cycles."""
     for stage in config.stages:
         _, test_cells = stage_partition(dataset, stage)
         n_cycles = len(dataset.curves_for(stage, [test_cells[0]]))
@@ -555,9 +535,8 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     """The study, stage by stage: the stage's inputs (`stage_inputs`); the
     GAN when "eisgan" is in `paths`; then per path the GPR fit, test metrics
     and perturbation entries. Writes nothing; returns the reports and
-    artifacts keyed as `run_all` does. Empty `stages`, a `perturb.cell` a
-    stage lacks, or a train or test curve without a capacity record is
-    refused before training."""
+    artifacts keyed as `run_all` does. Empty `stages`, or a train or test
+    curve without a capacity record, is refused before training."""
     if not config.stages:
         raise PipelineError("stages is empty: a study needs at least one stage")
     targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}

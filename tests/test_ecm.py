@@ -77,25 +77,25 @@ def test_trajectory_starts_at_base_capacity():
     assert traj.capacity_clean_mah[0] == pytest.approx(ecm.BASE_CAPACITY_MAH)
 
 
-def test_dc_noise_confined_below_1hz():
+def test_dc_noise_confined_below_1hz(monkeypatch):
+    monkeypatch.setattr(ecm, "MEAS_NOISE_OHM", 0.0)
     rng = np.random.default_rng(9)
     base = ecm.default_params(rng)
     traj = ecm.build_trajectory(base, 5, rng)
-    quiet = ecm.stage_curves("X", traj, 5, np.random.default_rng(1),
-                             dc_noise_amp=0.02, meas_noise_ohm=0.0)
-    noisy = ecm.stage_curves("X", traj, 6, np.random.default_rng(1),
-                             dc_noise_amp=0.02, meas_noise_ohm=0.0)
+    quiet = ecm.stage_curves("X", traj, 5, np.random.default_rng(1))
+    noisy = ecm.stage_curves("X", traj, 6, np.random.default_rng(1))
     for a, b in zip(quiet, noisy):
         high = a.freq_hz >= 1.0
         assert np.allclose(a.re_z_ohm[high], b.re_z_ohm[high], atol=1e-12)
         assert not np.allclose(a.re_z_ohm[~high], b.re_z_ohm[~high], atol=1e-6)
 
 
-def test_nyquist_trace_continuity():
+def test_nyquist_trace_continuity(monkeypatch):
+    monkeypatch.setattr(ecm, "MEAS_NOISE_OHM", 0.0)
     rng = np.random.default_rng(11)
     base = ecm.default_params(rng)
     traj = ecm.build_trajectory(base, 3, rng)
-    (curve, *_) = ecm.stage_curves("X", traj, 5, rng, dc_noise_amp=0.02, meas_noise_ohm=0.0)
+    (curve, *_) = ecm.stage_curves("X", traj, 5, rng)
     pts = curve.re_z_ohm + 1j * curve.im_z_ohm
     spacing = np.abs(np.diff(pts))
     assert spacing.max() <= 10 * np.median(spacing)
@@ -176,7 +176,7 @@ def _reference_stage_curves(params, stage, rng, dc_noise_amp, meas_noise_ohm):
     out = []
     for p in params:
         z = ecm.ecm_impedance(p, freq)
-        if stage in (2, 3, 6, 7) and dc_noise_amp > 0:
+        if stage in (2, 3, 6, 7):
             z = z * (1 + dc_noise_amp * weight * rng.standard_normal(len(freq)))
         out.append((z.real + rng.normal(0.0, meas_noise_ohm, len(freq)),
                     z.imag + rng.normal(0.0, meas_noise_ohm, len(freq))))
@@ -185,9 +185,11 @@ def _reference_stage_curves(params, stage, rng, dc_noise_amp, meas_noise_ohm):
 
 @pytest.mark.parametrize("n_cycles", [2, 8, 37])
 @pytest.mark.parametrize("stage", [6, 5])
-@pytest.mark.parametrize("noise", [{}, {"dc_noise_amp": 0.0}, {"meas_noise_ohm": 0.0}])
-def test_array_synthesis_matches_the_per_cycle_reference(n_cycles, stage, noise):
-    amp, meas = noise.get("dc_noise_amp", 0.02), noise.get("meas_noise_ohm", 0.0002)
+@pytest.mark.parametrize("noise", [{}, {"DC_NOISE_AMP": 0.0}, {"MEAS_NOISE_OHM": 0.0}])
+def test_array_synthesis_matches_the_per_cycle_reference(monkeypatch, n_cycles, stage, noise):
+    for name, value in noise.items():
+        monkeypatch.setattr(ecm, name, value)
+    amp, meas = ecm.DC_NOISE_AMP, ecm.MEAS_NOISE_OHM
     base = ecm.default_params(np.random.default_rng(4))
     traj = ecm.build_trajectory(base, n_cycles, np.random.default_rng(5))
     params, cap, cap_clean = _reference_trajectory(base, n_cycles, np.random.default_rng(5))
@@ -195,7 +197,7 @@ def test_array_synthesis_matches_the_per_cycle_reference(n_cycles, stage, noise)
     assert np.array_equal(traj.capacity_clean_mah, cap_clean)
     assert traj.knee_cycle == int(0.8 * n_cycles)
 
-    curves = ecm.stage_curves("X", traj, stage, np.random.default_rng(6), amp, meas)
+    curves = ecm.stage_curves("X", traj, stage, np.random.default_rng(6))
     reference = _reference_stage_curves(params, stage, np.random.default_rng(6), amp, meas)
     assert [c.cycle for c in curves] == list(range(n_cycles))
     for curve, (re_z, im_z) in zip(curves, reference, strict=True):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -30,16 +31,16 @@ def toy_batch(n=16, seed=0):
 @pytest.mark.parametrize("kwargs", [
     {"batch_size": 0}, {"batch_size": -3},
     {"epochs": 0}, {"epochs": -1},
-    {"latent_dim": 0}, {"noise_dim": -1},
-    {"seed": -1}, {"latent_dim": -9}, {"noise_dim": -16},
-    {"latent_dim": np.int64(0)}, {"batch_size": np.int32(-1)}, {"epochs": np.int64(0)},
+    {"seed": np.int8(-1)}, {"batch_size": np.uint8(0)},
+    {"seed": -1}, {"batch_size": 0, "epochs": 0}, {"seed": -(2 ** 63)},
+    {"seed": np.int64(-1)}, {"batch_size": np.int32(-1)}, {"epochs": np.int64(0)},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(GanError):
         GanConfig(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["latent_dim", "noise_dim", "batch_size", "epochs", "seed"])
+@pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
 @pytest.mark.parametrize("value", [2.5, 5.0, True, "5", None])
 def test_config_rejects_non_integer_fields(name, value):
     with pytest.raises(GanError, match=f"{name} must be an integer"):
@@ -51,11 +52,13 @@ def test_config_accepts_numpy_integers():
     assert (cfg.batch_size, cfg.epochs, cfg.seed) == (16, 3, 7)
 
 
-def test_config_zero_grad_clip_means_no_clipping():
-    # the bound is the constant eisgan.GRAD_CLIP; a bound of 0 would clip nothing
-    assert 0.0 < eisgan.GRAD_CLIP < np.inf
-    grads, norm = ng.clip_global_norm([np.array([3.0, 4.0])], 0.0)
-    assert norm == 5.0 and np.array_equal(grads[0], [3.0, 4.0])
+def test_config_code_sizes_are_the_papers_and_not_fields():
+    cfg = GanConfig()
+    assert (cfg.latent_dim, cfg.noise_dim) == (9, 16)
+    assert [f.name for f in dataclasses.fields(GanConfig)] == ["batch_size", "epochs", "seed"]
+    for name in ("latent_dim", "noise_dim"):
+        with pytest.raises(TypeError, match=name):
+            GanConfig(**{name: 9})
 
 
 def test_init_shapes():
@@ -765,15 +768,17 @@ def test_checkpoint_v1_is_refused(tmp_path):
         eisgan.load_checkpoint(path)
 
 
-#: the GanConfig fields, with their last values, that are now eisgan constants;
-#: a v2 checkpoint header held them
+#: the GanConfig code sizes, which are now class attributes, with their values
+CODE_SIZES = {"latent_dim": 9, "noise_dim": 16}
+#: the GanConfig fields, with their last values, that are now eisgan constants
+#: or class attributes; a v2 checkpoint header held them all, a v3 one CODE_SIZES
 FIXED_SETTINGS = {"length": 60, "trunk_widths": [16, 32, 64, 64], "gen_widths": [64, 32, 16],
                   "feature_dim": 64, "kernel_width": 5, "lr_d": 4e-4, "lr_g": 1e-4,
-                  "lambda_mi": 3.0, "alpha": 0.01, "grad_clip": 10.0}
+                  "lambda_mi": 3.0, "alpha": 0.01, "grad_clip": 10.0, **CODE_SIZES}
 
 
 def test_checkpoint_v2_is_refused(tmp_path):
-    # a v2 file holds the same arrays as v3; it is refused all the same and retrained
+    # a v2 file holds the same arrays as v4; it is refused all the same and retrained
     path, arrays = _saved_checkpoint(tmp_path)
     header = _header(arrays)
     header["config"].update(FIXED_SETTINGS)
@@ -785,21 +790,47 @@ def test_checkpoint_v2_is_refused(tmp_path):
         eisgan.load_checkpoint(path)
 
 
+def test_checkpoint_v3_is_refused(tmp_path):
+    # a v3 file holds the same arrays as v4 and the code sizes in its header
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["config"].update(CODE_SIZES)
+    _rewrite(path, arrays, dict(header, format="eisgan-checkpoint-v3"))
+    with pytest.raises(GanError, match="unknown checkpoint format 'eisgan-checkpoint-v3'"):
+        eisgan.load_checkpoint(path)
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match=re.escape(f"unknown {sorted(CODE_SIZES)}")):
+        eisgan.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_missing_config_key(tmp_path):
     path, arrays = _saved_checkpoint(tmp_path)
     header = _header(arrays)
-    del header["config"]["noise_dim"]
+    del header["config"]["epochs"]
     _rewrite(path, arrays, header)
-    with pytest.raises(GanError, match="noise_dim"):
+    with pytest.raises(GanError, match="epochs"):
         eisgan.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_config_value(tmp_path):
     path, arrays = _saved_checkpoint(tmp_path)
     header = _header(arrays)
-    header["config"]["latent_dim"] = None
+    header["config"]["batch_size"] = None
     _rewrite(path, arrays, header)
-    with pytest.raises(GanError, match="latent_dim must be an integer"):
+    with pytest.raises(GanError, match="batch_size must be an integer"):
+        eisgan.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["re_mean", "re_scale", "im_mean", "im_scale"])
+@pytest.mark.parametrize("value", ["0.1", None, True, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_checkpoint_rejects_norm_stats_that_are_not_finite_numbers(tmp_path, name, value):
+    path, arrays = _saved_checkpoint(tmp_path)
+    header = _header(arrays)
+    header["norm_stats"][name] = value
+    _rewrite(path, arrays, header)
+    with pytest.raises(GanError, match="bad checkpoint header: DataError.*" + re.escape(
+            f"normalization {name} must be a finite number, got {value!r}")):
         eisgan.load_checkpoint(path)
 
 
@@ -834,13 +865,10 @@ SCALES = st.floats(1e-300, 1e300)
 
 
 @settings(max_examples=15, deadline=None)
-@given(latent_dim=st.integers(1, 12), noise_dim=st.integers(0, 20),
-       seed=st.integers(0, 2**32 - 1),
+@given(seed=st.integers(0, 2**32 - 1),
        stats=st.builds(eisdata.NormStats, MEANS, SCALES, MEANS, SCALES))
-def test_checkpoint_round_trip_bit_exact_over_random_configs(
-        tmp_path_factory, latent_dim, noise_dim, seed, stats):
-    cfg = GanConfig(latent_dim=latent_dim, noise_dim=noise_dim, seed=seed, epochs=1,
-                    batch_size=1)
+def test_checkpoint_round_trip_bit_exact_over_random_configs(tmp_path_factory, seed, stats):
+    cfg = GanConfig(seed=seed, epochs=1, batch_size=1)
     nets = eisgan.init_networks(cfg, np.random.default_rng(seed))
     path = tmp_path_factory.mktemp("ckpt") / "gan.npz"
     eisgan.save_checkpoint(path, nets, stats)
