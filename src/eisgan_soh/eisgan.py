@@ -336,7 +336,8 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     LAMBDA_MI times the code negative log-likelihood L_I to its loss.
 
     (1) D, trunk and Q on BCE(real) + BCE(fake) + lambda * L_I, where Q reads
-    the trunk features D reads of fakes drawn outside any tape; (2) G on the
+    the trunk features D reads of fakes drawn outside any tape, and one trunk
+    pass over the real rows stacked on the fake rows gives both; (2) G on the
     non-saturating BCE + lambda * L_I of its own batch. The reported
     `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
     unscaled L_I of the G batch (the constant code entropy is dropped).
@@ -371,11 +372,11 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     fake = _forward_g(nets, ng.Tensor(d_codes)).data
 
     def d_losses():
-        logit_real = _d_logit(nets, _forward_trunk(nets, ng.Tensor(real_batch)))
-        features = _forward_trunk(nets, ng.Tensor(fake))
-        return (ng.add(ng.bce_logit_loss(logit_real, True),
-                       ng.bce_logit_loss(_d_logit(nets, features), False)),
-                code_nll(features, d_codes))
+        features = _forward_trunk(nets, ng.Tensor(np.concatenate([real_batch, fake])))
+        logits = _d_logit(nets, features)
+        return (ng.add(ng.bce_logit_loss(ng.rows(logits, 0, batch), True),
+                       ng.bce_logit_loss(ng.rows(logits, batch, 2 * batch), False)),
+                code_nll(ng.rows(features, batch, 2 * batch), d_codes))
 
     loss_d, _, norm_d = update(opts.opt_d, d_losses)
 

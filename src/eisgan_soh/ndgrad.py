@@ -24,6 +24,13 @@ pass is caught where the pass ends: training checks its losses and
 `AdamP.step` its gradients, and `eisgan.extract_latents`, `latent_sweep`
 and `generate` check their outputs.
 
+Memory: an op takes operands of any strides. `conv1d` and
+`upsample_nearest` store their outputs batch-last, as (channels, length, B)
+in memory, and return (B, channels, length) transposed views of them;
+`leaky_relu`, `avg_pool1d` and their backward passes keep the layout they
+are given. So in a conv stack each conv's im2col copies whole rows of
+length x batch floats. Gradients, like outputs, may be views.
+
 Each recorded node holds `backward_fn(g, need)`: `g` is dLoss/dOutput and
 `need` is a tuple of booleans, one per parent, that is True where the
 parent leads to a parameter `backward` was asked for. It returns one
@@ -110,6 +117,14 @@ def _record(out_data, parents, backward_fn):
     return out
 
 
+def _count(name, value, least):
+    """`value` as an int if it is a Python or numpy integer of at least
+    `least`, else a ShapeError naming `name`; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ShapeError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # primitive ops
 # ---------------------------------------------------------------------------
@@ -139,55 +154,55 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
     """Valid cross-correlation with stride 1 after symmetric zero padding.
 
     Takes (B, R_in, L) input and gives (B, K_out, L_out) output, with
-    L_out = L + 2*padding - K_w + 1.
+    L_out = L + 2*padding - K_w + 1. The work is done batch-last, in
+    (channels, length, B) memory, and the output is a view of such memory.
     """
     w, b = bank.kernels, bank.biases
     k_out, r_in, k_w = w.shape
     if x.data.ndim != 3 or x.shape[1] != r_in:
         raise ShapeError(
             f"conv1d input shape {x.shape} is not (B, R_in={r_in}, L)")
+    padding = _count("padding", padding, 0)
     batch, _, length = x.shape
-    if length + 2 * padding < k_w:
+    l_pad = length + 2 * padding
+    if l_pad < k_w:
         raise ShapeError(f"L={length} with padding={padding} shorter than kernel K_w={k_w}")
     dtype = x.data.dtype
-    if padding:
-        xp = np.zeros((batch, r_in, length + 2 * padding), dtype)
-        xp[:, :, padding:padding + length] = x.data
-    else:
-        xp = x.data
-    l_out = length + 2 * padding - k_w + 1
+    # a batch-last input makes this transpose a view and the copy row by row
+    xp = np.zeros((r_in, l_pad * batch), dtype)
+    xp.reshape(r_in, l_pad, batch)[:, padding:padding + length] = x.data.transpose(1, 2, 0)
+    l_out = l_pad - k_w + 1
+    n_col = l_out * batch
     # im2col: a single GEMM per conv beats windowed einsum at these sizes;
-    # col[c, k, b, t] = xp[b, c, t + k], filled with one slice copy per tap
-    col = np.empty((r_in, k_w, batch, l_out), dtype)
-    xt = xp.transpose(1, 0, 2)
+    # col[c, k, (t, b)] = xp[c, (t + k, b)], one copy of whole rows per tap
+    col = np.empty((r_in, k_w, n_col), dtype)
     for k in range(k_w):
-        col[:, k] = xt[:, :, k:k + l_out]
-    col = col.reshape(r_in * k_w, batch * l_out)
+        col[:, k] = xp[:, k * batch:k * batch + n_col]
+    col = col.reshape(r_in * k_w, n_col)
     w_mat = w.data.reshape(k_out, r_in * k_w)
-    out = (w_mat @ col).reshape(k_out, batch, l_out).transpose(1, 0, 2) \
-        + b.data[None, :, None]
+    out = w_mat @ col
+    out += b.data[:, None]
 
     def bw(g, need):
-        g_mat = g.transpose(1, 0, 2).reshape(k_out, batch * l_out)
+        g_mat = g.transpose(1, 2, 0).reshape(k_out, n_col)
         gx = gw = gbias = None
         if need[1]:
-            gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
+            # the same bits as g_mat @ col.T from a faster GEMM, copied to C
+            # order: np.sum over it, as in the clip norm, adds in memory order
+            gw = (col @ g_mat.T).T.copy().reshape(k_out, r_in, k_w)
         if need[2]:
             gbias = g_mat.sum(axis=1)
         if need[0]:
-            gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, batch, l_out).transpose(2, 0, 1, 3)
-            # col2im: tap k lands on input t = k - padding + j; taps are added
-            # in order and the padded margins, which are discarded, are skipped;
-            # a tap that falls wholly in a margin (padding > length) adds nothing
-            gx = np.zeros((batch, r_in, length), dtype)
+            gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, n_col)
+            # col2im: tap k adds its rows onto the padded input from position
+            # k on, taps in order; the padded margins are discarded
+            gxp = np.zeros((r_in, l_pad * batch), dtype)
             for k in range(k_w):
-                shift = k - padding
-                lo, hi = max(shift, 0), min(shift + l_out, length)
-                if lo < hi:
-                    gx[:, :, lo:hi] += gcol[:, :, k, lo - shift:hi - shift]
+                gxp[:, k * batch:k * batch + n_col] += gcol[:, k]
+            gx = gxp.reshape(r_in, l_pad, batch)[:, padding:padding + length].transpose(2, 0, 1)
         return gx, gw, gbias
 
-    return _record(out, (x, w, b), bw)
+    return _record(out.reshape(k_out, l_out, batch).transpose(2, 0, 1), (x, w, b), bw)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -215,8 +230,13 @@ def leaky_relu(x: Tensor, alpha: float) -> Tensor:
     slopes = np.array([alpha, 1.0], x.data.dtype)
 
     def bw(g, need):
-        # a table lookup of the slope, then one multiply: no branch per element
-        return (g * slopes.take((x.data > 0).view(np.uint8)),)
+        # a table lookup of the slope, then one multiply: no branch per element;
+        # the lookup runs in memory order, so the gradient keeps x's layout
+        positive = (x.data > 0).view(np.uint8)
+        grad = np.empty_like(positive, dtype=np.result_type(g, slopes))
+        slopes.take(positive.ravel(order="K"), out=grad.ravel(order="K"), mode="clip")
+        grad *= g
+        return (grad,)
 
     return _record(out, (x,), bw)
 
@@ -276,6 +296,7 @@ def _tap_sum(a, width, stop):
 
 def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
     """Non-overlapping average pool along the last axis; trailing remainder dropped."""
+    width = _count("width", width, 1)
     length = x.data.shape[-1]
     l_out = length // width
     if l_out < 1:
@@ -294,7 +315,15 @@ def avg_pool1d(x: Tensor, width: int = 2) -> Tensor:
 
 
 def upsample_nearest(x: Tensor, factor: int = 2) -> Tensor:
-    out = np.repeat(x.data, factor, axis=-1)
+    """Each element repeated `factor` times along the last axis of a batch,
+    written batch-last: (B, ..., L) in, a view of (..., L * factor, B) memory out."""
+    factor = _count("factor", factor, 1)
+    if x.data.ndim < 2:
+        raise ShapeError(f"upsample_nearest input shape {x.shape} has no batch axis")
+    xt = np.moveaxis(x.data, 0, -1)
+    out = np.empty(xt.shape[:-1] + (factor, xt.shape[-1]), x.data.dtype)
+    out[...] = xt[..., None, :]
+    out = np.moveaxis(out.reshape(xt.shape[:-2] + (-1, xt.shape[-1])), -1, 0)
 
     def bw(g, need):
         return (_tap_sum(g, factor, g.shape[-1]),)
@@ -307,6 +336,22 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def bw(g, need):
         return (g.reshape(x.data.shape),)
+
+    return _record(out, (x,), bw)
+
+
+def rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start:stop of a batch, along its leading axis."""
+    start = _count("start", start, 0)
+    stop = _count("stop", stop, start + 1)
+    if x.data.ndim == 0 or stop > x.shape[0]:
+        raise ShapeError(f"rows {start}:{stop} fall outside the batch of shape {x.shape}")
+    out = x.data[start:stop]
+
+    def bw(g, need):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        return (gx,)
 
     return _record(out, (x,), bw)
 
@@ -373,30 +418,60 @@ class AdamP:
     scale-invariant weights (those followed by a normalization layer). No
     weight in these networks is scale-invariant, so the projection would
     never apply and is not implemented: this is plain Adam.
+
+    Building it makes each parameter's `.data` a view of one flat buffer,
+    `flat`, in the parameters' common dtype, and a step updates that buffer
+    whole; `m` and `v` are per-parameter views of the flat moments. A
+    parameter whose `.data` is later replaced is refused by `step`, and one
+    parameter listed twice is refused here: its two views would split its
+    updates.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params, lr):
         self.params = list(params)
+        if not self.params:
+            raise NdgradError("AdamP needs at least one parameter")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise NdgradError("a parameter is listed twice")
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m, self.v = [], []
+        for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
+            shape = p.data.shape
+            p.data = self.flat[lo:hi].reshape(shape)
+            self.m.append(self._m[lo:hi].reshape(shape))
+            self.v.append(self._v[lo:hi].reshape(shape))
 
     def step(self, grads):
         if len(grads) != len(self.params):
             raise NdgradError("gradient list does not match parameter list")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError("non-finite gradient; step rejected")
+        if any(p.data.base is not self.flat for p in self.params):
+            raise NdgradError("a parameter's data was replaced after its optimizer was built")
+        g = np.concatenate([np.ravel(grad) for grad in grads])
+        if g.size != self.flat.size:
+            raise NdgradError("gradient sizes do not match the parameters")
+        if not np.isfinite(g).all():
+            raise NonFiniteError("non-finite gradient; step rejected")
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.BETA1
-            m += (1.0 - self.BETA1) * g
-            v *= self.BETA2
-            v += (1.0 - self.BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
-            p.data -= self.lr * update
+        m, v = self._m, self._v
+        m *= self.BETA1
+        m += (1.0 - self.BETA1) * g
+        v *= self.BETA2
+        g2 = (1.0 - self.BETA2) * g
+        g2 *= g
+        v += g2
+        # update = (m / bc1) / (sqrt(v / bc2) + EPS), computed in place
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        update = m / bc1
+        update /= denom
+        update *= self.lr
+        self.flat -= update

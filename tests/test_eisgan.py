@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eisgan_soh import ecm, eisdata, eisgan
 from eisgan_soh import ndgrad as ng
 from eisgan_soh.eisgan import GanConfig, GanError, LatentCode
-from test_ndgrad import REFERENCE_OPS, reference_conv1d
+from test_ndgrad import REFERENCE_OPS, batch_major_conv1d, reference_conv1d
 
 
 def tiny_config(**overrides):
@@ -395,7 +396,8 @@ def test_latent_sweep_and_generate_refuse_overflowing_curves():
 
 # References for the bit-identity test below: `train_step` written as its two
 # InfoGAN sub-updates, each with its own tape, clip and Adam step, and with
-# its own forward passes.
+# its own forward passes. With `merged=False` the D step runs the trunk twice,
+# over the real and then the fake batch, as it did before one pass over both.
 
 def reference_forward_g(nets, code):
     pad = (eisgan.KERNEL_WIDTH - 1) // 2
@@ -422,7 +424,7 @@ def reference_forward_trunk(nets, x):
     return ng.leaky_relu(h, eisgan.ALPHA)
 
 
-def reference_train_step(nets, real_batch, opts, rng):
+def reference_train_step(nets, real_batch, opts, rng, merged=True):
     cfg = nets.config
     batch = real_batch.shape[0]
     k = cfg.latent_dim
@@ -435,10 +437,17 @@ def reference_train_step(nets, real_batch, opts, rng):
     d_codes = sample(cfg, batch, rng)
     fake = reference_forward_g(nets, ng.Tensor(d_codes)).data
     with ng.Tape() as tape:
-        logit_real = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(real_batch)))
-        features = reference_forward_trunk(nets, ng.Tensor(fake))
+        if merged:
+            both = reference_forward_trunk(nets, ng.Tensor(np.concatenate([real_batch, fake])))
+            logits = eisgan._d_logit(nets, both)
+            logit_real, logit_fake = ng.rows(logits, 0, batch), ng.rows(logits, batch, 2 * batch)
+            features = ng.rows(both, batch, 2 * batch)
+        else:
+            logit_real = eisgan._d_logit(nets, reference_forward_trunk(nets, ng.Tensor(real_batch)))
+            features = reference_forward_trunk(nets, ng.Tensor(fake))
+            logit_fake = eisgan._d_logit(nets, features)
         loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
-                        ng.bce_logit_loss(eisgan._d_logit(nets, features), False))
+                        ng.bce_logit_loss(logit_fake, False))
         nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], 1.0)
         total = ng.add(loss_d, ng.scale(nll_d, eisgan.LAMBDA_MI))
         grads = ng.backward(tape, total, nets.d_params() + nets.q_params())
@@ -477,6 +486,41 @@ def test_train_bit_identical_with_reference_train_step(monkeypatch):
         assert np.array_equal(p.data, ref.data)
     assert np.array_equal(eisgan.extract_latents(nets, data),
                           eisgan.extract_latents(ref_nets, data))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_train_step_agrees_with_two_pass_batch_major_step_to_rounding(dtype, tol, monkeypatch):
+    # one trunk pass over real and fake, and conv sums over (position, batch),
+    # change only the order of sums: the two-pass step over (batch, position)
+    # convs, from the same start, agrees to rounding in its losses, in both
+    # sub-updates' gradients and in the parameters it leaves. The absolute
+    # part of each tolerance scales with the array's largest entry
+    batch = toy_batch(32, seed=8)
+    backward, runs = ng.backward, []
+
+    def recording(tape, loss, params):
+        grads = backward(tape, loss, params)
+        runs[-1][1].extend(grads)
+        return grads
+
+    monkeypatch.setattr(ng, "backward", recording)
+    for step, conv in ((eisgan.train_step, ng.conv1d),
+                       (functools.partial(reference_train_step, merged=False),
+                        batch_major_conv1d)):
+        monkeypatch.setattr(ng, "conv1d", conv)
+        nets = _nets_in(dtype, seed=2)
+        opts = eisgan.Optimizers.build(nets)
+        runs.append(({}, []))
+        runs[-1][0].update(step(nets, batch.astype(dtype), opts, np.random.default_rng(9)))
+        runs[-1][1].extend(p.data for p in nets.all_params())
+    (losses, arrays), (old_losses, old_arrays) = runs
+    assert losses.keys() == old_losses.keys()
+    for name, value in old_losses.items():
+        assert losses[name] == pytest.approx(value, rel=tol)
+    assert len(arrays) == len(old_arrays) == 2 * len(nets.all_params())
+    for got, want in zip(arrays, old_arrays):
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +628,8 @@ def test_lambda_mi_moves_training(monkeypatch):
 
 def test_train_step_op_counts(monkeypatch):
     # two sub-updates at the default widths: the fake draw (3 G convs), the D
-    # step (4 + 4 trunk convs) and the G step (3 + 4), two backward sweeps and
-    # two Adam steps
+    # step (4 trunk convs over the real and fake rows at once) and the G step
+    # (3 + 4), two backward sweeps and two Adam steps
     counts = {"conv1d": 0, "backward": 0, "step": 0}
 
     def counting(name, fn):
@@ -601,7 +645,7 @@ def test_train_step_op_counts(monkeypatch):
     nets = eisgan.init_networks(cfg, np.random.default_rng(0))
     opts = eisgan.Optimizers.build(nets)
     eisgan.train_step(nets, toy_batch(cfg.batch_size), opts, np.random.default_rng(1))
-    assert counts == {"conv1d": 18, "backward": 2, "step": 2}
+    assert counts == {"conv1d": 14, "backward": 2, "step": 2}
 
 
 def test_mi_objective_descends_under_joint_updates():

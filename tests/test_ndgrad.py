@@ -120,10 +120,39 @@ def test_conv1d_matches_triple_loop_reference():
 
 
 def reference_conv1d(x, bank, padding=0):
-    """conv1d with the np.pad + sliding_window_view im2col; same GEMMs as ng.conv1d.
+    """conv1d with the np.pad + sliding_window_view im2col; same GEMMs as
+    ng.conv1d, whose im2col columns run over (position, batch).
 
     Its backward ignores `need` and always returns all three gradients.
     """
+    w, b = bank.kernels, bank.biases
+    k_out, r_in, k_w = w.shape
+    batch, _, length = x.shape
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
+    l_out = length + 2 * padding - k_w + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, k_w, axis=2)
+    col = win.transpose(1, 3, 2, 0).reshape(r_in * k_w, l_out * batch)
+    w_mat = w.data.reshape(k_out, r_in * k_w)
+    out = ((w_mat @ col) + b.data[:, None]).reshape(k_out, l_out, batch).transpose(2, 0, 1)
+
+    def bw(g, need):
+        g_mat = g.transpose(1, 2, 0).reshape(k_out, l_out * batch)
+        gw = (g_mat @ col.T).reshape(k_out, r_in, k_w)
+        gbias = g_mat.sum(axis=1)
+        gcol = (w_mat.T @ g_mat).reshape(r_in, k_w, l_out, batch).transpose(3, 0, 1, 2)
+        gxp = np.zeros_like(xp)
+        for k in range(k_w):
+            gxp[:, :, k:k + l_out] += gcol[:, :, k, :]
+        gx = gxp[:, :, padding:padding + length] if padding else gxp
+        return gx, gw, gbias
+
+    return ng._record(out, (x, w, b), bw)
+
+
+def batch_major_conv1d(x, bank, padding=0):
+    """conv1d as it was before batch-last memory: im2col columns over (batch,
+    position), so its GEMMs and bias sums add in another order. It rounds
+    differently from ng.conv1d and agrees with it to a tolerance."""
     w, b = bank.kernels, bank.biases
     k_out, r_in, k_w = w.shape
     batch, _, length = x.shape
@@ -213,6 +242,114 @@ def test_conv1d_wide_padding_on_short_input_matches_reference(batch):
                     for got, want in ((out.data, ref.data), (gw, rw)):
                         assert got.shape == want.shape
                         np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 32])
+def test_conv1d_agrees_with_batch_major_order_to_rounding(batch):
+    # batch-last memory changes only the order in which the GEMMs and the
+    # bias gradient add up; the old (batch, position) order agrees to rounding.
+    # The absolute part of the tolerance scales with the array's largest
+    # entry: an entry whose sum cancels to near 0 keeps the rounding of its terms
+    rng = np.random.default_rng(23)
+    for k_w, pad, r_in in ((5, 2, 2), (5, 2, 16), (3, 0, 3), (1, 1, 1), (4, 3, 2)):
+        k_out, length = 8, 30
+        x64 = rng.standard_normal((batch, r_in, length))
+        bank64 = make_bank(rng, k_out, r_in, k_w)
+        g64 = rng.standard_normal((batch, k_out, length + 2 * pad - k_w + 1))
+        for dtype, tol in zip(DTYPES, (1e-12, 1e-5)):
+            x, bank, g = x64.astype(dtype), cast_bank(bank64, dtype), g64.astype(dtype)
+            with ng.Tape():
+                out = ng.conv1d(ng.Tensor(x), bank, padding=pad)
+                old = batch_major_conv1d(ng.Tensor(x), bank, padding=pad)
+            need = (True, True, True)
+            pairs = [(out.data, old.data)] + list(zip(out.backward_fn(g, need),
+                                                      old.backward_fn(g, need)))
+            for got, want in pairs:
+                assert got.shape == want.shape and got.dtype == dtype
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+
+def _op_with(op, value):
+    """`op` on a (4, 2, 8) batch with `value` as its shape argument: the
+    padding of a width-3 conv, the pool width, the upsample factor, or the
+    (start, stop) of `rows`."""
+    x = ng.Tensor(np.zeros((4, 2, 8)))
+    if op == "conv1d":
+        return ng.conv1d(x, make_bank(np.random.default_rng(0), 3, 2, 3), padding=value)
+    if op == "rows":
+        return ng.rows(x, *value)
+    return getattr(ng, op)(x, value)
+
+
+@pytest.mark.parametrize("op, value, message", [
+    ("conv1d", -1, "padding must be an int >= 0, got -1"),
+    ("conv1d", 1.0, "padding must be an int >= 0, got 1.0"),
+    ("conv1d", True, "padding must be an int >= 0, got True"),
+    ("avg_pool1d", 0, "width must be an int >= 1, got 0"),
+    ("avg_pool1d", -1, "width must be an int >= 1, got -1"),
+    ("avg_pool1d", 2.0, "width must be an int >= 1, got 2.0"),
+    ("upsample_nearest", 0, "factor must be an int >= 1, got 0"),
+    ("upsample_nearest", -2, "factor must be an int >= 1, got -2"),
+    ("upsample_nearest", 1.5, "factor must be an int >= 1, got 1.5"),
+    ("rows", (-1, 2), "start must be an int >= 0, got -1"),
+    ("rows", (2, 2), "stop must be an int >= 3, got 2"),
+    ("rows", (0, 2.0), "stop must be an int >= 1, got 2.0"),
+    ("rows", (2, 5), r"rows 2:5 fall outside the batch of shape \(4, 2, 8\)"),
+], ids=lambda v: repr(v) if not isinstance(v, str) or " " not in v else "")
+def test_shape_arguments_refused_by_name(op, value, message):
+    with pytest.raises(ng.ShapeError, match=message):
+        _op_with(op, value)
+
+
+def test_shape_arguments_accept_numpy_integers():
+    assert _op_with("conv1d", np.int64(1)).shape == (4, 3, 8)
+    assert _op_with("avg_pool1d", np.int32(2)).shape == (4, 2, 4)
+    assert _op_with("upsample_nearest", np.uint8(3)).shape == (4, 2, 24)
+    assert _op_with("rows", (np.int64(1), np.int64(4))).shape == (3, 2, 8)
+
+
+def test_rows_matches_finite_differences():
+    # two overlapping slices: row 3 takes the sum of both, row 0 nothing
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal((6, 3))
+    code = rng.standard_normal((3, 3))
+
+    def run():
+        xt = ng.Tensor(x)
+        with ng.Tape() as tape:
+            loss = ng.add(ng.gaussian_nll(ng.rows(xt, 1, 4), code, 1.0),
+                          ng.bce_logit_loss(ng.rows(xt, 3, 6), True))
+            grads = ng.backward(tape, loss, [xt])
+        return float(loss.data), grads
+
+    _, grads = run()
+    assert grads[0].shape == x.shape and not grads[0][0].any()
+    central_diff(lambda: run()[0], [x], grads, rel_tol=1e-6)
+
+
+def test_conv_stack_keeps_batch_last_memory(monkeypatch):
+    # each conv input below the first of a trunk-like stack, and each conv
+    # input of a generator-like stack, is a view of (channels, length, B)
+    # memory, so no conv makes a transposing copy of its input
+    rng = np.random.default_rng(64)
+    banks = [make_bank(rng, 4, 2, 5), make_bank(rng, 4, 4, 5), make_bank(rng, 2, 4, 5)]
+    inputs, conv = [], ng.conv1d
+
+    def recording(x, bank, padding=0):
+        inputs.append(x.data)
+        return conv(x, bank, padding)
+
+    monkeypatch.setattr(ng, "conv1d", recording)
+    with ng.Tape():
+        h = ng.Tensor(rng.standard_normal((6, 2, 16)))
+        for bank in banks:   # the trunk's order: conv, lrelu, pool
+            h = ng.avg_pool1d(ng.leaky_relu(ng.conv1d(h, bank, padding=2), 0.01), 2)
+        h = ng.Tensor(rng.standard_normal((6, 2, 4)))
+        for bank in banks:   # the generator's order: upsample, conv, lrelu
+            h = ng.leaky_relu(ng.conv1d(ng.upsample_nearest(h, 2), bank, padding=2), 0.01)
+    assert len(inputs) == 6
+    for x in inputs[1:]:
+        assert x.transpose(1, 2, 0).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +796,43 @@ def test_adamp_monotone_under_constant_gradient():
         opt.step([np.ones(1)])
         values.append(p.data[0])
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_adamp_steps_parameters_through_views_of_one_flat_buffer():
+    params = [ng.Tensor(np.ones((2, 3))), ng.Tensor([5.0]), ng.Tensor(np.zeros((1, 2, 2)))]
+    opt = ng.AdamP(params, lr=1e-2)
+    assert opt.flat.shape == (11,)
+    for views in ([p.data for p in params], opt.m, opt.v):
+        assert [a.shape for a in views] == [(2, 3), (1,), (1, 2, 2)]
+    for p in params:
+        assert np.shares_memory(p.data, opt.flat)
+    opt.step([np.ones((2, 3)), np.zeros(1), -np.ones((1, 2, 2))])
+    assert np.all(params[0].data < 1.0) and params[1].data[0] == 5.0
+    assert np.all(params[2].data > 0.0)
+    assert np.array_equal(opt.m[2], np.full((1, 2, 2), -(1.0 - 0.9)))
+
+
+def test_adamp_refuses_a_parameter_listed_twice_or_none():
+    p = ng.Tensor([1.0, 2.0])
+    with pytest.raises(ng.NdgradError, match="listed twice"):
+        ng.AdamP([p, ng.Tensor([0.0]), p], lr=1e-3)
+    with pytest.raises(ng.NdgradError, match="at least one parameter"):
+        ng.AdamP([], lr=1e-3)
+
+
+def test_adamp_refuses_a_parameter_replaced_after_it_was_built():
+    # a replaced `.data` is no longer the view the step updates
+    p = ng.Tensor([1.0, 2.0])
+    opt = ng.AdamP([p], lr=1e-3)
+    p.data = p.data.copy()
+    with pytest.raises(ng.NdgradError, match="replaced after its optimizer was built"):
+        opt.step([np.ones(2)])
+
+
+def test_adamp_refuses_gradients_of_the_wrong_size():
+    opt = ng.AdamP([ng.Tensor([1.0, 2.0]), ng.Tensor([3.0])], lr=1e-3)
+    with pytest.raises(ng.NdgradError, match="gradient sizes"):
+        opt.step([np.ones(2), np.ones(2)])
 
 
 def test_adamp_rejects_nonfinite_gradient():
