@@ -322,8 +322,8 @@ class Optimizers:
 
     @staticmethod
     def build(nets: Networks) -> "Optimizers":
-        return Optimizers(opt_d=ng.AdamP(nets.d_params() + nets.q_params(), lr=LR_D),
-                          opt_g=ng.AdamP(nets.g_params(), lr=LR_G))
+        return Optimizers(opt_d=ng.AdamP(nets.d_params() + nets.q_params(), LR_D, GRAD_CLIP),
+                          opt_g=ng.AdamP(nets.g_params(), LR_G, GRAD_CLIP))
 
 
 def _sample_codes(cfg: GanConfig, batch: int, rng) -> np.ndarray:
@@ -359,9 +359,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
         with ng.Tape() as tape:
             adv, nll = losses_fn()
             loss = ng.add(adv, ng.scale(nll, LAMBDA_MI))
-            grads = ng.backward(tape, loss, opt.params)
-        grads, norm = ng.clip_global_norm(grads, GRAD_CLIP)
-        opt.step(grads)
+            norm = opt.step(ng.backward(tape, loss, opt.params))
         return float(adv.data), float(nll.data), norm
 
     def code_nll(features, codes):
@@ -559,9 +557,13 @@ def load_checkpoint(path) -> tuple[Networks, NormStats]:
             raise GanError(f"checkpoint arrays differ from the config: missing "
                            f"{sorted(names - stored)}, extra {sorted(stored - names)}")
         for i, p in enumerate(params):
-            saved = blob[f"p{i:03d}"]
-            if saved.shape != p.data.shape:
-                raise GanError(f"checkpoint parameter {i} shape mismatch")
+            try:
+                saved = blob[f"p{i:03d}"]
+            except ValueError as exc:  # an object array, which np.load will not unpickle
+                raise GanError(f"checkpoint parameter {i} is unreadable: {exc}") from None
+            if saved.dtype.kind != "f" or saved.shape != p.data.shape:
+                raise GanError(f"checkpoint parameter {i} is {saved.dtype} {saved.shape}, "
+                               f"not real floats of shape {p.data.shape}")
             if not np.isfinite(saved).all():
                 raise GanError(f"checkpoint parameter {i} holds non-finite values")
             p.data = saved.astype(np.float64)

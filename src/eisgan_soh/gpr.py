@@ -73,8 +73,13 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sq_exp(d2: np.ndarray, hp: Hyperparams) -> np.ndarray:
+    """The squared-exponential kernel at squared distances d2."""
+    return hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    return hp.sigma_f ** 2 * np.exp(-_sqdist(a, b) / (2 * hp.length_scale ** 2))
+    return _sq_exp(_sqdist(a, b), hp)
 
 
 def _training_arrays(inputs, targets):
@@ -100,7 +105,7 @@ def _lml(d2, y, hp: Hyperparams):
     the gram without another finiteness scan.
     """
     n = len(y)
-    k_f = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
+    k_f = _sq_exp(d2, hp)
     for jitter in JITTERS:
         gram = k_f.copy()
         gram.flat[:: n + 1] += hp.sigma_n ** 2

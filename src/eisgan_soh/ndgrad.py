@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over dense float arrays.
 
 Provides exactly the primitives the EIS GAN needs (1D convolution, dense
-layers, leaky ReLU, the two loss heads) plus an Adam optimizer.
+layers, leaky ReLU, the two loss heads) plus Adam with a global norm clip.
 Every op takes `Tensor` operands whose data carry a leading batch axis:
 (B, channels, length) into `conv1d`, (B, n) into `dense`, (B, k) into
 `gaussian_nll`; a single curve or code is a batch of one. The pool,
@@ -187,9 +187,8 @@ def conv1d(x: Tensor, bank: ConvKernelBank, padding: int = 0) -> Tensor:
         g_mat = g.transpose(1, 2, 0).reshape(k_out, n_col)
         gx = gw = gbias = None
         if need[1]:
-            # the same bits as g_mat @ col.T from a faster GEMM, copied to C
-            # order: np.sum over it, as in the clip norm, adds in memory order
-            gw = (col @ g_mat.T).T.copy().reshape(k_out, r_in, k_w)
+            # the same bits as g_mat @ col.T from a faster GEMM
+            gw = (col @ g_mat.T).T.reshape(k_out, r_in, k_w)
         if need[2]:
             gbias = g_mat.sum(axis=1)
         if need[0]:
@@ -402,17 +401,8 @@ def backward(tape: Tape, loss: Tensor, params) -> list[np.ndarray]:
 # optimizer
 # ---------------------------------------------------------------------------
 
-def clip_global_norm(grads, max_norm: float):
-    """Scale the gradient list so its global L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if total > max_norm:
-        factor = float(max_norm) / total
-        grads = [g * factor for g in grads]
-    return grads, total
-
-
 class AdamP:
-    """Adam with bias correction.
+    """Adam with bias correction, after a clip of the global gradient norm.
 
     The name comes from AdamP, whose radial-update projection acts only on
     scale-invariant weights (those followed by a normalization layer). No
@@ -421,33 +411,29 @@ class AdamP:
 
     Building it makes each parameter's `.data` a view of one flat buffer,
     `flat`, in the parameters' common dtype, and a step updates that buffer
-    whole; `m` and `v` are per-parameter views of the flat moments. A
-    parameter whose `.data` is later replaced is refused by `step`, and one
-    parameter listed twice is refused here: its two views would split its
-    updates.
+    whole. A parameter whose `.data` is later replaced is refused by `step`,
+    and one parameter listed twice is refused here: its two views would
+    split its updates.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr):
+    def __init__(self, params, lr, max_norm):
         self.params = list(params)
         if not self.params:
             raise NdgradError("AdamP needs at least one parameter")
         if len({id(p) for p in self.params}) != len(self.params):
             raise NdgradError("a parameter is listed twice")
-        self.lr = float(lr)
-        self.t = 0
+        self.lr, self.max_norm, self.t = float(lr), float(max_norm), 0
         self.flat = np.concatenate([p.data.ravel() for p in self.params])
         self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
-        bounds = np.cumsum([0] + [p.data.size for p in self.params])
-        self.m, self.v = [], []
-        for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
-            shape = p.data.shape
-            p.data = self.flat[lo:hi].reshape(shape)
-            self.m.append(self._m[lo:hi].reshape(shape))
-            self.v.append(self._v[lo:hi].reshape(shape))
+        self._splits = np.cumsum([p.data.size for p in self.params])[:-1]
+        for p, seg in zip(self.params, np.split(self.flat, self._splits)):
+            p.data = seg.reshape(p.data.shape)
 
-    def step(self, grads):
+    def step(self, grads) -> float:
+        """An Adam step on `grads` scaled to a global L2 norm of at most `max_norm`;
+        returns the unscaled norm, from per-parameter sums of squares in C order."""
         if len(grads) != len(self.params):
             raise NdgradError("gradient list does not match parameter list")
         if any(p.data.base is not self.flat for p in self.params):
@@ -457,6 +443,9 @@ class AdamP:
             raise NdgradError("gradient sizes do not match the parameters")
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient; step rejected")
+        norm = float(np.sqrt(sum(float(np.sum(seg * seg)) for seg in np.split(g, self._splits))))
+        if norm > self.max_norm:
+            g *= self.max_norm / norm
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -475,3 +464,4 @@ class AdamP:
         update /= denom
         update *= self.lr
         self.flat -= update
+        return norm

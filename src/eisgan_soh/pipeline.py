@@ -118,6 +118,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int_fields(self, PipelineError)
+        if self.seed < 0:
+            raise PipelineError(f"seed must be >= 0, got {self.seed}")
         if not all(is_int(s) and 1 <= s <= 9 for s in self.stages):
             raise PipelineError(f"stages must lie in 1..9, got {self.stages}")
         repeated = sorted({s for s in self.stages if self.stages.count(s) > 1})

@@ -394,10 +394,31 @@ def test_latent_sweep_and_generate_refuse_overflowing_curves():
         eisgan.generate(nets, LatentCode(np.ones(9), np.zeros(16)))
 
 
-# References for the bit-identity test below: `train_step` written as its two
-# InfoGAN sub-updates, each with its own tape, clip and Adam step, and with
-# its own forward passes. With `merged=False` the D step runs the trunk twice,
-# over the real and then the fake batch, as it did before one pass over both.
+# References for the bit-identity tests below: `train_step` written as its
+# two InfoGAN sub-updates, each with its own tape, a separate clip pass and an
+# Adam step that clips nothing, and with its own forward passes. With
+# `merged=False` the D step runs the trunk twice, over the real and then the
+# fake batch, as it did before one pass over both.
+
+def clip_global_norm(grads, max_norm):
+    """Scale the gradient list so its global L2 norm is at most max_norm.
+
+    Each sum of squares adds in C order, as `AdamP.step`'s does over its
+    parameter's segment of the flat gradient: np.sum would add a transposed
+    view, such as a conv's weight gradient, in memory order."""
+    grads = [np.ascontiguousarray(g) for g in grads]
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    if total > max_norm:
+        factor = float(max_norm) / total
+        grads = [g * factor for g in grads]
+    return grads, total
+
+
+def reference_optimizers(nets):
+    """`Optimizers.build` with steps that clip nothing."""
+    return eisgan.Optimizers(
+        opt_d=ng.AdamP(nets.d_params() + nets.q_params(), eisgan.LR_D, np.inf),
+        opt_g=ng.AdamP(nets.g_params(), eisgan.LR_G, np.inf))
 
 def reference_forward_g(nets, code):
     pad = (eisgan.KERNEL_WIDTH - 1) // 2
@@ -451,7 +472,7 @@ def reference_train_step(nets, real_batch, opts, rng, merged=True):
         nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], 1.0)
         total = ng.add(loss_d, ng.scale(nll_d, eisgan.LAMBDA_MI))
         grads = ng.backward(tape, total, nets.d_params() + nets.q_params())
-    grads, norm_d = ng.clip_global_norm(grads, eisgan.GRAD_CLIP)
+    grads, norm_d = clip_global_norm(grads, eisgan.GRAD_CLIP)
     opts.opt_d.step(grads)
 
     # G: non-saturating BCE plus lambda * code NLL of its own batch
@@ -462,7 +483,7 @@ def reference_train_step(nets, real_batch, opts, rng, merged=True):
         loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k], 1.0)
         total = ng.add(loss_g, ng.scale(loss_mi, eisgan.LAMBDA_MI))
         grads = ng.backward(tape, total, nets.g_params())
-    grads, norm_g = ng.clip_global_norm(grads, eisgan.GRAD_CLIP)
+    grads, norm_g = clip_global_norm(grads, eisgan.GRAD_CLIP)
     opts.opt_g.step(grads)
 
     losses = {"loss_d": float(loss_d.data), "loss_g": float(loss_g.data),
@@ -479,6 +500,7 @@ def test_train_bit_identical_with_reference_train_step(monkeypatch):
     cfg = tiny_config(epochs=2)
     nets, rep = eisgan.train(data, cfg)
     monkeypatch.setattr(eisgan, "train_step", reference_train_step)
+    monkeypatch.setattr(eisgan.Optimizers, "build", staticmethod(reference_optimizers))
     ref_nets, ref_rep = eisgan.train(data, cfg)
     assert rep == ref_rep
     assert len(rep.grad_norm_g) == 2
@@ -486,6 +508,27 @@ def test_train_bit_identical_with_reference_train_step(monkeypatch):
         assert np.array_equal(p.data, ref.data)
     assert np.array_equal(eisgan.extract_latents(nets, data),
                           eisgan.extract_latents(ref_nets, data))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clipping_train_step_bit_identical_with_reference_train_step(dtype, monkeypatch):
+    # a bound low enough that every sub-update clips: the step's own clip
+    # leaves the same bits as the separate clip pass before a step without one
+    monkeypatch.setattr(eisgan, "GRAD_CLIP", 0.005)
+    batch = toy_batch(16, seed=4).astype(dtype)
+    runs = []
+    for step, build in ((eisgan.train_step, eisgan.Optimizers.build),
+                        (reference_train_step, reference_optimizers)):
+        nets = _nets_in(dtype, seed=3)
+        opts, rng = build(nets), np.random.default_rng(5)
+        runs.append(([step(nets, batch, opts, rng) for _ in range(3)],
+                     [p.data for p in nets.all_params()]))
+    (reports, params), (ref_reports, ref_params) = runs
+    assert reports == ref_reports
+    assert all(min(r["grad_norm_d"], r["grad_norm_g"]) > 0.005 for r in reports)
+    for p, ref in zip(params, ref_params):
+        assert p.dtype == ref.dtype == dtype
+        assert np.array_equal(p, ref)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -504,12 +547,12 @@ def test_train_step_agrees_with_two_pass_batch_major_step_to_rounding(dtype, tol
         return grads
 
     monkeypatch.setattr(ng, "backward", recording)
-    for step, conv in ((eisgan.train_step, ng.conv1d),
-                       (functools.partial(reference_train_step, merged=False),
-                        batch_major_conv1d)):
+    for step, conv, build in ((eisgan.train_step, ng.conv1d, eisgan.Optimizers.build),
+                              (functools.partial(reference_train_step, merged=False),
+                               batch_major_conv1d, reference_optimizers)):
         monkeypatch.setattr(ng, "conv1d", conv)
         nets = _nets_in(dtype, seed=2)
-        opts = eisgan.Optimizers.build(nets)
+        opts = build(nets)
         runs.append(({}, []))
         runs[-1][0].update(step(nets, batch.astype(dtype), opts, np.random.default_rng(9)))
         runs[-1][1].extend(p.data for p in nets.all_params())
@@ -556,7 +599,7 @@ def test_train_step_runs_in_the_networks_dtype(dtype, monkeypatch):
         assert nodes and set(nodes) == {np.dtype(dtype)}
         assert set(grads) == {np.dtype(dtype)}
     for opt in (opts.opt_d, opts.opt_g):
-        assert {a.dtype for a in opt.m + opt.v + [p.data for p in opt.params]} == \
+        assert {a.dtype for a in [opt._m, opt._v] + [p.data for p in opt.params]} == \
             {np.dtype(dtype)}
 
 
@@ -652,7 +695,7 @@ def test_mi_objective_descends_under_joint_updates():
     # the G+Q sub-update alone must be able to drive the code NLL down
     cfg = tiny_config()
     nets = eisgan.init_networks(cfg, np.random.default_rng(0))
-    opt = ng.AdamP(nets.g_params() + nets.q_params(), lr=1e-3)
+    opt = ng.AdamP(nets.g_params() + nets.q_params(), lr=1e-3, max_norm=np.inf)
     codes = np.random.default_rng(1).standard_normal((16, 25))
     losses = []
     for _ in range(150):
@@ -901,6 +944,26 @@ def test_checkpoint_rejects_nonfinite_parameters(tmp_path, bad):
     arrays["p004"].flat[1] = bad
     _rewrite(path, arrays)
     with pytest.raises(GanError, match="parameter 4"):
+        eisgan.load_checkpoint(path)
+
+
+#: parameter arrays that are not real floats: complex once lost its imaginary
+#: part with only a warning, bool loaded as 0/1, and an object or str array
+#: raised a bare ValueError or TypeError
+NOT_REAL_FLOATS = {
+    "complex": lambda a: a + 1j,
+    "bool": lambda a: a > 0,
+    "object": lambda a: a.astype(object),
+    "str": lambda a: a.astype(str),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_REAL_FLOATS)
+def test_checkpoint_rejects_parameters_that_are_not_real_floats(tmp_path, kind):
+    path, arrays = _saved_checkpoint(tmp_path)
+    arrays["p000"] = NOT_REAL_FLOATS[kind](arrays["p000"])
+    _rewrite(path, arrays)
+    with pytest.raises(GanError, match="checkpoint parameter 0 "):
         eisgan.load_checkpoint(path)
 
 

@@ -774,14 +774,14 @@ def test_nonfinite_input_trapped():
 
 def test_adamp_zero_gradient_no_change():
     p = ng.Tensor([1.0, -2.0])
-    opt = ng.AdamP([p], lr=1e-3)
+    opt = ng.AdamP([p], lr=1e-3, max_norm=np.inf)
     opt.step([np.zeros(2)])
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 
 def test_adamp_first_step_hand_trace():
     p = ng.Tensor([0.0])
-    opt = ng.AdamP([p], lr=1e-3)
+    opt = ng.AdamP([p], lr=1e-3, max_norm=np.inf)
     opt.step([np.ones(1)])
     # bias-corrected first step: -lr * 1 / (1 + eps)
     expected = -1e-3 / (1 + 1e-8)
@@ -790,7 +790,7 @@ def test_adamp_first_step_hand_trace():
 
 def test_adamp_monotone_under_constant_gradient():
     p = ng.Tensor([1.0])
-    opt = ng.AdamP([p], lr=1e-2)
+    opt = ng.AdamP([p], lr=1e-2, max_norm=np.inf)
     values = [p.data[0]]
     for _ in range(5):
         opt.step([np.ones(1)])
@@ -800,51 +800,71 @@ def test_adamp_monotone_under_constant_gradient():
 
 def test_adamp_steps_parameters_through_views_of_one_flat_buffer():
     params = [ng.Tensor(np.ones((2, 3))), ng.Tensor([5.0]), ng.Tensor(np.zeros((1, 2, 2)))]
-    opt = ng.AdamP(params, lr=1e-2)
+    opt = ng.AdamP(params, lr=1e-2, max_norm=np.inf)
     assert opt.flat.shape == (11,)
-    for views in ([p.data for p in params], opt.m, opt.v):
-        assert [a.shape for a in views] == [(2, 3), (1,), (1, 2, 2)]
+    assert [p.data.shape for p in params] == [(2, 3), (1,), (1, 2, 2)]
     for p in params:
         assert np.shares_memory(p.data, opt.flat)
     opt.step([np.ones((2, 3)), np.zeros(1), -np.ones((1, 2, 2))])
     assert np.all(params[0].data < 1.0) and params[1].data[0] == 5.0
     assert np.all(params[2].data > 0.0)
-    assert np.array_equal(opt.m[2], np.full((1, 2, 2), -(1.0 - 0.9)))
+    assert np.array_equal(opt._m[7:], np.full(4, -(1.0 - 0.9)))
 
 
 def test_adamp_refuses_a_parameter_listed_twice_or_none():
     p = ng.Tensor([1.0, 2.0])
     with pytest.raises(ng.NdgradError, match="listed twice"):
-        ng.AdamP([p, ng.Tensor([0.0]), p], lr=1e-3)
+        ng.AdamP([p, ng.Tensor([0.0]), p], lr=1e-3, max_norm=np.inf)
     with pytest.raises(ng.NdgradError, match="at least one parameter"):
-        ng.AdamP([], lr=1e-3)
+        ng.AdamP([], lr=1e-3, max_norm=np.inf)
 
 
 def test_adamp_refuses_a_parameter_replaced_after_it_was_built():
     # a replaced `.data` is no longer the view the step updates
     p = ng.Tensor([1.0, 2.0])
-    opt = ng.AdamP([p], lr=1e-3)
+    opt = ng.AdamP([p], lr=1e-3, max_norm=np.inf)
     p.data = p.data.copy()
     with pytest.raises(ng.NdgradError, match="replaced after its optimizer was built"):
         opt.step([np.ones(2)])
 
 
 def test_adamp_refuses_gradients_of_the_wrong_size():
-    opt = ng.AdamP([ng.Tensor([1.0, 2.0]), ng.Tensor([3.0])], lr=1e-3)
+    opt = ng.AdamP([ng.Tensor([1.0, 2.0]), ng.Tensor([3.0])], lr=1e-3, max_norm=np.inf)
     with pytest.raises(ng.NdgradError, match="gradient sizes"):
         opt.step([np.ones(2), np.ones(2)])
 
 
 def test_adamp_rejects_nonfinite_gradient():
     p = ng.Tensor([1.0])
-    opt = ng.AdamP([p], lr=1e-3)
+    opt = ng.AdamP([p], lr=1e-3, max_norm=np.inf)
     with pytest.raises(ng.NonFiniteError):
         opt.step([np.array([np.inf])])
 
 
-def test_clip_global_norm():
-    grads = [np.array([3.0]), np.array([4.0])]
-    clipped, norm = ng.clip_global_norm(grads, 1.0)
-    assert norm == 5.0
-    total = np.sqrt(sum(np.sum(g * g) for g in clipped))
-    assert abs(total - 1.0) < 1e-12
+def _adam_after_one_step(max_norm, grads):
+    params = [ng.Tensor([1.0, -2.0]), ng.Tensor([[0.5]])]
+    opt = ng.AdamP(params, lr=1e-2, max_norm=max_norm)
+    return opt.step(grads), opt
+
+
+def test_adamp_step_clips_the_global_norm_and_returns_it():
+    # over the bound, the step is an unclipped step on the scaled gradients
+    # and returns the norm before the scaling; at or under it nothing is scaled
+    grads = [np.array([3.0, 0.0]), np.array([[4.0]])]
+    for max_norm, factor in ((1.0, 1.0 / 5.0), (4.5, 4.5 / 5.0), (5.0, None), (6.0, None)):
+        norm, opt = _adam_after_one_step(max_norm, grads)
+        scaled = grads if factor is None else [g * factor for g in grads]
+        _, ref = _adam_after_one_step(np.inf, scaled)
+        assert norm == 5.0
+        for got, want in ((opt.flat, ref.flat), (opt._m, ref._m), (opt._v, ref._v)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_adamp_step_returns_an_overflowing_norm_after_a_zero_step():
+    # a float32 gradient above about 1.8e19 squares to inf: the norm is inf,
+    # the gradient is scaled by 0 and no weight moves
+    p = ng.Tensor(np.array([1.0, 2.0], np.float32))
+    opt = ng.AdamP([p], lr=1e-3, max_norm=10.0)
+    assert opt.step([np.array([2e19, 0.0], np.float32)]) == np.inf
+    assert np.array_equal(p.data, np.array([1.0, 2.0], np.float32)) and opt.t == 1

@@ -630,6 +630,21 @@ def test_cli_extract_refuses_norm_stats_that_are_not_finite(tmp_path, capsys):
     assert os.listdir(cfg.out_dir) == ["gan_stage5.npz"]
 
 
+def test_cli_extract_refuses_parameters_that_are_not_real_floats(tmp_path, capsys):
+    # a complex array once loaded with its imaginary part dropped
+    cfg, path = cli_config_file(tmp_path)
+    _, arrays = _saved_checkpoint(tmp_path)
+    arrays["p003"] = arrays["p003"] + 0.5j
+    os.makedirs(cfg.out_dir)
+    _rewrite(pipeline.checkpoint_path(cfg.out_dir, 5), arrays)
+    assert cli.main(["extract", "--config", path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "GanError", "message": "checkpoint parameter 3 "
+                                    "is complex128 (32,), not real floats of shape (32,)"}
+    assert os.listdir(cfg.out_dir) == ["gan_stage5.npz"]
+
+
 def test_cli_extract_on_a_checkpoint_that_is_no_npz_archive(tmp_path, capsys):
     cfg, path = cli_config_file(tmp_path)
     os.makedirs(cfg.out_dir)
@@ -982,49 +997,87 @@ def _set_config_key(path, section, key, value):
         json.dump(blob, fh)
 
 
-# `command` comes last, so each row's id still starts with its section and key
-@pytest.mark.parametrize("section, key, value, error, command", [
-    ("gan", "batch_sise", 8, "PipelineError", "run-all"),
-    ("gpr", "restart", 2, "PipelineError", "run-all"),
-    (None, "bogus", 1, "PipelineError", "run-all"),
-    ("perturb", "sigma", [0.001], "PipelineError", "run-all"),
-    ("synth", "n_cells", 3, "PipelineError", "run-all"),
-    ("gan", "batch_size", 2.5, "GanError", "run-all"),
-    ("gan", "epochs", True, "GanError", "run-all"),
-    ("gan", "trunk_widths", [16, 32.0, 64, 64], "PipelineError", "run-all"),
-    ("gpr", "restarts", 2.5, "PipelineError", "run-all"),
-    ("gpr", "max_iter", True, "PipelineError", "run-all"),
-    ("perturb", "n_samples", 2.5, "PipelineError", "run-all"),
-    ("perturb", "cycle", False, "PipelineError", "run-all"),
-    ("synth", "n_cycles", 8.0, "PipelineError", "run-all"),
-    (None, "seed", 1.5, "PipelineError", "run-all"),
-    (None, "stages", [5.0], "PipelineError", "run-all"),
-    (None, "stages", 5, "PipelineError", "run-all"),
-    (None, "test_cells", "SYN03", "PipelineError", "run-all"),
-    ("gan", "trunk_widths", 5, "PipelineError", "run-all"),
-    ("perturb", "sigmas", 0.003, "PipelineError", "run-all"),
-    ("perturb", "sigmas", ["0.003"], "PipelineError", "run-all"),
-    (None, "stages", [5, 5], "PipelineError", "run-all"),
-    ("perturb", "cycle", -1, "PipelineError", "run-all"),
-    ("perturb", "cycle", -100, "PipelineError", "run-all"),
-    ("synth", "dc_noise_amp", -0.02, "PipelineError", "run-all"),
-    ("synth", "dc_noise_amp", float("nan"), "PipelineError", "run-all"),
-    ("synth", "dc_noise_amp", "0.02", "PipelineError", "run-all"),
-    ("synth", "meas_noise_ohm", -0.0002, "PipelineError", "run-all"),
-    ("synth", "meas_noise_ohm", float("nan"), "PipelineError", "run-all"),
-    ("synth", "meas_noise_ohm", float("inf"), "PipelineError", "run-all"),
-    ("perturb", "n_samples", 0, "PipelineError", "perturb"),
-    ("gpr", "restarts", 0, "PipelineError", "fit-gpr"),
-    ("gan", "batch_size", 0, "GanError", "run-all"),
-    (None, "stages", [], "PipelineError", "run-all"),
-    (None, "stages", [], "PipelineError", "perturb"),
-    ("perturb", "sigmas", [], "PipelineError", "run-all"),
-    ("perturb", "sigmas", [0.003, 0.003], "PipelineError", "perturb"),
-    ("perturb", "sigmas", [0.0010001, 0.0010002], "PipelineError", "baseline"),
-    ("perturb", "sigmas", [1e303], "PipelineError", "baseline"),
-    (None, "eis_csv", "data/eis.csv", "PipelineError", "run-all"),
-    ("perturb", "sigmas", [10 ** 400], "PipelineError", "run-all"),
-])
+# each row names its id, so that adding or removing a row renames no other case
+BAD_CONFIG_ROWS = {
+    "gan-batch_sise-8-PipelineError-run-all":
+        ("gan", "batch_sise", 8, "PipelineError", "run-all"),
+    "gpr-restart-2-PipelineError-run-all":
+        ("gpr", "restart", 2, "PipelineError", "run-all"),
+    "None-bogus-1-PipelineError-run-all":
+        (None, "bogus", 1, "PipelineError", "run-all"),
+    "perturb-sigma-value3-PipelineError-run-all":
+        ("perturb", "sigma", [0.001], "PipelineError", "run-all"),
+    "synth-n_cells-3-PipelineError-run-all":
+        ("synth", "n_cells", 3, "PipelineError", "run-all"),
+    "gan-batch_size-2.5-GanError-run-all":
+        ("gan", "batch_size", 2.5, "GanError", "run-all"),
+    "gan-epochs-True-GanError-run-all":
+        ("gan", "epochs", True, "GanError", "run-all"),
+    "gan-trunk_widths-value7-PipelineError-run-all":
+        ("gan", "trunk_widths", [16, 32.0, 64, 64], "PipelineError", "run-all"),
+    "gpr-restarts-2.5-PipelineError-run-all":
+        ("gpr", "restarts", 2.5, "PipelineError", "run-all"),
+    "gpr-max_iter-True-PipelineError-run-all":
+        ("gpr", "max_iter", True, "PipelineError", "run-all"),
+    "perturb-n_samples-2.5-PipelineError-run-all":
+        ("perturb", "n_samples", 2.5, "PipelineError", "run-all"),
+    "perturb-cycle-False-PipelineError-run-all":
+        ("perturb", "cycle", False, "PipelineError", "run-all"),
+    "synth-n_cycles-8.0-PipelineError-run-all":
+        ("synth", "n_cycles", 8.0, "PipelineError", "run-all"),
+    "None-seed-1.5-PipelineError-run-all":
+        (None, "seed", 1.5, "PipelineError", "run-all"),
+    "None-stages-value14-PipelineError-run-all":
+        (None, "stages", [5.0], "PipelineError", "run-all"),
+    "None-stages-5-PipelineError-run-all":
+        (None, "stages", 5, "PipelineError", "run-all"),
+    "None-test_cells-SYN03-PipelineError-run-all":
+        (None, "test_cells", "SYN03", "PipelineError", "run-all"),
+    "gan-trunk_widths-5-PipelineError-run-all":
+        ("gan", "trunk_widths", 5, "PipelineError", "run-all"),
+    "perturb-sigmas-0.003-PipelineError-run-all":
+        ("perturb", "sigmas", 0.003, "PipelineError", "run-all"),
+    "perturb-sigmas-value19-PipelineError-run-all":
+        ("perturb", "sigmas", ["0.003"], "PipelineError", "run-all"),
+    "None-stages-value20-PipelineError-run-all":
+        (None, "stages", [5, 5], "PipelineError", "run-all"),
+    "perturb-cycle--1-PipelineError-run-all":
+        ("perturb", "cycle", -1, "PipelineError", "run-all"),
+    "perturb-cycle--100-PipelineError-run-all":
+        ("perturb", "cycle", -100, "PipelineError", "run-all"),
+    "synth-dc_noise_amp--0.02-PipelineError-run-all":
+        ("synth", "dc_noise_amp", -0.02, "PipelineError", "run-all"),
+    "synth-meas_noise_ohm--0.0002-PipelineError-run-all":
+        ("synth", "meas_noise_ohm", -0.0002, "PipelineError", "run-all"),
+    "perturb-n_samples-0-PipelineError-perturb":
+        ("perturb", "n_samples", 0, "PipelineError", "perturb"),
+    "gpr-restarts-0-PipelineError-fit-gpr":
+        ("gpr", "restarts", 0, "PipelineError", "fit-gpr"),
+    "gan-batch_size-0-GanError-run-all":
+        ("gan", "batch_size", 0, "GanError", "run-all"),
+    "None-stages-value32-PipelineError-run-all":
+        (None, "stages", [], "PipelineError", "run-all"),
+    "None-stages-value33-PipelineError-perturb":
+        (None, "stages", [], "PipelineError", "perturb"),
+    "perturb-sigmas-value34-PipelineError-run-all":
+        ("perturb", "sigmas", [], "PipelineError", "run-all"),
+    "perturb-sigmas-value35-PipelineError-perturb":
+        ("perturb", "sigmas", [0.003, 0.003], "PipelineError", "perturb"),
+    "perturb-sigmas-value36-PipelineError-baseline":
+        ("perturb", "sigmas", [0.0010001, 0.0010002], "PipelineError", "baseline"),
+    "perturb-sigmas-value37-PipelineError-baseline":
+        ("perturb", "sigmas", [1e303], "PipelineError", "baseline"),
+    "None-eis_csv-data/eis.csv-PipelineError-run-all":
+        (None, "eis_csv", "data/eis.csv", "PipelineError", "run-all"),
+    "perturb-sigmas-value39-PipelineError-run-all":
+        ("perturb", "sigmas", [10 ** 400], "PipelineError", "run-all"),
+    "None-seed--1-PipelineError-run-all":
+        (None, "seed", -1, "PipelineError", "run-all"),
+}
+
+
+@pytest.mark.parametrize("section, key, value, error, command",
+                         BAD_CONFIG_ROWS.values(), ids=BAD_CONFIG_ROWS)
 def test_cli_bad_config_key_or_type_prints_json_error_line(tmp_path, capsys, section,
                                                            key, value, error, command):
     cfg, path = cli_config_file(tmp_path)
@@ -1106,6 +1159,16 @@ def test_cli_seed_override_changes_synth(tmp_path):
     read = lambda d: open(os.path.join(d, "eis.csv")).read()
     assert read(out_a) != read(out_b)
     assert read(out_a) == read(out_c)
+
+
+def test_cli_refuses_a_negative_seed_override_before_writing(tmp_path, capsys):
+    cfg, path = cli_config_file(tmp_path)
+    assert cli.main(["synth", "--config", path, "--seed", "-1", "--out", cfg.out_dir]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "PipelineError",
+                                        "message": "seed must be >= 0, got -1"}
+    assert captured.out == ""
+    assert_wrote_nothing(cfg.out_dir)
 
 
 def test_cli_rejects_unknown_command():
