@@ -150,9 +150,7 @@ def cmd_predict(config: PipelineConfig):
 def cmd_sweep(config: PipelineConfig):
     dataset = pipeline.load_dataset(config, capacities=False)
     for stage in config.stages:
-        # the frequencies run-all's sweeps carry: those of the stage's first test curve
-        _, test_cells = pipeline.stage_partition(dataset, stage)
-        freq = dataset.curves_for(stage, test_cells[:1])[0].freq_hz
+        freq = pipeline.reference_curves(dataset, stage)[0].freq_hz
         features = pipeline.FeatureMap(*eisgan.load_checkpoint(
             pipeline.checkpoint_path(config.out_dir, stage)))
         latent_dim = features.nets.config.latent_dim

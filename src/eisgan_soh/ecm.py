@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eisdata import (CapacityRecord, Dataset, DC_STAGES, EisCurve, log_grid,
-                      T_POINTS)
+from .eisdata import Dataset, DC_STAGES, EisCurve, log_grid, T_POINTS
 
 #: nominal coin-cell capacity in mAh
 BASE_CAPACITY_MAH = 45.0
@@ -167,14 +166,14 @@ def synth_dataset(n_train_cells: int, n_test_cells: int, n_cycles: int,
     train_ids, test_ids = synth_cell_ids(n_train_cells, n_test_cells)
     cell_ids = train_ids + test_ids
     children = np.random.SeedSequence(seed).spawn(len(cell_ids))
-    curves, records = [], []
+    curves, capacities = [], {}
     for cell_idx, (cell_id, child) in enumerate(zip(cell_ids, children)):
         rng = np.random.default_rng(child)
         traj = build_trajectory(default_params(rng), n_cycles, rng)
         for stage in stages:
             curves.extend(stage_curves(cell_id, traj, stage,
                                        np.random.default_rng([seed, cell_idx, stage])))
-        records.extend(CapacityRecord(cell_id, cycle, float(traj.capacity_mah[cycle]))
-                       for cycle in range(n_cycles))
-    return Dataset(curves=curves, capacities=records,
+        capacities.update(((cell_id, cycle), mah)
+                          for cycle, mah in enumerate(traj.capacity_mah.tolist()))
+    return Dataset(curves=curves, capacities=capacities,
                    train_cells=train_ids, test_cells=test_ids)

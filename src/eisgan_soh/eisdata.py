@@ -1,4 +1,4 @@
-"""Data model and I/O for EIS spectra and capacity records.
+"""Data model and I/O for EIS spectra and capacities.
 
 CSV schema (External Interfaces):
     eis.csv      header: cell_id,stage,cycle,point_index,freq_hz,re_z_ohm,im_z_ohm
@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -80,19 +80,6 @@ def _bare_curve(cell_id, stage, cycle, freq_hz, re_z_ohm, im_z_ohm) -> EisCurve:
 DC_STAGES = frozenset({2, 3, 6, 7})
 
 
-@dataclass(frozen=True)
-class CapacityRecord:
-    cell_id: str
-    cycle: int
-    capacity_mah: float
-
-    def __post_init__(self):
-        if self.capacity_mah <= 0 or not np.isfinite(self.capacity_mah):
-            raise DataError(
-                f"capacity must be positive and finite, got {self.capacity_mah} "
-                f"for ({self.cell_id}, {self.cycle})")
-
-
 def is_finite_real(value) -> bool:
     """True for an int or float, numpy's included but not a bool, that is
     finite as a float."""
@@ -126,28 +113,21 @@ class NormStats:
 
 @dataclass
 class Dataset:
-    """Curves plus capacity records with a declared train/test cell partition.
-    A curve needs a capacity record only when its capacity is looked up."""
+    """Curves, (cell_id, cycle) -> capacity in mAh and a declared train/test
+    cell partition. A curve needs a capacity only when one is looked up."""
 
     curves: list[EisCurve]
-    capacities: list[CapacityRecord]
+    capacities: dict[tuple[str, int], float]
     train_cells: tuple[str, ...]
     test_cells: tuple[str, ...]
-    _cap_map: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if set(self.train_cells) & set(self.test_cells):
             raise DataError("train and test cell partitions overlap")
-        self._cap_map = {}
-        for rec in self.capacities:
-            key = (rec.cell_id, rec.cycle)
-            if key in self._cap_map:
-                raise DataError(f"duplicate capacity record for {key}")
-            self._cap_map[key] = rec.capacity_mah
 
     def capacity(self, cell_id: str, cycle: int) -> float:
         try:
-            return self._cap_map[(cell_id, cycle)]
+            return self.capacities[(cell_id, cycle)]
         except KeyError:
             raise DataError(f"no capacity record for {(cell_id, cycle)}") from None
 
@@ -396,9 +376,10 @@ def save_eis_csv(path, curves) -> None:
                              for i, (f, re_z, im_z) in enumerate(points))
 
 
-def load_capacity_csv(path) -> list[CapacityRecord]:
-    records = []
-    seen = set()
+def load_capacity_csv(path) -> dict[tuple[str, int], float]:
+    """capacity.csv as (cell_id, cycle) -> mAh; a bad field count or number, a
+    repeated key or a capacity not positive and finite raises DataError by row."""
+    capacities = {}
     with open_text(path, DataError, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -408,21 +389,22 @@ def load_capacity_csv(path) -> list[CapacityRecord]:
             if len(row) != 3:
                 raise DataError(f"row {row_num}: expected 3 fields, got {len(row)}")
             key = (row[0], _parse_int(row[1], row_num, "cycle"))
-            if key in seen:
+            if key in capacities:
                 raise DataError(f"row {row_num}: duplicate capacity record for {key}")
-            seen.add(key)
-            records.append(CapacityRecord(key[0], key[1],
-                                          _parse_float(row[2], row_num, "capacity_mah")))
-    return records
+            capacities[key] = mah = _parse_float(row[2], row_num, "capacity_mah")
+            if not 0 < mah < math.inf:
+                raise DataError(f"row {row_num}: capacity must be positive and finite, "
+                                f"got {mah} for {key}")
+    return capacities
 
 
-def save_capacity_csv(path, records) -> None:
-    rows = sorted(((r.cell_id, r.cycle, repr(float(r.capacity_mah))) for r in records),
-                  key=lambda r: (r[0], r[1]))
+def save_capacity_csv(path, capacities) -> None:
+    """Write (cell_id, cycle) -> capacity to capacity.csv in key order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CAPACITY_HEADER)
-        writer.writerows(rows)
+        writer.writerows((cell_id, cycle, repr(float(mah)))
+                         for (cell_id, cycle), mah in sorted(capacities.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -438,9 +438,10 @@ class AdamP:
             raise NdgradError("gradient list does not match parameter list")
         if any(p.data.base is not self.flat for p in self.params):
             raise NdgradError("a parameter's data was replaced after its optimizer was built")
+        for i, (p, grad) in enumerate(zip(self.params, grads)):
+            if np.shape(grad) != p.data.shape:
+                raise NdgradError(f"gradient {i} has shape {np.shape(grad)}, not {p.data.shape}")
         g = np.concatenate([np.ravel(grad) for grad in grads])
-        if g.size != self.flat.size:
-            raise NdgradError("gradient sizes do not match the parameters")
         if not np.isfinite(g).all():
             raise NonFiniteError("non-finite gradient; step rejected")
         norm = float(np.sqrt(sum(float(np.sum(seg * seg)) for seg in np.split(g, self._splits))))

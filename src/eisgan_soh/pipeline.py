@@ -120,6 +120,8 @@ class PipelineConfig:
         check_int_fields(self, PipelineError)
         if self.seed < 0:
             raise PipelineError(f"seed must be >= 0, got {self.seed}")
+        if not self.stages:
+            raise PipelineError("stages is empty: name at least one stage")
         if not all(is_int(s) and 1 <= s <= 9 for s in self.stages):
             raise PipelineError(f"stages must lie in 1..9, got {self.stages}")
         repeated = sorted({s for s in self.stages if self.stages.count(s) > 1})
@@ -195,12 +197,11 @@ def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
     `capacities` False, CSV input reads eis.csv alone and holds no capacity
     record, for commands that look none up."""
     if config.synth is not None:
-        s = config.synth
-        return ecm.synth_dataset(s.n_train_cells, s.n_test_cells, s.n_cycles,
-                                 config.stages, config.seed)
+        return ecm.synth_dataset(**dataclasses.asdict(config.synth), stages=config.stages,
+                                 seed=config.seed)
     train_cells, test_cells = declared_partition(config)
     curves = eisdata.load_eis_csv(config.eis_csv)
-    caps = eisdata.load_capacity_csv(config.capacity_csv) if capacities else []
+    caps = eisdata.load_capacity_csv(config.capacity_csv) if capacities else {}
     curves = [c if c.n_points == eisdata.T_POINTS else eisdata.resample_log_grid(c)
               for c in curves]
     return Dataset(curves=curves, capacities=caps,
@@ -210,9 +211,10 @@ def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
 def load_capacities(config: PipelineConfig) -> dict:
     """(cell_id, cycle) -> capacity in mAh. CSV input reads capacity.csv alone;
     synth input draws the capacity trajectories and no curves."""
-    records = (eisdata.load_capacity_csv(config.capacity_csv) if config.synth is None
-               else load_dataset(replace(config, stages=())).capacities)
-    return {(r.cell_id, r.cycle): r.capacity_mah for r in records}
+    if config.synth is None:
+        return eisdata.load_capacity_csv(config.capacity_csv)
+    return ecm.synth_dataset(**dataclasses.asdict(config.synth), stages=(),
+                             seed=config.seed).capacities
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +310,8 @@ class FeatureMap:
 
 @dataclass
 class StageArtifacts:
-    """A stage's test cells and curves, then one path's feature map and GPR."""
+    """A stage's train and test curves, then one path's feature map and GPR."""
     stage: int
-    test_cells: tuple[str, ...]
     train_curves: list
     test_curves: list
     features: FeatureMap
@@ -333,11 +334,17 @@ def stage_partition(dataset: Dataset, stage: int):
                            dataset.stage_cells(stage), stage)
 
 
+def reference_curves(dataset: Dataset, stage: int) -> list[eisdata.EisCurve]:
+    """The curves of a stage's first test cell in cycle order, which the plot
+    data show and the perturbation study and the sweeps draw from."""
+    return dataset.curves_for(stage, stage_partition(dataset, stage)[1][:1])
+
+
 def stage_inputs(dataset: Dataset, stage: int) -> StageArtifacts:
     """A stage's inputs and baseline feature map; the study and `train-gan` start here."""
     train_cells, test_cells = stage_partition(dataset, stage)
     train, test = dataset.curves_for(stage, train_cells), dataset.curves_for(stage, test_cells)
-    return StageArtifacts(stage, test_cells, train, test, FeatureMap(None, fit_norm_stats(train)))
+    return StageArtifacts(stage, train, test, FeatureMap(None, fit_norm_stats(train)))
 
 
 def train_stage_gan(config: PipelineConfig, inp: StageArtifacts):
@@ -372,7 +379,7 @@ def _perturb_target(dataset: Dataset, config: PipelineConfig, stage: int):
     test cell at cycle `perturb.cycle`; a cell that lacks that cycle gives its
     `perturb.cycle`-th curve, or its last."""
     pert = config.perturb
-    stage_curves = dataset.curves_for(stage, stage_partition(dataset, stage)[1][:1])
+    stage_curves = reference_curves(dataset, stage)
     cycles = [c.cycle for c in stage_curves]
     cycle = pert.cycle if pert.cycle in cycles else cycles[min(len(cycles) - 1, pert.cycle)]
     return next(c for c in stage_curves if c.cycle == cycle)
@@ -443,11 +450,10 @@ def check_plot_cycles(dataset: Dataset, config: PipelineConfig) -> None:
     two latent codes: a stage's first test cell, which it ranks them on, has
     too few cycles."""
     for stage in config.stages:
-        _, test_cells = stage_partition(dataset, stage)
-        n_cycles = len(dataset.curves_for(stage, [test_cells[0]]))
-        if n_cycles < eisgan.MIN_RANK_CYCLES:
+        curves = reference_curves(dataset, stage)
+        if len(curves) < eisgan.MIN_RANK_CYCLES:
             raise PipelineError(
-                f"stage {stage}: test cell {test_cells[0]} has {n_cycles} cycles; "
+                f"stage {stage}: test cell {curves[0].cell_id} has {len(curves)} cycles; "
                 f"plot data needs at least {eisgan.MIN_RANK_CYCLES}")
 
 
@@ -461,8 +467,8 @@ def emit_plot_data(outdir, results: dict, paths) -> None:
         _write_csv(os.path.join(outdir, name), header, rows)
 
     for stage, art in results.get("eisgan_artifacts", {}).items():
-        cell_id = art.test_cells[0]
-        curves = [c for c in art.test_curves if c.cell_id == cell_id]
+        curves = reference_curves(results["dataset"], stage)
+        cell_id = curves[0].cell_id
 
         # Nyquist traces across a handful of cycles
         n_show = min(5, len(curves))
@@ -537,10 +543,8 @@ def run_study(dataset: Dataset, config: PipelineConfig, paths=PATHS) -> dict:
     """The study, stage by stage: the stage's inputs (`stage_inputs`); the
     GAN when "eisgan" is in `paths`; then per path the GPR fit, test metrics
     and perturbation entries. Writes nothing; returns the reports and
-    artifacts keyed as `run_all` does. Empty `stages`, or a train or test
-    curve without a capacity record, is refused before training."""
-    if not config.stages:
-        raise PipelineError("stages is empty: a study needs at least one stage")
+    artifacts keyed as `run_all` does. A train or test curve without a
+    capacity record is refused before training."""
     targets = {stage: _perturb_target(dataset, config, stage) for stage in config.stages}
     stages = {}
     for stage in config.stages:

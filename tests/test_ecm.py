@@ -130,6 +130,8 @@ def test_synth_dataset_covers_stages_and_capacities():
             assert [c.cycle for c in curves] == list(range(5))
         for cycle in range(5):
             assert ds.capacity(cell, cycle) > 0
+    assert set(ds.capacities) == {(cell, cycle) for cell in ds.train_cells + ds.test_cells
+                                  for cycle in range(5)}
 
 
 def test_synth_dataset_deterministic():

@@ -12,8 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eisgan_soh import ecm, eisdata, pipeline
-from eisgan_soh.eisdata import (EIS_HEADER, CapacityRecord, DataError, Dataset,
-                                EisCurve, NormStats)
+from eisgan_soh.eisdata import EIS_HEADER, DataError, Dataset, EisCurve, NormStats
 
 
 #: stats that leave a channel's values as they are, bit for bit
@@ -41,11 +40,6 @@ def test_curve_rejects_nonfinite():
         EisCurve("C1", 5, 0, [2.0, 1.0], [np.nan, 0.0], [0.0, 0.0])
 
 
-def test_capacity_must_be_positive():
-    with pytest.raises(DataError):
-        CapacityRecord("C1", 0, -1.0)
-
-
 def test_stage_table_matches_measurement_protocol():
     # of the nine stages, DC is present in 2, 3, 6 and 7
     assert eisdata.DC_STAGES == {2, 3, 6, 7}
@@ -53,24 +47,16 @@ def test_stage_table_matches_measurement_protocol():
 
 def test_dataset_requires_capacity_records():
     # a curve needs its capacity record only when the capacity is looked up
-    ds = Dataset([make_curve(cycle=0), make_curve(cycle=1)],
-                 [CapacityRecord("C1", 0, 40.0)], ("C1",), ("C2",))
+    ds = Dataset([make_curve(cycle=0), make_curve(cycle=1)], {("C1", 0): 40.0},
+                 ("C1",), ("C2",))
     assert ds.capacity("C1", 0) == 40.0
     with pytest.raises(DataError, match=r"no capacity record for \('C1', 1\)"):
         ds.capacity("C1", 1)
 
 
-def test_dataset_refuses_duplicate_capacity_records():
-    cap = CapacityRecord("C1", 0, 40.0)
-    with pytest.raises(DataError, match=r"duplicate capacity record for \('C1', 0\)"):
-        Dataset([make_curve()], [cap, cap], ("C1",), ("C2",))
-
-
 def test_dataset_rejects_overlapping_partition():
-    curve = make_curve()
-    cap = CapacityRecord("C1", 0, 45.0)
     with pytest.raises(DataError):
-        Dataset([curve], [cap], ("C1",), ("C1",))
+        Dataset([make_curve()], {("C1", 0): 45.0}, ("C1",), ("C1",))
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +482,46 @@ def test_eis_csv_header_only_gives_no_curves_and_no_warning(tmp_path, header):
 
 
 def test_capacity_csv_round_trip(tmp_path):
-    records = [CapacityRecord("C1", i, 45.0 - 0.01 * i) for i in range(5)]
+    # written in (cell_id, cycle) order whatever order the mapping holds
+    capacities = {("C2", 0): 44.5, **{("C1", i): 45.0 - 0.01 * i for i in (10, 2, 0, 1)}}
     path = tmp_path / "capacity.csv"
-    eisdata.save_capacity_csv(path, records)
+    eisdata.save_capacity_csv(path, capacities)
+    assert path.read_text().splitlines()[1:] == [
+        "C1,0,45.0", "C1,1,44.99", "C1,2,44.98", "C1,10,44.9", "C2,0,44.5"]
     loaded = eisdata.load_capacity_csv(path)
-    assert loaded == records
+    assert loaded == capacities
+    path2 = tmp_path / "capacity2.csv"
+    eisdata.save_capacity_csv(path2, loaded)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def write_capacity_rows(tmp_path, *rows):
+    path = tmp_path / "capacity.csv"
+    path.write_text("".join(f"{row}\n" for row in ("cell_id,cycle,capacity_mah",) + rows))
+    return path
+
+
+def test_capacity_must_be_positive(tmp_path):
+    path = write_capacity_rows(tmp_path, "C1,0,45.0", "C1,1,-1.0")
+    with pytest.raises(DataError, match=re.escape(
+            "row 3: capacity must be positive and finite, got -1.0 for ('C1', 1)")):
+        eisdata.load_capacity_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("C1,1,0.0", "capacity must be positive and finite, got 0.0 for ('C1', 1)"),
+    ("C1,1,nan", "capacity must be positive and finite, got nan for ('C1', 1)"),
+    ("C1,1,inf", "capacity must be positive and finite, got inf for ('C1', 1)"),
+    ("C1,1,-inf", "capacity must be positive and finite, got -inf for ('C1', 1)"),
+    ("C1,0,44.0", "duplicate capacity record for ('C1', 0)"),
+    ("C1,1", "expected 3 fields, got 2"),
+    ("C1,one,44.0", "non-integer cycle value 'one'"),
+    ("C1,1,big", "non-numeric capacity_mah value 'big'"),
+], ids=["zero", "nan", "inf", "-inf", "duplicate", "short", "bad cycle", "bad capacity"])
+def test_load_capacity_csv_refuses_a_bad_row_naming_it(tmp_path, row, message):
+    path = write_capacity_rows(tmp_path, "C1,0,45.0", "C2,0,45.0", row, "C3,0,45.0")
+    with pytest.raises(DataError, match=re.escape(f"row 4: {message}")):
+        eisdata.load_capacity_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -830,8 +830,25 @@ def test_adamp_refuses_a_parameter_replaced_after_it_was_built():
 
 def test_adamp_refuses_gradients_of_the_wrong_size():
     opt = ng.AdamP([ng.Tensor([1.0, 2.0]), ng.Tensor([3.0])], lr=1e-3, max_norm=np.inf)
-    with pytest.raises(ng.NdgradError, match="gradient sizes"):
+    with pytest.raises(ng.NdgradError, match=r"gradient 1 has shape \(2,\)"):
         opt.step([np.ones(2), np.ones(2)])
+
+
+@pytest.mark.parametrize("shapes, grads, index", [
+    # the total size of the parameters, split across them the wrong way
+    (((2,), (1,)), [np.ones(3), np.zeros(0)], 0),
+    # its parameter's size, transposed
+    (((2,), (2, 3)), [np.ones(2), np.ones((3, 2))], 1),
+], ids=["sizes shifted", "transposed"])
+def test_adamp_refuses_a_gradient_not_shaped_as_its_parameter(shapes, grads, index):
+    # refused before any parameter or moment moves
+    opt = ng.AdamP([ng.Tensor(np.ones(shape)) for shape in shapes], lr=1e-3, max_norm=np.inf)
+    before = [opt.flat.copy(), opt._m.copy(), opt._v.copy()]
+    with pytest.raises(ng.NdgradError, match=f"gradient {index} has shape"):
+        opt.step(grads)
+    for got, want in zip((opt.flat, opt._m, opt._v), before):
+        assert np.array_equal(got, want)
+    assert opt.t == 0
 
 
 def test_adamp_rejects_nonfinite_gradient():

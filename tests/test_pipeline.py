@@ -229,8 +229,7 @@ def _no_stage_curves(*args, **kwargs):
 
 def test_load_capacities_synth_draws_only_the_trajectories(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path, stages=(3, 5, 7))
-    expected = {(r.cell_id, r.cycle): r.capacity_mah
-                for r in pipeline.load_dataset(cfg).capacities}
+    expected = pipeline.load_dataset(cfg).capacities
     monkeypatch.setattr(ecm, "stage_curves", _no_stage_curves)
     assert pipeline.load_capacities(cfg) == expected
 
@@ -240,8 +239,7 @@ def test_stage_partition_respects_missing_cells(tmp_path):
     ds = pipeline.load_dataset(cfg)
     # drop one train cell from the stage to mimic a reduced measurement set
     keep = [c for c in ds.curves if c.cell_id != ds.train_cells[0]]
-    caps = ds.capacities
-    reduced = eisdata.Dataset(keep, caps, ds.train_cells, ds.test_cells)
+    reduced = eisdata.Dataset(keep, ds.capacities, ds.train_cells, ds.test_cells)
     train, test = pipeline.stage_partition(reduced, 5)
     assert train == ds.train_cells[1:]
     assert test == ds.test_cells
@@ -365,8 +363,7 @@ def test_perturbation_noisy_arrays_keep_their_bits(tiny_run, monkeypatch):
     cfg = dataclasses.replace(cfg, perturb=PerturbSettings(
         sigmas=(0.0, 0.001, 0.003), n_samples=4, cycle=3))
     art = results["baseline_artifacts"][5]
-    curve = next(c for c in results["dataset"].curves_for(5, [art.test_cells[0]])
-                 if c.cycle == 3)
+    curve = next(c for c in pipeline.reference_curves(results["dataset"], 5) if c.cycle == 3)
     normalized = []
     normalized_array = pipeline.normalized_array
 
@@ -536,8 +533,8 @@ def test_cli_chain_on_cell_ids_with_comma_quote_and_carriage_return(tmp_path, ca
     eis_path, cap_path = tmp_path / "eis.csv", tmp_path / "capacity.csv"
     eisdata.save_eis_csv(eis_path, [dataclasses.replace(c, cell_id=names[c.cell_id])
                                     for c in ds.curves])
-    eisdata.save_capacity_csv(cap_path, [dataclasses.replace(r, cell_id=names[r.cell_id])
-                                         for r in ds.capacities])
+    eisdata.save_capacity_csv(cap_path, {(names[cell_id], cycle): mah
+                                         for (cell_id, cycle), mah in ds.capacities.items()})
     cfg = tiny_config(tmp_path / "out", synth=None, eis_csv=str(eis_path),
                       capacity_csv=str(cap_path),
                       train_cells=tuple(names[c] for c in ds.train_cells),
@@ -843,8 +840,8 @@ def test_cli_fit_gpr_names_a_missing_capacity_record(tmp_path, capsys):
     cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
     for command in ("train-gan", "extract"):
         assert cli.main([command, "--config", path]) == 0, command
-    eisdata.save_capacity_csv(cfg.capacity_csv, [r for r in ds.capacities
-                                                 if (r.cell_id, r.cycle) != ("SYN02", 4)])
+    eisdata.save_capacity_csv(cfg.capacity_csv, {key: mah for key, mah in ds.capacities.items()
+                                                 if key != ("SYN02", 4)})
     assert cli.main(["fit-gpr", "--config", path]) == 1
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob["error"] == "PipelineError"
@@ -890,7 +887,7 @@ def test_cli_chain_estimates_cells_without_capacity_records(tmp_path, capsys):
     # train-gan and extract read no capacities, and fit-gpr only the training
     # cells', so the chain predicts the same on train-only capacities
     ds = pipeline.load_dataset(tiny_config(tmp_path))
-    train_only = [r for r in ds.capacities if r.cell_id in ds.train_cells]
+    train_only = {key: mah for key, mah in ds.capacities.items() if key[0] in ds.train_cells}
     predictions = []
     for name, capacities in (("all", ds.capacities), ("train_only", train_only)):
         os.mkdir(tmp_path / name)
@@ -912,7 +909,7 @@ def test_run_all_refuses_a_missing_test_capacity_before_training(tmp_path, no_tr
         n_train_cells=2, n_test_cells=2, n_cycles=8)))
     cfg, _ = csv_config_file(
         tmp_path, ds, [c for c in ds.curves if (c.cell_id, c.stage) != ("SYN04", 5)],
-        [r for r in ds.capacities if r.cell_id != "SYN04"], stages=(5, 3))
+        {key: mah for key, mah in ds.capacities.items() if key[0] != "SYN04"}, stages=(5, 3))
     with pytest.raises(eisdata.DataError, match=r"no capacity record for \('SYN04', 0\)"):
         pipeline.run_all(cfg)
     assert_wrote_nothing(cfg.out_dir)
@@ -934,8 +931,8 @@ def test_cli_study_commands_refuse_too_few_cycles_before_writing(tmp_path, capsy
 def test_cli_study_commands_refuse_a_missing_test_capacity_before_writing(
         tmp_path, capsys, no_training, command):
     ds = pipeline.load_dataset(tiny_config(tmp_path))
-    cfg, path = csv_config_file(tmp_path, ds, ds.curves,
-                                [r for r in ds.capacities if r.cell_id in ds.train_cells])
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, {
+        key: mah for key, mah in ds.capacities.items() if key[0] in ds.train_cells})
     assert cli.main([command, "--config", path]) == 1
     blob = json.loads(capsys.readouterr().err.strip())
     assert blob == {"error": "DataError", "message": "no capacity record for ('SYN03', 0)"}
@@ -1073,6 +1070,10 @@ BAD_CONFIG_ROWS = {
         ("perturb", "sigmas", [10 ** 400], "PipelineError", "run-all"),
     "None-seed--1-PipelineError-run-all":
         (None, "seed", -1, "PipelineError", "run-all"),
+    "None-stages-empty-PipelineError-synth":
+        (None, "stages", [], "PipelineError", "synth"),
+    "None-stages-empty-PipelineError-fit-gpr":
+        (None, "stages", [], "PipelineError", "fit-gpr"),
 }
 
 
