@@ -15,6 +15,7 @@ import io
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -220,7 +221,8 @@ def _loadtxt_rows(fh):
     \\x1c-\\x1f around numbers as whitespace and refuses fields or line endings
     that the row-by-row reader may parse or must name by row. Text with
     characters beyond U+FFFF is left to the row-by-row reader too: numpy 2.4's
-    loadtxt can crash on them in numeric fields.
+    loadtxt can crash on them in numeric fields. Cell ids are interned as they
+    are parsed, so the rows hold one string per distinct id, not one per row.
 
     loadtxt converts the text a line at a time, and each piece is checked
     before its lines reach it (a piece after the first that starts with a
@@ -240,8 +242,8 @@ def _loadtxt_rows(fh):
     _past_header(fh)
     lines = itertools.chain.from_iterable(map(io.StringIO, checked(_body_pieces(fh))))
     try:
-        return np.loadtxt(lines, dtype=_EIS_DTYPE, delimiter=",",
-                          quotechar='"', comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=_EIS_DTYPE, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1, converters={0: sys.intern})
     except UnicodeDecodeError:
         raise
     except ValueError:
@@ -252,13 +254,13 @@ def _loadtxt_rows(fh):
 
 def _csv_rows(fh):
     """The data rows of `fh` read one at a time; raises the first
-    `row N: ...` error."""
+    `row N: ...` error. Each cell id is interned, as `_loadtxt_rows` does."""
     _past_header(fh)
     cols = [[] for _ in EIS_HEADER]
     for row_num, row in enumerate(csv.reader(fh), start=2):
         if len(row) != len(EIS_HEADER):
             raise DataError(f"row {row_num}: expected {len(EIS_HEADER)} fields, got {len(row)}")
-        cols[0].append(row[0])
+        cols[0].append(sys.intern(row[0]))
         for i in range(1, 4):
             cols[i].append(_parse_int(row[i], row_num, EIS_HEADER[i]))
         for i in range(4, 7):
@@ -361,19 +363,26 @@ def load_eis_csv(path) -> list[EisCurve]:
 
 def save_eis_csv(path, curves) -> None:
     """Write `curves` to eis.csv in (cell_id, stage, cycle) order, one curve
-    at a time. Two curves with the same key raise DataError before the file
-    is opened, as `load_eis_csv` would refuse the file."""
+    at a time, with the bytes `csv.writer` gives each row. Two curves with the
+    same key raise DataError before the file is opened, as `load_eis_csv`
+    would refuse the file."""
     curves = sorted(curves, key=EisCurve.key)
     for a, b in zip(curves, curves[1:]):
         if a.key() == b.key():
             raise DataError(f"duplicate curve {a.key()}")
+    key = io.StringIO()
+    key_writer = csv.writer(key)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EIS_HEADER)
+        csv.writer(fh).writerow(EIS_HEADER)
         for c in curves:
+            # the key fields csv-quoted once per curve: "cell_id,stage,cycle,"
+            key.seek(0)
+            key.truncate()
+            key_writer.writerow((c.cell_id, c.stage, c.cycle, ""))
+            prefix = key.getvalue()[:-2]
             points = zip(c.freq_hz.tolist(), c.re_z_ohm.tolist(), c.im_z_ohm.tolist())
-            writer.writerows((c.cell_id, c.stage, c.cycle, i, repr(f), repr(re_z), repr(im_z))
-                             for i, (f, re_z, im_z) in enumerate(points))
+            fh.write("".join([f"{prefix}{i},{f!r},{re_z!r},{im_z!r}\r\n"
+                              for i, (f, re_z, im_z) in enumerate(points)]))
 
 
 def load_capacity_csv(path) -> dict[tuple[str, int], float]:

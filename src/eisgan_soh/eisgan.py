@@ -49,7 +49,7 @@ LAMBDA_MI = 3.0
 GRAD_CLIP = 10.0
 
 #: curves `extract_latents` runs through the trunk's conv stack at a time
-EXTRACT_BLOCK = 256
+EXTRACT_BLOCK = 128
 
 #: code values `latent_sweep` moves one dimension over: [-2, 2] in steps of 0.5
 SWEEP_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
@@ -272,9 +272,13 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
     The conv stack runs on blocks of EXTRACT_BLOCK curves, so its im2col
     buffers do not grow with N, and the dense layers run once over all N
     rows of features. Every code keeps the bits of one whole-batch pass:
-    BLAS gave a conv GEMM's rows the same bits in blocks of EXTRACT_BLOCK
-    rows or more but not in a block of a few rows, so a shorter remainder
-    joins the last block; a dense GEMM over fewer rows rounded differently.
+    in batch-last memory the conv GEMMs gave each curve the same bits in
+    blocks of 128 curves or more (every batch of 1 to 1,099 curves checked,
+    BLAS at one and two threads), but at one thread OpenBLAS rounded the
+    first conv's last columns differently in a block of 81 curves, so
+    64-curve blocks changed codes. A remainder shorter than a block joins
+    the last block, so blocks hold 128 to 255 curves. A dense GEMM over
+    fewer rows rounded differently too, so the dense layers run once.
     """
     arr = np.asarray(curve_array, dtype=np.float64)
     if arr.ndim not in (2, 3) or arr.shape[-2:] != (CHANNELS, T_POINTS):

@@ -9,20 +9,22 @@ The pairwise squared distances of the training inputs do not depend on the
 hyperparameters, so `fit` computes them once and every restart and every
 line-search trial work from that one matrix. Trials evaluate the likelihood
 value only, one Cholesky factorisation and one solve through LAPACK
-`dpotrf`/`dpotrs`. The gradient, computed at each start point and accepted
-step, takes the triangle of (K + sigma_n^2 I)^-1 that `dpotri` forms from the
-same factor and needs three traces of it. The fitted model keeps the factor
-of the best point, so it is not factorised again.
+`dpotrf`/`dpotrs`. The gradient, computed at each start point and at each
+accepted step that another step follows, takes the triangle of
+(K + sigma_n^2 I)^-1 that `dpotri` forms from the same factor and needs three
+traces of it. The fitted model keeps the factor of the best point, so it is
+not factorised again.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+
+from .eisdata import is_finite_real
 
 LOG2PI = float(np.log(2 * np.pi))
 
@@ -41,9 +43,9 @@ class Hyperparams:
     length_scale: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
+        if not all(is_finite_real(v) and v > 0
                    for v in (self.sigma_n, self.sigma_f, self.length_scale)):
-            raise GprError(f"hyperparameters must be finite and positive: {self}")
+            raise GprError(f"hyperparameters must be finite and positive numbers: {self}")
 
     @staticmethod
     def from_log(theta) -> "Hyperparams":
@@ -167,6 +169,11 @@ def log_marginal_likelihood(inputs, targets, hp: Hyperparams):
     return lml, _lml_grad(d2, hp, factor)
 
 
+def _is_json_number(value) -> bool:
+    """True for a number `json.loads` gives: an int or float, not a bool."""
+    return type(value) in (int, float)
+
+
 @dataclass
 class GprModel:
     """Fitted model with cached lower Cholesky factor and alpha vector."""
@@ -244,12 +251,21 @@ class GprModel:
             raise GprError(f"unknown model format {fmt!r}")
         try:
             hp = Hyperparams(*obj["hyperparams"])
-            y_mean, y_scale = float(obj["y_mean"]), float(obj["y_scale"])
-            if not (math.isfinite(y_mean) and math.isfinite(y_scale) and y_scale > 0):
-                raise ValueError(f"y_mean {y_mean} must be finite and "
-                                 f"y_scale {y_scale} finite and positive")
-            return GprModel.build(np.array(obj["inputs"]), np.array(obj["targets"]),
-                                  hp, y_mean, y_scale)
+            y_mean, y_scale, inputs, targets = (obj[k] for k in
+                                                ("y_mean", "y_scale", "inputs", "targets"))
+            if not is_finite_real(y_mean):
+                raise ValueError(f"y_mean {y_mean!r} must be a finite number")
+            if not (is_finite_real(y_scale) and y_scale > 0):
+                raise ValueError(f"y_scale {y_scale!r} must be a finite positive number")
+            # JSON numbers only: np.array would read "1.0" and true as numbers too
+            if not (type(inputs) is list
+                    and all(type(row) is list and all(map(_is_json_number, row))
+                            for row in inputs)):
+                raise ValueError("inputs must be a list of rows of numbers")
+            if not (type(targets) is list and all(map(_is_json_number, targets))):
+                raise ValueError("targets must be a list of numbers")
+            return GprModel.build(np.array(inputs), np.array(targets),
+                                  hp, float(y_mean), float(y_scale))
         except (KeyError, TypeError, ValueError) as exc:
             raise GprError(f"bad model file: {exc!r}") from None
 
@@ -259,15 +275,16 @@ def _ascend(d2, y, theta0, max_iter):
 
     `d2` holds the training set's squared distances, computed once per fit.
     Line-search trials evaluate L only; the gradient is computed at the start
-    point and at each accepted step, never for a rejected trial. Returns the
-    point the ascent stops at, its L and the factor `_lml` gave for it.
+    point and at each accepted step that another step follows, never for a
+    rejected trial or the step the ascent stops at. Returns the point the
+    ascent stops at, its L and the factor `_lml` gave for it.
     """
     theta = np.asarray(theta0, dtype=float)
     hp = Hyperparams.from_log(theta)
     lml, factor = _lml(d2, y, hp)
     grad = _lml_grad(d2, hp, factor)
     step = 0.1
-    for _ in range(max_iter):
+    for iteration in range(max_iter):
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-8:
             break
@@ -283,13 +300,13 @@ def _ascend(d2, y, theta0, max_iter):
                 continue
             if cand_lml > lml:
                 theta, lml, factor = cand, cand_lml, cand_factor
-                grad = _lml_grad(d2, cand_hp, factor)
                 step = min(trial_step * 2.0, 1.0)
                 improved = True
                 break
             trial_step *= 0.5
-        if not improved or trial_step * gnorm < 1e-9:
+        if not improved or trial_step * gnorm < 1e-9 or iteration + 1 == max_iter:
             break
+        grad = _lml_grad(d2, cand_hp, factor)
     return theta, lml, factor
 
 

@@ -125,8 +125,10 @@ def reference_save_eis_csv(path, curves):
 
 def test_save_eis_csv_writes_the_bytes_of_the_sort_all_rows_writer(tmp_path):
     # ids kept verbatim: "SYN10" sorts before "SYN2", spaces, comma, quote,
-    # line breaks and non-ASCII; curves of several stages and cycles, shuffled
-    ids = ["SYN2", "SYN10", " a b ", "c,d", 'q"x', "x\ny", "x\r\ny", "é€"]
+    # line breaks, non-ASCII and the empty id; curves of several stages and
+    # cycles, shuffled
+    ids = ["SYN2", "SYN10", " a b ", " ", "c,d", ",", 'q"x', '"', "x\ny", "x\ry",
+           "x\r\ny", "é€", "😀", ""]
     rng = np.random.default_rng(0)
     curves = [make_curve(cell=cell, stage=stage, cycle=cycle, n=4 + cycle)
               for cell in ids for stage in (3, 5) for cycle in (0, 1, 10)]
@@ -158,6 +160,26 @@ def test_load_eis_csv_peak_memory_stays_near_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * os.path.getsize(path)
+
+
+@pytest.mark.parametrize("last_id", ["CELL,03", "CELL-😀"], ids=["loadtxt", "row by row"])
+def test_load_eis_csv_holds_one_string_per_cell_id(tmp_path, monkeypatch, last_id):
+    # a character beyond U+FFFF sends the whole file to the row-by-row reader
+    ids = ["CELL-01", "CELL-02", last_id]
+    path = tmp_path / "eis.csv"
+    eisdata.save_eis_csv(path, [make_curve(cell=cell, cycle=cycle, n=5)
+                                for cell in ids for cycle in range(4)])
+    row_by_row, grouped = [], []
+    csv_rows, group_rows = eisdata._csv_rows, eisdata._group_rows
+    monkeypatch.setattr(eisdata, "_csv_rows", lambda fh: row_by_row.append(1) or csv_rows(fh))
+    monkeypatch.setattr(eisdata, "_group_rows",
+                        lambda rows: grouped.append(rows) or group_rows(rows))
+    curves = eisdata.load_eis_csv(path)
+    assert row_by_row == ([] if last_id.isascii() else [1])
+    (rows,) = grouped
+    assert len(rows) == 60 and sorted(set(rows["cell_id"])) == sorted(ids)
+    assert len({id(cell) for cell in rows["cell_id"]}) == len(ids)
+    assert_same_curves(curves, reference_load_eis_csv(path))
 
 
 def test_load_eis_csv_checks_blank_lines_across_pieces(tmp_path, monkeypatch):

@@ -341,8 +341,8 @@ def reference_extract_latents(nets, x):
     return eisgan._q_mean(nets, reference_forward_trunk(nets, ng.Tensor(x))).data
 
 
-@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
-                               2 * BLOCK, 3 * BLOCK + 17])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                               2 * BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK, 6 * BLOCK + 17])
 def test_blocked_extract_latents_equals_whole_batch_pass(n):
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(5))
     x = toy_batch(n, seed=n)

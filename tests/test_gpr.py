@@ -104,7 +104,7 @@ def test_hyperparams_must_be_positive():
         Hyperparams(-0.1, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, True])
 @pytest.mark.parametrize("where", range(3))
 def test_hyperparams_must_be_finite(bad, where):
     values = [0.1, 1.0, 1.0]
@@ -510,6 +510,25 @@ def test_ascent_follows_reference_path_exactly(d):
         assert np.array_equal(chol, ref_chol) and np.array_equal(alpha, ref_alpha)
 
 
+def test_ascent_computes_no_gradient_after_its_last_step(monkeypatch):
+    rng = np.random.default_rng(61)
+    c = rng.standard_normal((25, 9))
+    y = np.sin(c[:, 0]) + 0.1 * rng.standard_normal(25)
+    d2 = gpr._sqdist(c, c)
+    values, grads = [], []
+    lml, lml_grad = gpr._lml, gpr._lml_grad
+    monkeypatch.setattr(gpr, "_lml", lambda *a: (lambda out: values.append(out[0]) or out)(
+        lml(*a)))
+    monkeypatch.setattr(gpr, "_lml_grad", lambda *a: grads.append(a) or lml_grad(*a))
+    max_iter = 5
+    gpr._ascend(d2, y, np.log([0.1, 1.0, 1.0]), max_iter)
+    # a trial is accepted when its L beats every L before it, the start point's first
+    accepted = sum(v > max(values[:i]) for i, v in enumerate(values) if i)
+    assert accepted == max_iter     # the ascent ends at max_iter, not by converging
+    # one gradient at the start point and one per accepted step but the last
+    assert len(grads) == accepted
+
+
 @pytest.mark.parametrize("restarts", [1, 3, 8])
 def test_fit_computes_training_distances_once(monkeypatch, restarts):
     rng = np.random.default_rng(13)
@@ -649,10 +668,24 @@ def _model_json(**changes):
     (_model_json(y_scale=float("inf")), "bad model file: ValueError.*y_scale inf"),
     (_model_json(y_scale=0.0), "bad model file: ValueError.*y_scale 0.0"),
     (_model_json(y_scale=-1.0), "bad model file: ValueError.*y_scale -1.0"),
+    (_model_json(hyperparams=[True, 1.0, 1.0]), r"finite and positive numbers.*sigma_n=True"),
+    (_model_json(hyperparams=[0.1, "1.0", 1.0]), r"finite and positive numbers.*sigma_f='1.0'"),
+    (_model_json(y_mean="40"), "bad model file: ValueError.*y_mean '40'"),
+    (_model_json(y_mean=False), "bad model file: ValueError.*y_mean False"),
+    (_model_json(y_scale=True), "bad model file: ValueError.*y_scale True"),
+    (_model_json(y_scale="1.0"), "bad model file: ValueError.*y_scale '1.0'"),
+    (_model_json(inputs=[["0.0"]]), "bad model file: ValueError.*inputs must be"),
+    (_model_json(inputs=[[True]]), "bad model file: ValueError.*inputs must be"),
+    (_model_json(inputs=[0.0]), "bad model file: ValueError.*inputs must be"),
+    (_model_json(targets=[True]), "bad model file: ValueError.*targets must be"),
+    (_model_json(targets=["0.0"]), "bad model file: ValueError.*targets must be"),
+    (_model_json(targets=0.0), "bad model file: ValueError.*targets must be"),
 ], ids=["unknown format", "no hyperparams", "two hyperparams", "text y_mean",
         "ragged inputs", "not json", "not an object", "NaN sigma_f", "inf length scale",
         "NaN y_mean", "-inf y_mean", "NaN y_scale", "inf y_scale", "zero y_scale",
-        "negative y_scale"])
+        "negative y_scale", "bool sigma_n", "text sigma_f", "text number y_mean",
+        "bool y_mean", "bool y_scale", "text number y_scale", "text number input",
+        "bool input", "flat inputs", "bool target", "text number target", "bare target"])
 def test_model_json_refuses_malformed_files(text, message):
     GprModel.from_json(_model_json())
     with pytest.raises(GprError, match=message):
