@@ -60,7 +60,7 @@ def cmd_train_gan(config: PipelineConfig):
 
 
 def cmd_extract(config: PipelineConfig):
-    dataset = pipeline.load_dataset(config, capacities=False)
+    dataset = pipeline.load_curves(config)  # a row per curve: no partition is needed
     for stage in config.stages:
         curves = dataset.curves_for(stage)
         if not curves:
@@ -121,7 +121,7 @@ def cmd_fit_gpr(config: PipelineConfig):
         y_train = np.array([capacities[r[0], r[2]] for r in train_rows])
         model = gpr.fit(c_train, y_train, restarts=config.gpr.restarts,
                         max_iter=config.gpr.max_iter, seed=config.seed)
-        path = pipeline.write_report(config.out_dir, f"gpr_stage{stage}.json", model)
+        path = pipeline.write_report(config.out_dir, f"gpr_stage{stage}.json", model.to_json())
         print(f"stage {stage}: GPR fit on {len(y_train)} points, "
               f"lml={model.lml:.3f} -> {path}")
 

@@ -113,21 +113,17 @@ class Networks:
             out.extend(bank.params())
         return out
 
-    def trunk_params(self):
+    def d_params(self):
+        """What `opt_d` steps: the shared trunk, then the D and the Q head."""
         out = []
         for bank in self.trunk_convs:
             out.extend(bank.params())
-        out.extend([self.trunk_dense_w, self.trunk_dense_b])
-        return out
-
-    def d_params(self):
-        return self.trunk_params() + [self.d_head_w, self.d_head_b]
-
-    def q_params(self):
-        return [self.q_head_w, self.q_head_b]
+        return out + [self.trunk_dense_w, self.trunk_dense_b, self.d_head_w, self.d_head_b,
+                      self.q_head_w, self.q_head_b]
 
     def all_params(self):
-        return self.g_params() + self.d_params() + self.q_params()
+        """Every parameter, in the order of the checkpoint's arrays."""
+        return self.g_params() + self.d_params()
 
 
 @dataclass(frozen=True)
@@ -243,25 +239,14 @@ def generate(nets: Networks, code: LatentCode) -> np.ndarray:
     return _finite_rows(_forward_g(nets, inp).data, "generated curve")[0]
 
 
-def _finite_rows(out: np.ndarray, what: str) -> np.ndarray:
-    """`out`, a batch of curves or codes, if it is all finite; otherwise a
-    GanError naming its first row holding NaN or +-inf. ndgrad's ops record
-    their outputs unchecked, so a pass that overflows is caught here."""
-    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+def _finite_rows(batch: np.ndarray, what: str) -> np.ndarray:
+    """`batch`, of curves or codes, if it is all finite; otherwise a GanError
+    naming its first row holding NaN or +-inf. It checks the curves `train` and
+    `extract_latents` take and every pass's output, which ndgrad records unchecked."""
+    finite = np.isfinite(batch).all(axis=tuple(range(1, batch.ndim)))
     if not finite.all():
         raise GanError(f"{what} {int(np.argmin(finite))} is non-finite")
-    return out
-
-
-def _curve_tensor(batch: np.ndarray, what: str) -> ng.Tensor:
-    """Tensor of a (N, channels, length) batch of curves. The Tensor's own
-    finiteness check is the only scan; when it fails, the GanError names the
-    first curve holding NaN or +-inf."""
-    try:
-        return ng.Tensor(batch)
-    except ng.NonFiniteError:
-        row = int(np.argmin(np.isfinite(batch).all(axis=(1, 2))))
-        raise GanError(f"{what} {row} holds non-finite values") from None
+    return batch
 
 
 def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
@@ -285,7 +270,7 @@ def extract_latents(nets: Networks, curve_array: np.ndarray) -> np.ndarray:
         raise GanError(f"curve shape {arr.shape} is neither ({CHANNELS}, "
                        f"{T_POINTS}) nor (N, {CHANNELS}, {T_POINTS})")
     single = arr.ndim == 2
-    batch = _curve_tensor(arr[None] if single else arr, "curve").data
+    batch = _finite_rows(arr[None] if single else arr, "curve")
     n = len(batch)
     features = np.empty((n, nets.trunk_dense_w.data.shape[1]))
     starts = range(0, max(n - EXTRACT_BLOCK, 0) + 1, EXTRACT_BLOCK)
@@ -326,7 +311,7 @@ class Optimizers:
 
     @staticmethod
     def build(nets: Networks) -> "Optimizers":
-        return Optimizers(opt_d=ng.AdamP(nets.d_params() + nets.q_params(), LR_D, GRAD_CLIP),
+        return Optimizers(opt_d=ng.AdamP(nets.d_params(), LR_D, GRAD_CLIP),
                           opt_g=ng.AdamP(nets.g_params(), LR_G, GRAD_CLIP))
 
 
@@ -345,8 +330,6 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
     non-saturating BCE + lambda * L_I of its own batch. The reported
     `loss_d` and `loss_g` are the BCE terms alone and `loss_mi` is the
     unscaled L_I of the G batch (the constant code entropy is dropped).
-    Q's Gaussian has unit variance: L_I = sum (mu - c)^2 / (2 sigma^2) + const,
-    so another sigma would only rescale LAMBDA_MI, the one weight on L_I.
 
     The step runs in the dtype of the networks' parameters (float32 under
     `train`): the float64 code draws are rounded to it, and `real_batch`
@@ -367,7 +350,7 @@ def train_step(nets: Networks, real_batch: np.ndarray, opts: Optimizers,
         return float(adv.data), float(nll.data), norm
 
     def code_nll(features, codes):
-        return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim], 1.0)
+        return ng.gaussian_nll(_q_mean(nets, features), codes[:, :cfg.latent_dim])
 
     # (1) discriminator and Q; the fakes are constants, drawn outside any tape
     d_codes = _sample_codes(cfg, batch, rng).astype(dtype, copy=False)
@@ -417,7 +400,7 @@ def train(real_curves: np.ndarray, config: GanConfig) -> tuple[Networks, TrainRe
         raise GanError(f"training data shape {data.shape} is not (N, {CHANNELS}, {T_POINTS})")
     if len(data) == 0:
         raise GanError("training data holds no curves")
-    _curve_tensor(data, "training curve")  # names the first non-finite curve
+    _finite_rows(data, "training curve")
     with np.errstate(over="ignore"):
         data = data.astype(np.float32)
     overflows = ~np.isfinite(data).all(axis=(1, 2))

@@ -259,28 +259,25 @@ def bce_logit_loss(logit: Tensor, target_is_real: bool) -> Tensor:
     return _record(out, (logit,), bw)
 
 
-def gaussian_nll(pred_mean: Tensor, code, fixed_sigma: float) -> Tensor:
-    """Negative log density of `code` under N(pred_mean, fixed_sigma^2 I).
+def gaussian_nll(pred_mean: Tensor, code) -> Tensor:
+    """Negative log density of `code` under N(pred_mean, I), InfoGAN's unit variance.
 
     Both are (B, k); summed over the k code dimensions, averaged over the
     batch. `code` is a constant array (no gradient flows into it).
     """
-    if fixed_sigma <= 0:
-        raise NdgradError(f"fixed_sigma must be positive, got {fixed_sigma}")
     dtype = pred_mean.data.dtype
     c = np.asarray(code, dtype=dtype)
     if c.ndim != 2 or c.shape != pred_mean.shape:
         raise ShapeError(f"gaussian_nll code shape {c.shape} and pred_mean shape "
                          f"{pred_mean.shape} are not the same (B, k)")
     batch, k = c.shape
-    var = float(fixed_sigma) ** 2
     resid = pred_mean.data - c
     # np.log returns a float64 scalar, which would widen a float32 loss
-    log_norm = dtype.type(np.log(2 * np.pi * var))
-    out = (0.5 * np.sum(resid ** 2) / var + 0.5 * k * batch * log_norm) / batch
+    log_norm = dtype.type(np.log(2 * np.pi))
+    out = (0.5 * np.sum(resid ** 2) + 0.5 * k * batch * log_norm) / batch
 
     def bw(g, need):
-        return (g * resid / (var * batch),)
+        return (g * resid / batch,)
 
     return _record(out, (pred_mean,), bw)
 

@@ -192,20 +192,28 @@ def declared_partition(config: PipelineConfig):
     return config.train_cells, config.test_cells
 
 
-def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
-    """Synthesize or ingest the dataset declared by the config. With
-    `capacities` False, CSV input reads eis.csv alone and holds no capacity
-    record, for commands that look none up."""
+def load_curves(config: PipelineConfig) -> Dataset:
+    """The config's curves and declared cells. CSV input reads eis.csv alone and
+    may declare no cells, but a declared cell that eis.csv does not hold is refused."""
     if config.synth is not None:
         return ecm.synth_dataset(**dataclasses.asdict(config.synth), stages=config.stages,
                                  seed=config.seed)
-    train_cells, test_cells = declared_partition(config)
-    curves = eisdata.load_eis_csv(config.eis_csv)
-    caps = eisdata.load_capacity_csv(config.capacity_csv) if capacities else {}
     curves = [c if c.n_points == eisdata.T_POINTS else eisdata.resample_log_grid(c)
-              for c in curves]
-    return Dataset(curves=curves, capacities=caps,
-                   train_cells=train_cells, test_cells=test_cells)
+              for c in eisdata.load_eis_csv(config.eis_csv)]
+    absent = sorted(set(config.train_cells + config.test_cells) - {c.cell_id for c in curves})
+    if absent:
+        raise PipelineError(f"declared cell(s) {absent} hold no curve in {config.eis_csv}")
+    return Dataset(curves, {}, config.train_cells, config.test_cells)
+
+
+def load_dataset(config: PipelineConfig, capacities: bool = True) -> Dataset:
+    """`load_curves` of a config that declares its partition. With `capacities`
+    False, CSV input reads eis.csv alone, for commands that look none up."""
+    declared_partition(config)
+    dataset = load_curves(config)
+    if capacities and config.synth is None:
+        dataset.capacities = eisdata.load_capacity_csv(config.capacity_csv)
+    return dataset
 
 
 def load_capacities(config: PipelineConfig) -> dict:
@@ -521,18 +529,15 @@ def write_summary(outdir, results: dict, paths) -> str:
         for e in results[f"{name}_report"].cells:
             summary.setdefault(f"stage{e.stage}/{e.cell_id}", {})[name] = {
                 "mae_mah": e.mae_mah, "rmse_mah": e.rmse_mah, "r2": e.r2}
-    path = os.path.join(outdir, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
-    return path
+    return write_report(outdir, "summary.json", json.dumps(summary, indent=2, sort_keys=True))
 
 
-def write_report(out_dir, name, report) -> str:
-    """Write `report.to_json()` to out_dir/name, creating out_dir; returns the path."""
+def write_report(out_dir, name, text: str) -> str:
+    """Write `text` to out_dir/name, creating out_dir; returns the path."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        fh.write(text)
     return path
 
 
@@ -582,13 +587,13 @@ def run_all(config: PipelineConfig, paths=PATHS) -> dict:
     results = run_study(dataset, config, paths)
 
     out = config.out_dir
-    write_report(out, "resolved_config.json", config)
+    write_report(out, "resolved_config.json", config.to_json())
     if config.synth is not None:
         eisdata.save_eis_csv(os.path.join(out, "eis.csv"), dataset.curves)
         eisdata.save_capacity_csv(os.path.join(out, "capacity.csv"), dataset.capacities)
     for name in paths:
-        write_report(out, f"evalreport_{name}.json", results[f"{name}_report"])
-    write_report(out, "perturbreport.json", results["perturb_report"])
+        write_report(out, f"evalreport_{name}.json", results[f"{name}_report"].to_json())
+    write_report(out, "perturbreport.json", results["perturb_report"].to_json())
     emit_plot_data(out, results, paths)
     write_summary(out, results, paths)
     for stage, art in results.get("eisgan_artifacts", {}).items():

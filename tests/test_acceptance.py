@@ -91,7 +91,7 @@ def test_criterion_1_gradient_correctness(capsys):
                 h = ng.reshape(h, (1, flat_dim))
                 out = ng.dense(h, w2t, b2t)
                 loss = ng.add(ng.bce_logit_loss(out, bool(trial % 2)),
-                              ng.scale(ng.gaussian_nll(out, code[None], 1.0), 0.1))
+                              ng.scale(ng.gaussian_nll(out, code[None]), 0.1))
                 grads = ng.backward(tape, loss, params)
             return float(loss.data), grads
 

@@ -83,13 +83,12 @@ def test_init_deterministic():
 
 
 def test_q_and_d_share_trunk_parameters():
+    # one group: the shared trunk, then the D head and the Q head on top of it
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(0))
-    trunk_ids = {id(p) for p in nets.trunk_params()}
-    d_ids = {id(p) for p in nets.d_params()}
-    assert trunk_ids <= d_ids
-    # Q only adds its own head on top of the shared trunk
-    assert {id(p) for p in nets.q_params()} & d_ids == set()
-    assert len(nets.q_params()) == 2
+    trunk = [p for bank in nets.trunk_convs for p in bank.params()]
+    heads = [nets.d_head_w, nets.d_head_b, nets.q_head_w, nets.q_head_b]
+    assert [id(p) for p in nets.d_params()] == [
+        id(p) for p in trunk + [nets.trunk_dense_w, nets.trunk_dense_b] + heads]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +196,9 @@ def test_train_step_zero_lambda_freezes_q_head(monkeypatch):
     monkeypatch.setattr(eisgan, "LAMBDA_MI", 0.0)
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(0))
     opts = eisgan.Optimizers.build(nets)
-    q_before = [p.data.copy() for p in nets.q_params()]
+    q_before = [p.data.copy() for p in (nets.q_head_w, nets.q_head_b)]
     eisgan.train_step(nets, toy_batch(16), opts, np.random.default_rng(1))
-    for before, p in zip(q_before, nets.q_params()):
+    for before, p in zip(q_before, (nets.q_head_w, nets.q_head_b)):
         assert np.array_equal(before, p.data)
 
 
@@ -228,18 +227,8 @@ def test_train_rejects_nonfinite_curve_naming_row(bad):
     data = toy_batch(8)
     data[5, 1, 7] = bad
     data[6, 0, 0] = bad
-    with pytest.raises(GanError, match="training curve 5 holds non-finite"):
+    with pytest.raises(GanError, match="training curve 5 is non-finite"):
         eisgan.train(data, tiny_config())
-
-
-def test_extract_latents_rejects_nonfinite_curve_naming_row():
-    nets = eisgan.init_networks(tiny_config(), np.random.default_rng(1))
-    x = toy_batch(4)
-    x[2, 0, 30] = np.nan
-    with pytest.raises(GanError, match="curve 2 holds non-finite"):
-        eisgan.extract_latents(nets, x)
-    with pytest.raises(GanError, match="curve 0 holds non-finite"):
-        eisgan.extract_latents(nets, x[2])
 
 
 def test_train_deterministic_and_reports_every_epoch():
@@ -356,7 +345,7 @@ def test_blocked_extract_latents_names_nonfinite_curve_by_global_row():
     x = toy_batch(3 * BLOCK)
     x[2 * BLOCK + 7, 1, 3] = np.nan
     x[2 * BLOCK + 9, 0, 0] = np.inf
-    with pytest.raises(GanError, match=f"curve {2 * BLOCK + 7} holds non-finite"):
+    with pytest.raises(GanError, match=f"curve {2 * BLOCK + 7} is non-finite"):
         eisgan.extract_latents(nets, x)
 
 
@@ -385,13 +374,44 @@ def test_extract_latents_peak_memory_bounded_by_block():
     assert peak(8 * BLOCK) <= 2 * peak(BLOCK)
 
 
+def _curves_with(value, rows, n=8):
+    """toy_batch(n) with `value` in one entry of each of `rows`."""
+    x = toy_batch(n)
+    x[rows, 1, 7] = value
+    return x
+
+
+def _nets(seed=1):
+    return eisgan.init_networks(tiny_config(), np.random.default_rng(seed))
+
+
+# inputs refused before any pass, outputs of passes that overflow: each names
+# its first non-finite row in the same words
+NONFINITE_ROWS = {
+    "train input": (lambda: eisgan.train(_curves_with(np.nan, [5, 6]), tiny_config()),
+                    "training curve 5"),
+    "extract input": (lambda: eisgan.extract_latents(_nets(), _curves_with(np.inf, [2, 3])),
+                      "curve 2"),
+    "extract input, one curve": (
+        lambda: eisgan.extract_latents(_nets(), _curves_with(-np.inf, [2])[2]), "curve 0"),
+    "extract output": (
+        lambda: eisgan.extract_latents(_overflowing(lambda n: n.trunk_convs[:2]),
+                                       np.concatenate([np.zeros((2, 2, 60)), toy_batch(3)])),
+        "latent code of curve 2"),
+    "generate output": (
+        lambda: eisgan.generate(_overflowing(lambda n: n.g_convs[:2]),
+                                LatentCode(np.ones(9), np.zeros(16))),
+        "generated curve 0"),
+    "sweep output": (lambda: eisgan.latent_sweep(_overflowing(lambda n: n.g_convs[:2]), 0),
+                     "sweep curve 0"),
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_latent_sweep_and_generate_refuse_overflowing_curves():
-    nets = _overflowing(lambda n: n.g_convs[:2])
-    with pytest.raises(GanError, match="sweep curve 0 is non-finite"):
-        eisgan.latent_sweep(nets, 0)
-    with pytest.raises(GanError, match="generated curve 0 is non-finite"):
-        eisgan.generate(nets, LatentCode(np.ones(9), np.zeros(16)))
+@pytest.mark.parametrize("call, row", NONFINITE_ROWS.values(), ids=NONFINITE_ROWS)
+def test_first_nonfinite_row_is_named(call, row):
+    with pytest.raises(GanError, match=f"^{row} is non-finite$"):
+        call()
 
 
 # References for the bit-identity tests below: `train_step` written as its
@@ -417,7 +437,7 @@ def clip_global_norm(grads, max_norm):
 def reference_optimizers(nets):
     """`Optimizers.build` with steps that clip nothing."""
     return eisgan.Optimizers(
-        opt_d=ng.AdamP(nets.d_params() + nets.q_params(), eisgan.LR_D, np.inf),
+        opt_d=ng.AdamP(nets.d_params(), eisgan.LR_D, np.inf),
         opt_g=ng.AdamP(nets.g_params(), eisgan.LR_G, np.inf))
 
 def reference_forward_g(nets, code):
@@ -469,9 +489,9 @@ def reference_train_step(nets, real_batch, opts, rng, merged=True):
             logit_fake = eisgan._d_logit(nets, features)
         loss_d = ng.add(ng.bce_logit_loss(logit_real, True),
                         ng.bce_logit_loss(logit_fake, False))
-        nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k], 1.0)
+        nll_d = ng.gaussian_nll(eisgan._q_mean(nets, features), d_codes[:, :k])
         total = ng.add(loss_d, ng.scale(nll_d, eisgan.LAMBDA_MI))
-        grads = ng.backward(tape, total, nets.d_params() + nets.q_params())
+        grads = ng.backward(tape, total, nets.d_params())
     grads, norm_d = clip_global_norm(grads, eisgan.GRAD_CLIP)
     opts.opt_d.step(grads)
 
@@ -480,7 +500,7 @@ def reference_train_step(nets, real_batch, opts, rng, merged=True):
     with ng.Tape() as tape:
         features = reference_forward_trunk(nets, reference_forward_g(nets, ng.Tensor(g_codes)))
         loss_g = ng.bce_logit_loss(eisgan._d_logit(nets, features), True)
-        loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k], 1.0)
+        loss_mi = ng.gaussian_nll(eisgan._q_mean(nets, features), g_codes[:, :k])
         total = ng.add(loss_g, ng.scale(loss_mi, eisgan.LAMBDA_MI))
         grads = ng.backward(tape, total, nets.g_params())
     grads, norm_g = clip_global_norm(grads, eisgan.GRAD_CLIP)
@@ -642,14 +662,17 @@ def test_train_rejects_curve_that_overflows_float32():
 
 
 def test_optimizers_hold_disjoint_params_covering_all():
-    # no parameter may carry two sets of Adam moments
+    # no parameter may carry two sets of Adam moments; the two groups, G's
+    # first, are every parameter in the checkpoint's order
     nets = eisgan.init_networks(tiny_config(), np.random.default_rng(0))
     opts = eisgan.Optimizers.build(nets)
     d_ids = [id(p) for p in opts.opt_d.params]
     g_ids = [id(p) for p in opts.opt_g.params]
+    assert d_ids == [id(p) for p in nets.d_params()]
+    assert g_ids == [id(p) for p in nets.g_params()]
     assert not set(d_ids) & set(g_ids)
     assert len(set(d_ids)) == len(d_ids) and len(set(g_ids)) == len(g_ids)
-    assert sorted(d_ids + g_ids) == sorted(id(p) for p in nets.all_params())
+    assert [id(p) for p in nets.all_params()] == g_ids + d_ids
 
 
 def _params_after_steps(monkeypatch, lambda_mi, steps=3):
@@ -695,14 +718,15 @@ def test_mi_objective_descends_under_joint_updates():
     # the G+Q sub-update alone must be able to drive the code NLL down
     cfg = tiny_config()
     nets = eisgan.init_networks(cfg, np.random.default_rng(0))
-    opt = ng.AdamP(nets.g_params() + nets.q_params(), lr=1e-3, max_norm=np.inf)
+    opt = ng.AdamP(nets.g_params() + [nets.q_head_w, nets.q_head_b], lr=1e-3,
+                   max_norm=np.inf)
     codes = np.random.default_rng(1).standard_normal((16, 25))
     losses = []
     for _ in range(150):
         with ng.Tape() as tape:
             x_g = eisgan._forward_g(nets, ng.Tensor(codes))
             q_mean = eisgan._q_mean(nets, eisgan._forward_trunk(nets, x_g))
-            loss = ng.gaussian_nll(q_mean, codes[:, :9], 1.0)
+            loss = ng.gaussian_nll(q_mean, codes[:, :9])
             grads = ng.backward(tape, loss, opt.params)
         opt.step(grads)
         losses.append(float(loss.data))

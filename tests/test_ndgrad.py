@@ -317,7 +317,7 @@ def test_rows_matches_finite_differences():
     def run():
         xt = ng.Tensor(x)
         with ng.Tape() as tape:
-            loss = ng.add(ng.gaussian_nll(ng.rows(xt, 1, 4), code, 1.0),
+            loss = ng.add(ng.gaussian_nll(ng.rows(xt, 1, 4), code),
                           ng.bce_logit_loss(ng.rows(xt, 3, 6), True))
             grads = ng.backward(tape, loss, [xt])
         return float(loss.data), grads
@@ -418,19 +418,24 @@ def test_bce_logit_stable_at_700():
 
 
 def test_gaussian_nll_zero_residual():
-    out = ng.gaussian_nll(ng.Tensor([[0.3]]), np.array([[0.3]]), 1.0)
+    out = ng.gaussian_nll(ng.Tensor([[0.3]]), np.array([[0.3]]))
     assert abs(float(out.data) - 0.5 * np.log(2 * np.pi)) < 1e-12
 
 
-def test_gaussian_nll_quadratic_scaling():
-    base = float(ng.gaussian_nll(ng.Tensor([[1.0, 1.0, 1.0]]), np.zeros((1, 3)), 2.0).data)
-    doubled = float(ng.gaussian_nll(ng.Tensor([[2.0, 2.0, 2.0]]), np.zeros((1, 3)), 2.0).data)
-    # residual doubling adds 3 * delta^2 / (2 sigma^2) to the quadratic term
-    assert abs((doubled - base) - 3.0 * 3.0 / (2 * 4.0)) < 1e-12
+def test_gaussian_nll_closed_form_value_and_gradient():
+    # unit variance: sum((mu - c)^2) / (2 B) + k log(2 pi) / 2, and (mu - c) / B
+    pred = ng.Tensor([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    code = np.array([[0.0, 1.0, 0.5], [2.0, 3.0, 1.0]])
+    with ng.Tape() as tape:
+        out = ng.gaussian_nll(pred, code)
+        (grad,) = ng.backward(tape, out, [pred])
+    assert float(out.data) == pytest.approx((1 + 9 + 0 + 4 + 0 + 4) / 4 + 1.5 * np.log(2 * np.pi),
+                                            rel=1e-15)
+    np.testing.assert_allclose(grad, [[0.5, -1.5, 0.0], [-1.0, 0.0, -1.0]], rtol=1e-15)
 
 
 def test_gaussian_nll_empty_code():
-    out = ng.gaussian_nll(ng.Tensor(np.zeros((1, 0))), np.zeros((1, 0)), 1.0)
+    out = ng.gaussian_nll(ng.Tensor(np.zeros((1, 0))), np.zeros((1, 0)))
     assert float(out.data) == 0.0
 
 
@@ -445,8 +450,7 @@ def test_losses_of_float32_operands_are_float32():
     pred = ng.Tensor(np.full((2, 3), 0.5, np.float32))
     with ng.Tape() as tape:
         loss = ng.add(ng.bce_logit_loss(pred, True),
-                      ng.scale(ng.gaussian_nll(pred, np.zeros((2, 3)), np.float64(2.0)),
-                               np.float64(3.0)))
+                      ng.scale(ng.gaussian_nll(pred, np.zeros((2, 3))), np.float64(3.0)))
         (grad,) = ng.backward(tape, loss, [pred])
     assert {node.data.dtype for node in tape.nodes} == {np.dtype(np.float32)}
     assert grad.dtype == np.float32
@@ -455,7 +459,7 @@ def test_losses_of_float32_operands_are_float32():
 @pytest.mark.parametrize("shape", [(3,), ()], ids=["1d", "0d"])
 def test_gaussian_nll_rejects_unbatched_code(shape):
     with pytest.raises(ng.ShapeError, match="gaussian_nll code shape " + re.escape(str(shape))):
-        ng.gaussian_nll(ng.Tensor(np.zeros(shape)), np.zeros(shape), 1.0)
+        ng.gaussian_nll(ng.Tensor(np.zeros(shape)), np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +536,7 @@ def test_all_ops_gradcheck_random_shapes():
                 h = ng.reshape(h, (1, flat_dim))
                 out = ng.dense(h, w2t, b2t)
                 loss = ng.add(ng.bce_logit_loss(out, bool(trial % 2)),
-                              ng.scale(ng.gaussian_nll(out, code[None], 1.0), 0.1))
+                              ng.scale(ng.gaussian_nll(out, code[None]), 0.1))
                 grads = ng.backward(tape, loss, params)
             return float(loss.data), grads
 

@@ -863,6 +863,61 @@ def test_cli_train_gan_and_extract_read_no_capacity_csv(tmp_path, capsys):
     assert latents[1] == latents[0]
 
 
+def test_cli_extract_needs_no_declared_partition(tmp_path, capsys):
+    # extract writes a latent row for every curve, so a config without
+    # train_cells and test_cells gives the same rows
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
+    for command in ("train-gan", "extract"):
+        assert cli.main([command, "--config", path]) == 0, command
+    latents_path = os.path.join(cfg.out_dir, "latents_stage5.csv")
+    latents = _read_bytes(latents_path)
+    os.remove(latents_path)
+    for key in ("train_cells", "test_cells"):
+        _set_config_key(path, None, key, [])
+    assert cli.main(["extract", "--config", path]) == 0
+    capsys.readouterr()
+    assert _read_bytes(latents_path) == latents
+
+
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"extract"}))
+def test_cli_commands_but_extract_refuse_a_csv_config_without_partition(
+        tmp_path, capsys, no_training, command):
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
+    for key in ("train_cells", "test_cells"):
+        _set_config_key(path, None, key, [])
+    assert cli.main([command, "--config", path]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PipelineError",
+        "message": "train_cells and test_cells must be declared for CSV input"}
+    assert_wrote_nothing(cfg.out_dir)
+
+
+@pytest.mark.parametrize("command", ("synth", "train-gan", "extract", "sweep") + STUDY_COMMANDS)
+def test_cli_refuses_a_declared_cell_eis_csv_lacks(tmp_path, capsys, no_training, command):
+    # a typo in a declared cell once dropped that cell: `baseline` fitted on
+    # SYN01 alone, and every command that reads eis.csv now names it
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
+    _set_config_key(path, None, "train_cells", ["SYN01", "SYNO2"])
+    assert cli.main([command, "--config", path]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PipelineError",
+        "message": f"declared cell(s) ['SYNO2'] hold no curve in {cfg.eis_csv}"}
+    assert_wrote_nothing(cfg.out_dir)
+
+
+def test_load_dataset_keeps_a_declared_cell_some_stages_lack(tmp_path):
+    # each stage intersects the declared cells with its own
+    ds = pipeline.load_dataset(tiny_config(tmp_path, stages=(3, 5)))
+    curves = [c for c in ds.curves if (c.cell_id, c.stage) != ("SYN02", 3)]
+    cfg, _ = csv_config_file(tmp_path, ds, curves, ds.capacities, stages=(3, 5))
+    loaded = pipeline.load_dataset(cfg)
+    assert pipeline.stage_partition(loaded, 3) == (("SYN01",), ("SYN03",))
+    assert pipeline.stage_partition(loaded, 5) == (("SYN01", "SYN02"), ("SYN03",))
+
+
 LATENTS = "cell_id,stage,cycle,c1,c2\nA,5,0,0.1,0.2\nA,5,2,0.3,0.4\n"
 
 
@@ -941,7 +996,8 @@ def test_cli_study_commands_refuse_a_missing_test_capacity_before_writing(
 
 def test_write_report_creates_the_directory_and_writes_to_json(tmp_path):
     report = pipeline.EvalReport("eisgan")
-    path = pipeline.write_report(str(tmp_path / "new"), "evalreport_eisgan.json", report)
+    path = pipeline.write_report(str(tmp_path / "new"), "evalreport_eisgan.json",
+                                 report.to_json())
     assert path == str(tmp_path / "new" / "evalreport_eisgan.json")
     assert _read_bytes(path) == report.to_json().encode()
 
