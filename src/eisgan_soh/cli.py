@@ -106,11 +106,22 @@ def _read_latents(path, stage):
 # `fit-gpr` and `predict` read no EIS curves: `extract` writes a latent row for
 # every curve of a stage, so the latent rows tell which cells the stage holds.
 
+def _stage_latents(config, partition):
+    """Each configured stage's latent rows. A declared cell that no stage's rows
+    hold is refused, as `load_curves` refuses one that eis.csv lacks."""
+    latents = {stage: _read_latents(_latents_csv_path(config, stage), stage)
+               for stage in config.stages}
+    absent = sorted(set().union(*partition) - {r[0] for rows in latents.values() for r in rows})
+    if absent:
+        raise pipeline.PipelineError(
+            f"declared cell(s) {absent} hold no latent row in {config.out_dir}")
+    return latents
+
+
 def cmd_fit_gpr(config: PipelineConfig):
     partition = pipeline.declared_partition(config)
     capacities = pipeline.load_capacities(config)
-    for stage in config.stages:
-        rows = _read_latents(_latents_csv_path(config, stage), stage)
+    for stage, rows in _stage_latents(config, partition).items():
         train_cells, _ = pipeline.split_partition(*partition, {r[0] for r in rows}, stage)
         train_rows = [r for r in rows if r[0] in train_cells]
         missing = [(r[0], r[2]) for r in train_rows if (r[0], r[2]) not in capacities]
@@ -127,12 +138,11 @@ def cmd_fit_gpr(config: PipelineConfig):
 
 
 def cmd_predict(config: PipelineConfig):
-    train_cells, test_cells = pipeline.declared_partition(config)
-    for stage in config.stages:
+    train_cells, test_cells = partition = pipeline.declared_partition(config)
+    for stage, all_rows in _stage_latents(config, partition).items():
         with eisdata.open_text(os.path.join(config.out_dir, f"gpr_stage{stage}.json"),
                                gpr.GprError) as fh:
             model = gpr.GprModel.from_json(fh.read())
-        all_rows = _read_latents(_latents_csv_path(config, stage), stage)
         rows = [r for r in all_rows if r[0] in test_cells]
         if not rows:
             raise pipeline.PipelineError(

@@ -226,15 +226,14 @@ def leaky_relu(x: Tensor, alpha: float) -> Tensor:
         raise NdgradError(f"alpha must lie in (0,1), got {alpha}")
     alpha = float(alpha)
     out = np.maximum(alpha * x.data, x.data)
-    slopes = np.array([alpha, 1.0], x.data.dtype)
 
     def bw(g, need):
-        # a table lookup of the slope, then one multiply: no branch per element;
-        # the lookup runs in memory order, so the gradient keeps x's layout
-        positive = (x.data > 0).view(np.uint8)
-        grad = np.empty_like(positive, dtype=np.result_type(g, slopes))
-        slopes.take(positive.ravel(order="K"), out=grad.ravel(order="K"), mode="clip")
-        grad *= g
+        # the slope in x's dtype and layout: (1 - alpha) + alpha, exactly 1 for
+        # every alpha in (0, 1), where x > 0 and alpha elsewhere; then one
+        # multiply in place, which refuses a g it would narrow
+        grad = np.multiply(x.data > 0, 1.0 - alpha, dtype=x.data.dtype)
+        grad += alpha
+        np.multiply(grad, g, out=grad, casting="safe")
         return (grad,)
 
     return _record(out, (x,), bw)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from eisgan_soh import gpr
 from eisgan_soh.gpr import GprError, GprModel, Hyperparams
@@ -293,6 +294,55 @@ def test_lml_gradient_matches_dense_inverse_form(d, n):
         assert np.all(np.abs(grad - ref) <= 1e-10 * size)
         if not jittered:
             assert np.abs(grad - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def triu_lml_grad(d2, hp, factor):
+    """`_lml_grad` as it was over a factor that keeps the gram above its
+    diagonal, as `dpotrf` with clean=0 leaves it: `np.triu` masks the triangle
+    of K^-1 off, then the weight 2 scales it and the diagonal is put back."""
+    k_f, chol, alpha = factor
+    n = len(alpha)
+    dirty = np.where(np.triu(np.ones((n, n), bool), 1), k_f, chol)
+    k_inv, info = dpotri(np.asfortranarray(dirty), lower=1)
+    assert info == 0
+    tri = np.triu(k_inv.T, 1)
+    tri *= 2.0
+    tri.flat[:: n + 1] = k_inv.diagonal()
+    k_fd = k_f * d2
+    return np.array([
+        hp.sigma_n ** 2 * (float(alpha @ alpha) - float(np.trace(k_inv))),
+        float(alpha @ (k_f @ alpha)) - float(np.vdot(tri, k_f)),
+        0.5 * (float(alpha @ (k_fd @ alpha)) - float(np.vdot(tri, k_fd)))
+        / hp.length_scale ** 2,
+    ])
+
+
+@pytest.mark.parametrize("n", [2, 40, 80])
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_lml_gradient_equals_triu_form_exactly(d, n):
+    rng = np.random.default_rng(100 + d + n)
+    for c, y, hp, _ in _plain_and_jittered(rng, d, n):
+        d2 = gpr._sqdist(c, c)
+        _, factor = gpr._lml(d2, y, hp)
+        assert np.array_equal(gpr._lml_grad(d2, hp, factor), triu_lml_grad(d2, hp, factor))
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_sq_exp_equals_its_formula_exactly(d):
+    rng = np.random.default_rng(110 + d)
+    for c, _, hp, _ in _plain_and_jittered(rng, d, 80):
+        d2 = gpr._sqdist(c, c)
+        want = hp.sigma_f ** 2 * np.exp(-d2 / (2 * hp.length_scale ** 2))
+        assert np.array_equal(gpr._sq_exp(d2, hp), want)
+
+
+@pytest.mark.parametrize("d", [1, 9, 120])
+def test_lml_factor_is_zero_above_its_diagonal(d):
+    rng = np.random.default_rng(120 + d)
+    for c, y, hp, jittered in _plain_and_jittered(rng, d, 80):
+        _, (_, chol, _) = gpr._lml(gpr._sqdist(c, c), y, hp)
+        assert np.all(np.triu(chol, 1) == 0.0)
+        assert np.all(np.diag(chol) > 0.0)
 
 
 # ---------------------------------------------------------------------------

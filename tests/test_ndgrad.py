@@ -666,6 +666,54 @@ def test_leaky_relu_bit_identical_to_reference(alpha):
         _op_and_reference(ng.leaky_relu, reference_leaky_relu, x, alpha, rng)
 
 
+def take_leaky_relu_grad(x, g, alpha):
+    """`leaky_relu`'s backward as a table lookup: the slope taken from
+    [alpha, 1] by x > 0 in x's dtype and memory order, then times g."""
+    slopes = np.array([alpha, 1.0], x.dtype)
+    positive = (x > 0).view(np.uint8)
+    grad = np.empty_like(positive, dtype=np.result_type(g, slopes))
+    slopes.take(positive.ravel(order="K"), out=grad.ravel(order="K"), mode="clip")
+    grad *= g
+    return grad
+
+
+@pytest.mark.parametrize("dtype, g_dtype", [(np.float64, np.float64), (np.float32, np.float32),
+                                            (np.float64, np.float32)])
+def test_leaky_relu_backward_equals_take_form_exactly(dtype, g_dtype):
+    # (1 - alpha) + alpha rounds to exactly 1 for every alpha in (0, 1)
+    rng = np.random.default_rng(52)
+    tiny, below_one = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    alphas = [*rng.uniform(0.0, 1.0, 200), *10.0 ** -rng.uniform(0.0, 40.0, 100),
+              tiny, 1e-300, 1e-45, 1e-38, 2.0 ** -24, 2.0 ** -53, 0.01, 0.2, 0.5,
+              1.0 - 2.0 ** -24, below_one]
+    x = rng.standard_normal((3, 4, 10)).astype(dtype)
+    x.ravel()[::5] = 0.0
+    x.ravel()[1::7] = -0.0
+    x.ravel()[2::11] = np.nan
+    for data in (x, x.transpose(1, 2, 0)):   # C order and a batch-last view
+        g = rng.standard_normal(data.shape).astype(g_dtype)
+        operand = ng._record(data, (), None)   # NaN passes, as in an op's output
+        for alpha in alphas:
+            with ng.Tape():
+                out = ng.leaky_relu(operand, alpha)
+            (got,) = out.backward_fn(g, (True,))
+            want = take_leaky_relu_grad(data, g, alpha)
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes(), alpha
+
+
+def test_leaky_relu_backward_refuses_a_gradient_it_would_narrow():
+    # a float64 g would round into a float32 x's slope; the take form refused it too
+    x = np.array([[1.0, -2.0, 0.0]], np.float32)
+    g = np.ones((1, 3))
+    with ng.Tape():
+        out = ng.leaky_relu(ng.Tensor(x), 0.1)
+    for backward in (lambda: out.backward_fn(g, (True,)),
+                     lambda: take_leaky_relu_grad(x, g, 0.1)):
+        with pytest.raises(TypeError):
+            backward()
+
+
 def _small_net_tape(rng, batched, dtype=np.float64):
     """A conv -> lrelu -> pool -> upsample -> pool -> dense chain on one tape,
     over five samples, or over one sample as a batch of one."""

@@ -763,8 +763,13 @@ def test_perturb_entries_name_their_own_stage_target(tmp_path, no_training):
     ("fit-gpr", "test", "empty partition"),
     ("fit-gpr", "train", "empty partition"),
 ])
-def test_cli_partition_errors_from_latent_rows(fitted_chain, capsys, command, keep, message):
-    cfg, path = fitted_chain
+def test_cli_partition_errors_from_latent_rows(tmp_path, capsys, command, keep, message):
+    # stage 3 holds every declared cell, so none is refused as absent from all
+    # stages, and stage 5's rows alone lack a side of the partition
+    cfg, path = cli_config_file(tmp_path, stages=(5, 3))
+    for step in ("train-gan", "extract", "fit-gpr"):
+        assert cli.main([step, "--config", path]) == 0, step
+    capsys.readouterr()
     latents = os.path.join(cfg.out_dir, "latents_stage5.csv")
     train_cells, test_cells = pipeline.declared_partition(cfg)
     cells = test_cells if keep == "test" else train_cells
@@ -778,7 +783,7 @@ def test_cli_partition_errors_from_latent_rows(fitted_chain, capsys, command, ke
     assert len(lines) == 1
     blob = json.loads(lines[0])
     assert blob["error"] == "PipelineError"
-    assert message in blob["message"]
+    assert blob["message"].startswith("stage 5: ") and message in blob["message"]
     assert captured.out == ""
 
 
@@ -906,6 +911,39 @@ def test_cli_refuses_a_declared_cell_eis_csv_lacks(tmp_path, capsys, no_training
         "error": "PipelineError",
         "message": f"declared cell(s) ['SYNO2'] hold no curve in {cfg.eis_csv}"}
     assert_wrote_nothing(cfg.out_dir)
+
+
+@pytest.mark.parametrize("command, key, cells", [("fit-gpr", "train_cells", ["SYN01", "SYNO2"]),
+                                                 ("predict", "test_cells", ["SYN03", "SYNO4"])])
+def test_cli_refuses_a_declared_cell_no_latent_row_holds(tmp_path, capsys, command, key,
+                                                         cells):
+    # fit-gpr and predict read the latent rows, not eis.csv: a typo in a
+    # declared cell once fitted on SYN01 alone, or predicted for SYN03 alone
+    ds = pipeline.load_dataset(tiny_config(tmp_path))
+    cfg, path = csv_config_file(tmp_path, ds, ds.curves, ds.capacities)
+    for step in ("train-gan", "extract", "fit-gpr"):
+        assert cli.main([step, "--config", path]) == 0, step
+    written = {name: _read_bytes(os.path.join(cfg.out_dir, name))
+               for name in os.listdir(cfg.out_dir)}
+    _set_config_key(path, None, key, cells)
+    assert cli.main([command, "--config", path]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PipelineError",
+        "message": f"declared cell(s) {cells[1:]} hold no latent row in {cfg.out_dir}"}
+    assert {name: _read_bytes(os.path.join(cfg.out_dir, name))
+            for name in os.listdir(cfg.out_dir)} == written
+
+
+def test_cli_fit_gpr_and_predict_keep_a_declared_cell_some_stages_lack(tmp_path, capsys):
+    # SYN02 holds no stage-3 curve, so no stage-3 latent row: each stage fits
+    # and predicts on the declared cells its rows hold
+    ds = pipeline.load_dataset(tiny_config(tmp_path, stages=(3, 5)))
+    curves = [c for c in ds.curves if (c.cell_id, c.stage) != ("SYN02", 3)]
+    cfg, path = csv_config_file(tmp_path, ds, curves, ds.capacities, stages=(3, 5))
+    for step in ("train-gan", "extract", "fit-gpr", "predict"):
+        assert cli.main([step, "--config", path]) == 0, step
+    out = capsys.readouterr().out
+    assert "stage 3: GPR fit on 8 points" in out and "stage 5: GPR fit on 16 points" in out
 
 
 def test_load_dataset_keeps_a_declared_cell_some_stages_lack(tmp_path):
